@@ -1,0 +1,410 @@
+"""Batch command-line front end for encoding, analysis, and verification.
+
+Subcommands: encode, analyze, tables, sweep, fig6, verify, plan-aux.
+Every output is a deterministic file (JSON or CSV with a versioned
+header comment) written atomically; repeated runs with the same
+configuration produce byte-identical files.  Numeric defaults can be
+overridden with FERMAP_-prefixed environment variables (FERMAP_T,
+FERMAP_U, FERMAP_EPS, FERMAP_DELTA, FERMAP_DENSE_CAP, FERMAP_SEED).
+
+Exit codes: 0 success (including a partial verify run with skipped
+checks), 1 verification failure, 2 usage or configuration error.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+from typing import Optional, Sequence
+
+from . import analysis, aux_fermion, lsfs
+from .encodings import EncodingSpec, encode_model
+from .models import LatticeSpec, hubbard
+from .pauli import DENSE_CAP_DEFAULT
+from .verify import run_suite
+
+
+def _env_float(name: str, default: float) -> float:
+    raw = os.environ.get(f"FERMAP_{name}")
+    return default if raw is None else float(raw)
+
+
+def _env_int(name: str, default: int) -> int:
+    raw = os.environ.get(f"FERMAP_{name}")
+    return default if raw is None else int(raw)
+
+
+def _write_atomic(path: Path, text: str):
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.write(text)
+        os.replace(tmp_name, path)
+    except BaseException:
+        os.unlink(tmp_name)
+        raise
+
+
+def _emit(text: str, out: Optional[str]):
+    if out:
+        _write_atomic(Path(out), text)
+    else:
+        sys.stdout.write(text)
+
+
+class ConfigError(Exception):
+    """Bad configuration content: reported on stderr with exit code 2."""
+
+
+def _load_model_config(args) -> tuple[LatticeSpec, float, float, float]:
+    """Lattice plus couplings from --model JSON or inline flags."""
+    t, u, eps = args.t, args.u, args.eps
+    if getattr(args, "model", None):
+        try:
+            data = json.loads(Path(args.model).read_text())
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"cannot read model file: {exc}") from exc
+        try:
+            lat = data["lattice"]
+            ordering = data.get("ordering", "snake")
+            if lat["kind"] == "rectangle":
+                spec = LatticeSpec.rectangle(int(lat["w"]), int(lat["h"]), ordering)
+            elif lat["kind"] == "hypercube":
+                spec = LatticeSpec.hypercube(int(lat["dim"]), int(lat["w"]), ordering)
+            else:
+                raise ConfigError(f"unknown lattice kind {lat['kind']!r}")
+            t = float(data.get("t", t))
+            u = float(data.get("U", data.get("u", u)))
+            eps = float(data.get("eps", eps))
+            return spec, t, u, eps
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed model config: {exc}") from exc
+    if args.dim is not None:
+        if args.w is None:
+            raise ConfigError("hypercubic lattices need --w")
+        return LatticeSpec.hypercube(args.dim, args.w, args.ordering), t, u, eps
+    if args.w is None or args.h is None:
+        raise ConfigError("specify --model, or --w and --h (or --dim and --w)")
+    return LatticeSpec.rectangle(args.w, args.h, args.ordering), t, u, eps
+
+
+def _parse_segments(raw: str) -> list[int]:
+    try:
+        return [int(part) for part in raw.split(",") if part.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"bad segment list {raw!r}") from exc
+
+
+def _meta_json(meta: dict, operator) -> str:
+    payload = {"meta": meta, "operator": operator.to_json_dict()}
+    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Subcommand bodies.
+# ---------------------------------------------------------------------------
+
+
+def _cmd_encode(args) -> int:
+    lattice, t, u, eps = _load_model_config(args)
+    kind = args.encoding.lower()
+    if kind == "lsfs":
+        if lattice.kind != "rectangle":
+            raise ConfigError("the loop-stabilized encoding needs a rectangle")
+        w, h = lattice.w, lattice.h
+        delta = args.delta
+        if delta is None:
+            delta = lsfs.default_penalty(t, u, eps)
+        layout = lsfs.EdgeLayout(w, h)
+        if args.spin == "single":
+            if u != 0.0:
+                raise ConfigError("single-spin encoding has no density coupling; set U=0")
+            operator = lsfs.single_spin_hamiltonian(layout, t, eps, delta)
+        else:
+            operator = lsfs.hubbard_lsfs(w, h, t, u, eps, delta)
+        meta = {
+            "encoding": "lsfs",
+            "spin": args.spin,
+            "lattice": {"kind": "rectangle", "w": w, "h": h},
+            "t": t,
+            "U": u,
+            "eps": eps,
+            "delta": delta,
+            "n_qubits": operator.n_qubits,
+        }
+        out = args.out or "lsfs_operator.json"
+        _write_atomic(Path(out), _meta_json(meta, operator))
+        stabs = lsfs.stabilizers(layout)
+        sidecar = {
+            "n_qubits": layout.n_edges,
+            "count": len(stabs),
+            "stabilizers": [s.to_json_dict() for s in stabs],
+        }
+        _write_atomic(
+            Path(out).with_suffix(".stabilizers.json"),
+            json.dumps(sidecar, sort_keys=True, indent=1) + "\n",
+        )
+        buf = io.StringIO()
+        buf.write("# fermap plaquette-report v1: plaquette,weight,sign\n")
+        buf.write("plaquette,weight,sign\n")
+        for row in lsfs.plaquette_report(layout):
+            plq = " ".join(str(v) for v in row["plaquette"])
+            buf.write(f"{plq},{row['weight']},{row['sign']}\n")
+        _write_atomic(Path(out).with_suffix(".plaquettes.csv"), buf.getvalue())
+        return 0
+
+    if kind in ("jw", "bk", "sbk"):
+        enc = analysis.model_encoding(kind, lattice, args.segment_size)
+    elif kind == "forest":
+        if not args.segments:
+            raise ConfigError("--encoding forest needs --segments")
+        sizes = _parse_segments(args.segments)
+        if sum(sizes) != lattice.n_modes:
+            raise ConfigError(
+                f"segments sum to {sum(sizes)}, model has {lattice.n_modes} modes"
+            )
+        enc = EncodingSpec.from_segments(sizes)
+    else:
+        raise ConfigError(f"unknown encoding {args.encoding!r}")
+    operator = encode_model(enc, hubbard(lattice, t, u, eps))
+    meta = {
+        "encoding": kind,
+        "segments": enc.to_config()["segments"],
+        "lattice": (
+            {"kind": "rectangle", "w": lattice.w, "h": lattice.h}
+            if lattice.kind == "rectangle"
+            else {"kind": "hypercube", "dim": lattice.dim, "w": lattice.w}
+        ),
+        "ordering": lattice.ordering,
+        "t": t,
+        "U": u,
+        "eps": eps,
+        "n_qubits": operator.n_qubits,
+    }
+    _emit(_meta_json(meta, operator), args.out)
+    return 0
+
+
+def _cmd_analyze(args) -> int:
+    lattice, t, u, _ = _load_model_config(args)
+    names = (
+        ["jw", "bk", "sbk", "af", "lsfs"]
+        if args.encoding == "all"
+        else [args.encoding.lower()]
+    )
+    buf = io.StringIO()
+    buf.write("# fermap measured-locality v1: encoding,term_class,measured\n")
+    buf.write("encoding,term_class,measured\n")
+    for name in names:
+        per_class = analysis.measure(name, lattice, args.segment_size, t, u)
+        for klass in sorted(per_class):
+            buf.write(f"{name},{klass},{per_class[klass]}\n")
+    _emit(buf.getvalue(), args.out)
+    return 0
+
+
+def _cmd_tables(args) -> int:
+    if args.dim is not None:
+        if args.w is None:
+            raise ConfigError("hypercubic tables need --w")
+        report = analysis.table_II(args.dim, args.w, measured=args.measure)
+    else:
+        if args.w is None or args.h is None:
+            raise ConfigError("rectangular tables need --w and --h")
+        report = analysis.table_I(args.w, args.h, measured=args.measure)
+    text = report.to_csv() if args.format == "csv" else report.to_markdown()
+    _emit(text, args.out)
+    return 0
+
+
+def _cmd_sweep(args) -> int:
+    sizes = _parse_segments(args.segments) if args.segments else None
+    sweep = analysis.sbk_segment_sweep(args.w, sizes)
+    size, value = analysis.sweep_optimum(sweep)
+    text = analysis.sweep_csv(args.w, sweep)
+    text += f"# optimum segment_size={size} vertical_locality={value}\n"
+    _emit(text, args.out)
+    return 0
+
+
+def _cmd_fig6(args) -> int:
+    if args.w_min > args.w_max:
+        raise ConfigError("--w-min must not exceed --w-max")
+    rows = analysis.fig6_series(range(args.w_min, args.w_max + 1))
+    _emit(analysis.fig6_csv(rows), args.out)
+    return 0
+
+
+def _cmd_verify(args) -> int:
+    report = run_suite(
+        symbolic_only=(args.suite == "symbolic"),
+        cap=args.dense_cap,
+        seed=args.seed,
+        forest_trials=args.trials,
+    )
+    text = report.to_json() + "\n"
+    _emit(text, args.out)
+    if args.out:
+        summary = [f"{c.name}: {c.status}" for c in report.checks]
+        sys.stdout.write("\n".join(summary) + f"\nstatus: {report.status}\n")
+    return 0 if report.status in ("pass", "partial") else 1
+
+
+def _cmd_plan_aux(args) -> int:
+    if args.dim is not None:
+        if args.w is None:
+            raise ConfigError("hypercubic plans need --w")
+        plan = aux_fermion.plan_hypercubic(args.dim, args.w)
+    else:
+        if args.w is None or args.h is None:
+            raise ConfigError("rectangular plans need --w and --h")
+        plan = aux_fermion.plan(args.w, args.h)
+    profile = aux_fermion.locality_profile(plan)
+    if args.format == "json":
+        payload = {
+            "dims": list(plan.dims),
+            "path": list(plan.path),
+            "degree": list(plan.degree),
+            "nonlocal_degree": list(plan.nonlocal_degree),
+            "aux_per_site": list(plan.aux_per_site),
+            "per_spin_qubits": plan.per_spin_qubits,
+            "total_qubits": plan.total_qubits,
+            "formula_qubits": plan.formula_qubits,
+            "locality": profile,
+        }
+        _emit(json.dumps(payload, sort_keys=True, indent=1) + "\n", args.out)
+        return 0
+    buf = io.StringIO()
+    buf.write("# fermap aux-plan v1: site,degree,path_degree,nonlocal_degree,aux\n")
+    buf.write("site,degree,path_degree,nonlocal_degree,aux\n")
+    for site in range(plan.n_sites):
+        buf.write(
+            f"{site},{plan.degree[site]},{plan.path_degree[site]},"
+            f"{plan.nonlocal_degree[site]},{plan.aux_per_site[site]}\n"
+        )
+    buf.write(f"# total_qubits={plan.total_qubits} formula={plan.formula_qubits}\n")
+    _emit(buf.getvalue(), args.out)
+    return 0
+
+
+# ---------------------------------------------------------------------------
+# Parser.
+# ---------------------------------------------------------------------------
+
+
+def _add_lattice_flags(sub, with_model=True):
+    if with_model:
+        sub.add_argument("--model", help="model description JSON file")
+    sub.add_argument("--w", type=int, help="lattice width")
+    sub.add_argument("--h", type=int, help="lattice height")
+    sub.add_argument("--dim", type=int, help="hypercube dimension (with --w)")
+    sub.add_argument(
+        "--ordering", choices=("snake", "row_major"), default="snake"
+    )
+
+
+def _add_coupling_flags(sub):
+    sub.add_argument("--t", type=float, default=_env_float("T", 1.0))
+    sub.add_argument("--u", type=float, default=_env_float("U", 1.0))
+    sub.add_argument("--eps", type=float, default=_env_float("EPS", 0.0))
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="fermap",
+        description="Fermion-to-qubit transpilation and locality analysis",
+    )
+    subparsers = parser.add_subparsers(dest="command", required=True)
+
+    enc = subparsers.add_parser("encode", help="encode a lattice model to qubits")
+    _add_lattice_flags(enc)
+    _add_coupling_flags(enc)
+    enc.add_argument(
+        "--encoding",
+        default="jw",
+        help="jw | bk | sbk | forest | lsfs",
+    )
+    enc.add_argument("--segments", help="comma-separated forest segment sizes")
+    enc.add_argument("--segment-size", type=int, help="sbk row-chunk size")
+    enc.add_argument("--spin", choices=("both", "single"), default="both")
+    delta_default = os.environ.get("FERMAP_DELTA")
+    enc.add_argument(
+        "--delta",
+        type=float,
+        default=None if delta_default is None else float(delta_default),
+    )
+    enc.add_argument("--out")
+    enc.set_defaults(func=_cmd_encode)
+
+    ana = subparsers.add_parser("analyze", help="measured per-class localities")
+    _add_lattice_flags(ana)
+    _add_coupling_flags(ana)
+    ana.add_argument("--encoding", default="all")
+    ana.add_argument("--segment-size", type=int)
+    ana.add_argument("--out")
+    ana.set_defaults(func=_cmd_analyze)
+
+    tab = subparsers.add_parser("tables", help="locality/qubit comparison tables")
+    _add_lattice_flags(tab, with_model=False)
+    tab.add_argument("--format", choices=("md", "csv"), default="md")
+    tab.add_argument(
+        "--measure", action=argparse.BooleanOptionalAction, default=True
+    )
+    tab.add_argument("--out")
+    tab.set_defaults(func=_cmd_tables)
+
+    swp = subparsers.add_parser("sweep", help="segment-size locality sweep")
+    swp.add_argument("--w", type=int, required=True)
+    swp.add_argument("--segments", help="comma-separated sizes to sweep")
+    swp.add_argument("--out")
+    swp.set_defaults(func=_cmd_sweep)
+
+    fig = subparsers.add_parser("fig6", help="worst-case locality vs lattice size")
+    fig.add_argument("--w-min", type=int, default=2)
+    fig.add_argument("--w-max", type=int, default=8)
+    fig.add_argument("--out")
+    fig.set_defaults(func=_cmd_fig6)
+
+    ver = subparsers.add_parser("verify", help="run the verification suite")
+    ver.add_argument("--suite", choices=("desk", "symbolic"), default="desk")
+    ver.add_argument(
+        "--dense-cap", type=int, default=_env_int("DENSE_CAP", DENSE_CAP_DEFAULT)
+    )
+    ver.add_argument("--seed", type=int, default=_env_int("SEED", 0))
+    ver.add_argument("--trials", type=int, default=100)
+    ver.add_argument("--out")
+    ver.set_defaults(func=_cmd_verify)
+
+    aux = subparsers.add_parser("plan-aux", help="auxiliary-fermion resource plan")
+    aux.add_argument("--w", type=int)
+    aux.add_argument("--h", type=int)
+    aux.add_argument("--dim", type=int)
+    aux.add_argument("--format", choices=("json", "csv"), default="json")
+    aux.add_argument("--out")
+    aux.set_defaults(func=_cmd_plan_aux)
+
+    return parser
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"fermap: {exc}", file=sys.stderr)
+        return 2
+    except (ValueError, IndexError, OSError) as exc:
+        print(f"fermap: {exc}", file=sys.stderr)
+        return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,148 @@
+"""Tree-based fermion-to-qubit encodings: JW, BK, and Fenwick forests.
+
+All three are instances of one family: a Fenwick forest over the modes
+fixes, for every mode j, the parity set P(j) (Z support), the update set
+U(j) of ancestors (X support) and the lesser-cousin set used by the
+second Majorana.  The all-singleton forest is the Jordan-Wigner limit,
+a single tree is the Bravyi-Kitaev transform, and arbitrary segment
+lists interpolate between them.
+
+Majorana convention: c_j = a_j + a^dag_j and d_j = i (a^dag_j - a_j),
+so a_j = (c_j + i d_j) / 2 and number/hopping operators follow from the
+exact Pauli algebra.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Mapping, Sequence
+
+from .fenwick import FenwickForest
+from .models import LOWER, NUMBER, RAISE, FermionOperator
+from .pauli import PauliString, QubitOperator
+
+KINDS = ("jw", "bk", "forest")
+
+
+@dataclass(frozen=True)
+class EncodingSpec:
+    """An encoding family member: a kind tag plus its Fenwick forest."""
+
+    kind: str
+    forest: FenwickForest
+
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown encoding kind {self.kind!r}")
+
+    @classmethod
+    def jordan_wigner(cls, n_modes: int) -> "EncodingSpec":
+        return cls("jw", FenwickForest.build(n_modes, [1] * n_modes))
+
+    @classmethod
+    def bravyi_kitaev(cls, n_modes: int) -> "EncodingSpec":
+        return cls("bk", FenwickForest.build(n_modes))
+
+    @classmethod
+    def from_segments(cls, segment_sizes: Sequence[int]) -> "EncodingSpec":
+        n = sum(segment_sizes)
+        return cls("forest", FenwickForest.build(n, segment_sizes))
+
+    @classmethod
+    def from_config(cls, config: Mapping, n_modes: int) -> "EncodingSpec":
+        """Build from the JSON spec ``{"kind": ..., "segments": [...]}``."""
+        kind = str(config.get("kind", "jw")).lower()
+        if kind == "jw":
+            return cls.jordan_wigner(n_modes)
+        if kind == "bk":
+            return cls.bravyi_kitaev(n_modes)
+        if kind == "forest":
+            segments = [int(s) for s in config["segments"]]
+            if sum(segments) != n_modes:
+                raise ValueError(
+                    f"segments sum to {sum(segments)}, model has {n_modes} modes"
+                )
+            return cls.from_segments(segments)
+        raise ValueError(f"unknown encoding kind {kind!r}")
+
+    def to_config(self) -> dict:
+        return {
+            "kind": self.kind,
+            "segments": [stop - start for start, stop in self.forest.segments],
+        }
+
+    @property
+    def n_modes(self) -> int:
+        return self.forest.n_sites
+
+
+def majorana_c(spec: EncodingSpec, j: int) -> QubitOperator:
+    """c_j = a_j + a^dag_j: Z on the parity set, X on j and its ancestors."""
+    forest = spec.forest
+    ops = [(q, "Z") for q in forest.parity_set(j)]
+    ops.append((j, "X"))
+    ops.extend((q, "X") for q in forest.ancestors(j))
+    return QubitOperator.from_paulistring(PauliString.from_ops(forest.n_sites, ops))
+
+
+def majorana_d(spec: EncodingSpec, j: int) -> QubitOperator:
+    """d_j = i (a^dag_j - a_j): like c_j but Y on j and no Z on j's children."""
+    forest = spec.forest
+    zs = set(forest.parity_set(j)) - set(forest.children(j))
+    ops = [(q, "Z") for q in sorted(zs)]
+    ops.append((j, "Y"))
+    ops.extend((q, "X") for q in forest.ancestors(j))
+    return QubitOperator.from_paulistring(PauliString.from_ops(forest.n_sites, ops))
+
+
+def lowering(spec: EncodingSpec, j: int) -> QubitOperator:
+    """a_j = (c_j + i d_j) / 2."""
+    return 0.5 * majorana_c(spec, j) + 0.5j * majorana_d(spec, j)
+
+
+def raising(spec: EncodingSpec, j: int) -> QubitOperator:
+    """a^dag_j = (c_j - i d_j) / 2."""
+    return 0.5 * majorana_c(spec, j) + (-0.5j) * majorana_d(spec, j)
+
+
+def number_op(spec: EncodingSpec, j: int) -> QubitOperator:
+    """n_j = (1 + i c_j d_j) / 2 = (1 - Z on F(j) and j) / 2."""
+    forest = spec.forest
+    n = forest.n_sites
+    zs = [(q, "Z") for q in forest.children(j)] + [(j, "Z")]
+    z_string = QubitOperator.from_paulistring(PauliString.from_ops(n, zs))
+    return QubitOperator.identity(n, 0.5) + (-0.5) * z_string
+
+
+def hopping_op(spec: EncodingSpec, j: int, k: int) -> QubitOperator:
+    """a^dag_k a_j + a^dag_j a_k = (i/2)(c_k d_j + c_j d_k)."""
+    if j == k:
+        raise ValueError("hopping needs two distinct modes; j == k is 2 n_j")
+    return 0.5j * (
+        majorana_c(spec, k) * majorana_d(spec, j)
+        + majorana_c(spec, j) * majorana_d(spec, k)
+    )
+
+
+_FACTOR_BUILDERS = {RAISE: raising, LOWER: lowering, NUMBER: number_op}
+
+
+def encode_model(spec: EncodingSpec, model: FermionOperator) -> QubitOperator:
+    """Map a FermionOperator to qubits factor by factor.
+
+    Factors are encoded in the order written; no reordering or normal
+    ordering is performed, so the caller is expected to supply physical
+    (conjugate-paired) operators.
+    """
+    n = spec.n_modes
+    if model.n_modes > n:
+        raise IndexError(
+            f"model has {model.n_modes} modes, encoding only {n}"
+        )
+    total = QubitOperator.zero(n)
+    for coeff, factors in model.terms:
+        acc = QubitOperator.identity(n)
+        for mode, flavor in factors:
+            acc = acc * _FACTOR_BUILDERS[flavor](spec, mode)
+        total = total + coeff * acc
+    return total

@@ -1,0 +1,305 @@
+"""Loop-stabilized fermion simulation on rectangular lattices.
+
+One qubit sits on every nearest-neighbour edge of a w x h grid.  Vertex
+generators are crosses of Z on the incident edges; edge generators put X
+on their own edge and Z on the lower-indexed incident edges of both
+endpoints, signed by the antisymmetric tensor eps_jk (+1 for j > k).
+Products of the four edge generators around a unit plaquette are the
+stabilizers whose joint +1 eigenspace carries the encoded fermions.
+
+Vertices are indexed row-major (r * w + c).  Edge qubits enumerate all
+horizontal edges row-major first, then all vertical edges row-major;
+this fixes deterministic operator serialization.  A directional edge
+that would leave the lattice contributes an identity factor.
+
+Hopping terms are built from the generator sandwich (A B_k +/- B_j A)/2
+with the overall sign fixed so that the horizontal nearest-neighbour
+coupling expands to  (1/2) Y_k^right (Z_k^down Z_{k+1}^up
+- Z_k^up Z_k^left Z_{k+1}^right Z_{k+1}^down); the lattice is bipartite,
+so the codespace spectrum is insensitive to this global sign choice
+(the dense oracle in fermap.verify pins the equivalence).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Optional, Sequence
+
+import numpy as np
+
+from .pauli import DENSE_CAP_DEFAULT, PauliString, QubitOperator
+
+_DIRECTIONS = ("left", "right", "up", "down")
+
+
+@dataclass(frozen=True)
+class EdgeLayout:
+    """Edge-qubit layout of a single-spin w x h rectangular lattice."""
+
+    w: int
+    h: int
+
+    def __post_init__(self):
+        if self.w < 1 or self.h < 1 or self.w * self.h < 2:
+            raise ValueError("layout needs at least two vertices")
+
+    @property
+    def n_vertices(self) -> int:
+        return self.w * self.h
+
+    @property
+    def n_horizontal(self) -> int:
+        return self.h * (self.w - 1)
+
+    @property
+    def n_edges(self) -> int:
+        return self.h * (self.w - 1) + self.w * (self.h - 1)
+
+    def vertex(self, r: int, c: int) -> int:
+        return r * self.w + c
+
+    def coords(self, k: int) -> tuple[int, int]:
+        if not 0 <= k < self.n_vertices:
+            raise IndexError(f"vertex {k} outside {self.w}x{self.h} lattice")
+        return divmod(k, self.w)
+
+    def neighbors(self, k: int) -> tuple[int, ...]:
+        r, c = self.coords(k)
+        out = []
+        if c > 0:
+            out.append(k - 1)
+        if c + 1 < self.w:
+            out.append(k + 1)
+        if r > 0:
+            out.append(k - self.w)
+        if r + 1 < self.h:
+            out.append(k + self.w)
+        return tuple(sorted(out))
+
+    def edge_index(self, u: int, v: int) -> int:
+        """Qubit index of the edge {u, v}; raises on non-edges."""
+        a, b = min(u, v), max(u, v)
+        ra, ca = self.coords(a)
+        rb, cb = self.coords(b)
+        if ra == rb and cb == ca + 1:
+            return ra * (self.w - 1) + ca
+        if ca == cb and rb == ra + 1:
+            return self.n_horizontal + ra * self.w + ca
+        raise ValueError(f"({u}, {v}) is not a lattice edge")
+
+    def directional_edge(self, k: int, direction: str) -> Optional[int]:
+        """Edge qubit in the given direction from vertex k, None off-lattice."""
+        r, c = self.coords(k)
+        if direction == "left":
+            return self.edge_index(k - 1, k) if c > 0 else None
+        if direction == "right":
+            return self.edge_index(k, k + 1) if c + 1 < self.w else None
+        if direction == "up":
+            return self.edge_index(k - self.w, k) if r > 0 else None
+        if direction == "down":
+            return self.edge_index(k, k + self.w) if r + 1 < self.h else None
+        raise ValueError(f"unknown direction {direction!r}")
+
+    def edges(self) -> list[tuple[int, int]]:
+        """All edges (u < v) in qubit-index order."""
+        out = []
+        for r in range(self.h):
+            for c in range(self.w - 1):
+                out.append((self.vertex(r, c), self.vertex(r, c + 1)))
+        for r in range(self.h - 1):
+            for c in range(self.w):
+                out.append((self.vertex(r, c), self.vertex(r + 1, c)))
+        return out
+
+    def plaquettes(self) -> list[tuple[int, int, int, int]]:
+        """Unit plaquettes as cyclically ordered vertex quadruples."""
+        out = []
+        for r in range(self.h - 1):
+            for c in range(self.w - 1):
+                tl = self.vertex(r, c)
+                out.append((tl, tl + 1, tl + 1 + self.w, tl + self.w))
+        return out
+
+
+def _epsilon(j: int, k: int) -> int:
+    return 1 if j > k else -1
+
+
+def b_op(layout: EdgeLayout, k: int) -> QubitOperator:
+    """Vertex generator: the cross of Z on all edges incident to k."""
+    ops = [(layout.edge_index(k, nb), "Z") for nb in layout.neighbors(k)]
+    return QubitOperator.from_paulistring(
+        PauliString.from_ops(layout.n_edges, ops)
+    )
+
+
+def a_op(layout: EdgeLayout, j: int, k: int) -> QubitOperator:
+    """Edge generator on (j, k): antisymmetric, squares to identity.
+
+    X acts on the (j, k) edge; Z acts on every edge (l, j) with l in
+    n(j), l < k and every edge (s, k) with s in n(k), s < j.
+    """
+    edge = layout.edge_index(j, k)
+    ops = {edge: "X"}
+    for l in layout.neighbors(j):
+        if l < k:
+            ops[layout.edge_index(l, j)] = "Z"
+    for s in layout.neighbors(k):
+        if s < j:
+            ops[layout.edge_index(s, k)] = "Z"
+    string = PauliString.from_ops(layout.n_edges, sorted(ops.items()))
+    return QubitOperator.from_paulistring(string, float(_epsilon(j, k)))
+
+
+def a_op_directional(layout: EdgeLayout, j: int, k: int) -> QubitOperator:
+    """The 2D specialized form of :func:`a_op` (boundary factors ignored).
+
+    Vertical edges: X on the edge, Z on the left/up/right edges of the
+    upper endpoint.  Horizontal edges: X on the edge, Z on the up edges
+    of both endpoints and the left edge of the left endpoint.
+    """
+    edge = layout.edge_index(j, k)
+    top_left = min(j, k)
+    other = max(j, k)
+    ops = {edge: "X"}
+    if abs(j - k) == 1:  # horizontal
+        dirs = [(top_left, "up"), (other, "up"), (top_left, "left")]
+    else:  # vertical
+        dirs = [(top_left, "left"), (top_left, "up"), (top_left, "right")]
+    for vertex, direction in dirs:
+        idx = layout.directional_edge(vertex, direction)
+        if idx is not None:
+            ops[idx] = "Z"
+    string = PauliString.from_ops(layout.n_edges, sorted(ops.items()))
+    return QubitOperator.from_paulistring(string, float(_epsilon(j, k)))
+
+
+def _is_unit_plaquette(layout: EdgeLayout, quad: Sequence[int]) -> bool:
+    if len(quad) != 4 or len(set(quad)) != 4:
+        return False
+    tl = min(quad)
+    r, c = layout.coords(tl)
+    if c + 1 >= layout.w or r + 1 >= layout.h:
+        return False
+    if set(quad) != {tl, tl + 1, tl + layout.w, tl + layout.w + 1}:
+        return False
+    for idx in range(4):
+        try:
+            layout.edge_index(quad[idx], quad[(idx + 1) % 4])
+        except ValueError:
+            return False
+    return True
+
+
+def stabilizer(layout: EdgeLayout, plaquette: Sequence[int]) -> QubitOperator:
+    """The loop operator A(ab) A(bc) A(cd) A(da) of a unit plaquette."""
+    if not _is_unit_plaquette(layout, plaquette):
+        raise ValueError(f"{tuple(plaquette)} is not a unit plaquette in cyclic order")
+    a, b, c, d = plaquette
+    out = a_op(layout, a, b) * a_op(layout, b, c) * a_op(layout, c, d) * a_op(layout, d, a)
+    ((string, coeff),) = out.sorted_terms()
+    if coeff.imag != 0:
+        raise AssertionError("plaquette loop produced a non-Hermitian phase")
+    return out
+
+
+def stabilizers(layout: EdgeLayout) -> list[QubitOperator]:
+    return [stabilizer(layout, plq) for plq in layout.plaquettes()]
+
+
+def number_term(layout: EdgeLayout, k: int) -> QubitOperator:
+    """Occupation of vertex k: (1 - B_k) / 2."""
+    n = layout.n_edges
+    return QubitOperator.identity(n, 0.5) + (-0.5) * b_op(layout, k)
+
+
+def hopping_term(layout: EdgeLayout, j: int, k: int) -> QubitOperator:
+    """Encoded a^dag_k a_j + a^dag_j a_k for lattice edge (j, k).
+
+    Symmetric in its arguments: the epsilon sign of the generator
+    cancels against the argument order, so (j, k) and (k, j) build the
+    identical operator.
+    """
+    gen = a_op(layout, j, k)
+    return 0.5j * (gen * b_op(layout, k) + b_op(layout, j) * gen)
+
+
+def single_spin_hamiltonian(
+    layout: EdgeLayout, t: float, eps: float = 0.0, delta: float = 0.0
+) -> QubitOperator:
+    """-t sum_edges hop + eps sum_k n_k, with optional stabilizer penalty."""
+    total = QubitOperator.zero(layout.n_edges)
+    if t != 0.0:
+        for u, v in layout.edges():
+            total = total + (-t) * hopping_term(layout, u, v)
+    if eps != 0.0:
+        for k in range(layout.n_vertices):
+            total = total + eps * number_term(layout, k)
+    if delta != 0.0:
+        for stab in stabilizers(layout):
+            total = total + (-delta / 2.0) * stab
+    return total
+
+
+def hubbard_lsfs(
+    w: int,
+    h: int,
+    t: float,
+    u: float,
+    eps: float = 0.0,
+    delta: float = 0.0,
+) -> QubitOperator:
+    """Two-spin-lattice Hubbard Hamiltonian on 4wh - 2w - 2h edge qubits.
+
+    The spin-down edge lattice occupies qubits [0, E) and spin-up
+    occupies [E, 2E).  The on-site repulsion couples matching vertices
+    of the two lattices through (1 - B)(1 - B')/4, and the penalty sums
+    -delta/2 times every stabilizer of both lattices.
+    """
+    if w < 2 or h < 2:
+        raise ValueError("the two-spin mapping needs w, h >= 2")
+    layout = EdgeLayout(w, h)
+    n_edges = layout.n_edges
+    n_total = 2 * n_edges
+    total = QubitOperator.zero(n_total)
+    for offset in (0, n_edges):
+        spin_part = single_spin_hamiltonian(layout, t, eps, delta)
+        total = total + spin_part.embedded(n_total, offset)
+    if u != 0.0:
+        for k in range(layout.n_vertices):
+            n_dn = number_term(layout, k).embedded(n_total, 0)
+            n_up = number_term(layout, k).embedded(n_total, n_edges)
+            total = total + u * (n_dn * n_up)
+    return total
+
+
+def codespace_projector(
+    layout: EdgeLayout, cap: int = DENSE_CAP_DEFAULT
+) -> np.ndarray:
+    """Dense projector onto the joint +1 eigenspace of all stabilizers."""
+    dim = 1 << layout.n_edges
+    proj = np.eye(dim, dtype=complex)
+    for stab in stabilizers(layout):
+        proj = proj @ (np.eye(dim) + stab.to_dense(cap)) / 2.0
+    return proj
+
+
+def plaquette_report(layout: EdgeLayout) -> list[dict]:
+    """Per-plaquette stabilizer summary rows (for the CSV sidecar)."""
+    rows = []
+    for plq in layout.plaquettes():
+        stab = stabilizer(layout, plq)
+        ((string, coeff),) = stab.sorted_terms()
+        rows.append(
+            {
+                "plaquette": plq,
+                "weight": string.weight,
+                "sign": int(coeff.real),
+            }
+        )
+    return rows
+
+
+def default_penalty(t: float, u: float, eps: float) -> float:
+    """CLI default for the penalty scale: well above every coupling."""
+    return 10.0 * max(abs(t), abs(u), abs(eps), 1e-12)

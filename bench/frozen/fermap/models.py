@@ -1,0 +1,347 @@
+"""Fermionic lattice Hamiltonians and the combinatorics shared by encoders.
+
+Models are plain sums of ladder-operator products over spin-orbital
+modes.  A rectangular w x h lattice (w columns, h rows, row-major site
+ids) or a hypercubic lattice of dimension D and side w carries 2 * sites
+modes: the spin-down block occupies mode indices [0, sites) and spin-up
+occupies [sites, 2*sites).
+
+The module also hosts the dense Fock-space oracle: an occupation-basis
+matrix builder with explicit antisymmetric sign bookkeeping, which the
+verification suite uses as the reference representation independent of
+any Pauli-string pathway.
+"""
+
+from __future__ import annotations
+
+import functools
+import itertools
+from dataclasses import dataclass, replace
+from typing import Iterable, Sequence
+
+import numpy as np
+
+from .pauli import DENSE_CAP_DEFAULT, DenseCapError
+
+RAISE = "+"
+LOWER = "-"
+NUMBER = "n"
+_FLAVORS = (RAISE, LOWER, NUMBER)
+
+Factor = tuple[int, str]
+Term = tuple[complex, tuple[Factor, ...]]
+
+
+@dataclass(frozen=True)
+class FermionOperator:
+    """A sum of products of site-indexed raising/lowering/number factors."""
+
+    n_modes: int
+    terms: tuple[Term, ...]
+
+    def __post_init__(self):
+        for coeff, factors in self.terms:
+            for mode, flavor in factors:
+                if not 0 <= mode < self.n_modes:
+                    raise IndexError(
+                        f"mode {mode} outside register of {self.n_modes}"
+                    )
+                if flavor not in _FLAVORS:
+                    raise ValueError(f"unknown factor flavor {flavor!r}")
+
+    @classmethod
+    def zero(cls, n_modes: int) -> "FermionOperator":
+        return cls(n_modes, ())
+
+    @classmethod
+    def term(
+        cls, n_modes: int, coeff: complex, factors: Iterable[Factor]
+    ) -> "FermionOperator":
+        return cls(n_modes, ((complex(coeff), tuple(factors)),))
+
+    def __add__(self, other: "FermionOperator") -> "FermionOperator":
+        if not isinstance(other, FermionOperator):
+            return NotImplemented
+        if self.n_modes != other.n_modes:
+            raise ValueError("mode counts differ")
+        return FermionOperator(self.n_modes, self.terms + other.terms)
+
+    def __rmul__(self, scalar) -> "FermionOperator":
+        if not isinstance(scalar, (int, float, complex)):
+            return NotImplemented
+        return FermionOperator(
+            self.n_modes,
+            tuple((scalar * c, f) for c, f in self.terms),
+        )
+
+    def hermitian_conjugate(self) -> "FermionOperator":
+        flip = {RAISE: LOWER, LOWER: RAISE, NUMBER: NUMBER}
+        out = []
+        for coeff, factors in self.terms:
+            out.append(
+                (
+                    coeff.conjugate(),
+                    tuple((m, flip[fl]) for m, fl in reversed(factors)),
+                )
+            )
+        return FermionOperator(self.n_modes, tuple(out))
+
+    def __len__(self) -> int:
+        return len(self.terms)
+
+
+@dataclass(frozen=True)
+class LatticeSpec:
+    """Rectangular or hypercubic lattice with a site ordering and spin layout."""
+
+    kind: str  # "rectangle" | "hypercube"
+    w: int
+    h: int = 1
+    dim: int = 2
+    ordering: str = "snake"
+
+    @classmethod
+    def rectangle(cls, w: int, h: int, ordering: str = "snake") -> "LatticeSpec":
+        if w < 1 or h < 1:
+            raise ValueError("rectangle dimensions must be at least 1")
+        return cls(kind="rectangle", w=w, h=h, dim=2, ordering=ordering)
+
+    @classmethod
+    def hypercube(cls, dim: int, w: int, ordering: str = "snake") -> "LatticeSpec":
+        if dim < 1 or w < 1:
+            raise ValueError("hypercube needs dim >= 1 and side >= 1")
+        return cls(kind="hypercube", w=w, h=1, dim=dim, ordering=ordering)
+
+    def __post_init__(self):
+        if self.kind not in ("rectangle", "hypercube"):
+            raise ValueError(f"unknown lattice kind {self.kind!r}")
+        if self.ordering not in ("row_major", "snake"):
+            raise ValueError(f"unknown ordering {self.ordering!r}")
+
+    @property
+    def n_sites(self) -> int:
+        if self.kind == "rectangle":
+            return self.w * self.h
+        return self.w**self.dim
+
+    @property
+    def n_modes(self) -> int:
+        return 2 * self.n_sites
+
+    @property
+    def spin_offsets(self) -> tuple[int, int]:
+        """Mode offsets of the spin-down and spin-up blocks."""
+        return (0, self.n_sites)
+
+    def with_ordering(self, ordering: str) -> "LatticeSpec":
+        return replace(self, ordering=ordering)
+
+    # Canonical site ids: row-major r*w + c on rectangles, mixed-radix
+    # sum coord_a * w^a on hypercubes (axis 0 fastest).
+    def site_id(self, coords: Sequence[int]) -> int:
+        if self.kind == "rectangle":
+            r, c = coords
+            return r * self.w + c
+        return sum(coord * self.w**axis for axis, coord in enumerate(coords))
+
+    def sites(self) -> list[tuple[int, ...]]:
+        if self.kind == "rectangle":
+            return [(r, c) for r in range(self.h) for c in range(self.w)]
+        return [
+            tuple(reversed(coords))
+            for coords in itertools.product(range(self.w), repeat=self.dim)
+        ]
+
+    def edges(self) -> list[tuple[int, int, str]]:
+        """Undirected interaction edges (i < j by site id) with a term class."""
+        out = []
+        if self.kind == "rectangle":
+            for r in range(self.h):
+                for c in range(self.w):
+                    here = self.site_id((r, c))
+                    if c + 1 < self.w:
+                        out.append((here, self.site_id((r, c + 1)), "horizontal"))
+                    if r + 1 < self.h:
+                        out.append((here, self.site_id((r + 1, c)), "vertical"))
+            return out
+        for coords in itertools.product(range(self.w), repeat=self.dim):
+            here = self.site_id(coords)
+            for axis in range(self.dim):
+                if coords[axis] + 1 < self.w:
+                    step = list(coords)
+                    step[axis] += 1
+                    out.append((here, self.site_id(step), f"axis{axis}"))
+        return out
+
+    @functools.cached_property
+    def site_order(self) -> tuple[int, ...]:
+        n = self.n_sites
+        if self.ordering == "row_major" or self.kind == "hypercube":
+            return tuple(range(n))
+        if self.w <= self.h:
+            return tuple(range(n))
+        # Wide rectangle: transpose so consecutive indices run down columns.
+        order = [0] * n
+        for r in range(self.h):
+            for c in range(self.w):
+                order[r * self.w + c] = c * self.h + r
+        return tuple(order)
+
+    def order_sites(self) -> tuple[int, ...]:
+        """Bijection canonical site id -> position within a spin block.
+
+        ``row_major`` keeps the canonical raster.  ``snake`` is the
+        locality-optimal raster whose consecutive indices run along the
+        shortest lattice side, so every hop along that side is a
+        nearest-index pair.
+        """
+        return self.site_order
+
+    def mode_index(self, site: int, spin: int) -> int:
+        """Mode of (site, spin), spin 0 = down block, spin 1 = up block."""
+        if spin not in (0, 1):
+            raise ValueError("spin must be 0 (down) or 1 (up)")
+        return self.site_order[site] + self.spin_offsets[spin]
+
+
+def edge_count(dim: int, w: int) -> int:
+    """Number of nearest-neighbour edges of a hypercubic lattice of side w."""
+    if dim < 1 or w < 1:
+        raise ValueError("need dim >= 1 and w >= 1")
+    return dim * (w - 1) * w ** (dim - 1)
+
+
+def hopping_pair(n_modes: int, i: int, j: int, coeff: complex = 1.0) -> FermionOperator:
+    """coeff * (a^dag_i a_j + a^dag_j a_i)."""
+    if i == j:
+        raise ValueError("hopping needs two distinct modes")
+    return FermionOperator(
+        n_modes,
+        (
+            (complex(coeff), ((i, RAISE), (j, LOWER))),
+            (complex(coeff), ((j, RAISE), (i, LOWER))),
+        ),
+    )
+
+
+def hubbard_terms(
+    spec: LatticeSpec, t: float, u: float, eps: float = 0.0
+) -> list[tuple[str, FermionOperator]]:
+    """The Hubbard Hamiltonian as (term class, Hermitian term) pairs.
+
+    Classes are the edge classes of the lattice for hopping,
+    "density-density" for the on-site repulsion, and "onsite" for the
+    optional single-particle energy.
+    """
+    n = spec.n_modes
+    out: list[tuple[str, FermionOperator]] = []
+    for i, j, klass in spec.edges():
+        for spin in (0, 1):
+            if t != 0.0:
+                out.append(
+                    (
+                        klass,
+                        hopping_pair(
+                            n, spec.mode_index(i, spin), spec.mode_index(j, spin), -t
+                        ),
+                    )
+                )
+    for site in range(spec.n_sites):
+        if u != 0.0:
+            out.append(
+                (
+                    "density-density",
+                    FermionOperator.term(
+                        n,
+                        u,
+                        (
+                            (spec.mode_index(site, 1), NUMBER),
+                            (spec.mode_index(site, 0), NUMBER),
+                        ),
+                    ),
+                )
+            )
+        if eps != 0.0:
+            for spin in (0, 1):
+                out.append(
+                    (
+                        "onsite",
+                        FermionOperator.term(
+                            n, eps, ((spec.mode_index(site, spin), NUMBER),)
+                        ),
+                    )
+                )
+    return out
+
+
+def hubbard(spec: LatticeSpec, t: float, u: float, eps: float = 0.0) -> FermionOperator:
+    """The full Hubbard Hamiltonian on the given lattice."""
+    total = FermionOperator.zero(spec.n_modes)
+    for _, term in hubbard_terms(spec, t, u, eps):
+        total = total + term
+    return total
+
+
+# ---------------------------------------------------------------------------
+# Dense Fock-space oracle.
+#
+# Basis state s has occupancy n_j = bit j of s; a_j carries the sign
+# (-1)^(number of occupied modes below j).  This is a direct occupation-
+# number construction and shares no code with the Pauli-string pathway.
+# ---------------------------------------------------------------------------
+
+
+def _check_fock_cap(n_modes: int, cap: int):
+    if n_modes > cap:
+        raise DenseCapError(f"{n_modes} modes exceeds dense cap of {cap}")
+
+
+def _ladder_matrix(n_modes: int, mode: int, flavor: str) -> np.ndarray:
+    dim = 1 << n_modes
+    states = np.arange(dim, dtype=np.uint64)
+    bit = np.uint64(1 << mode)
+    below = np.uint64((1 << mode) - 1)
+    signs = 1.0 - 2.0 * (np.bitwise_count(states & below).astype(np.int64) % 2)
+    occupied = (states & bit) != 0
+    mat = np.zeros((dim, dim), dtype=complex)
+    if flavor == NUMBER:
+        mat[states[occupied], states[occupied]] = 1.0
+        return mat
+    if flavor == LOWER:
+        src = states[occupied]
+    elif flavor == RAISE:
+        src = states[~occupied]
+    else:
+        raise ValueError(f"unknown factor flavor {flavor!r}")
+    dst = src ^ bit
+    mat[dst, src] = signs[src]
+    return mat
+
+
+def fock_matrix(
+    op: FermionOperator, cap: int = DENSE_CAP_DEFAULT
+) -> np.ndarray:
+    """Dense matrix of a FermionOperator in the occupation-number basis."""
+    _check_fock_cap(op.n_modes, cap)
+    dim = 1 << op.n_modes
+    total = np.zeros((dim, dim), dtype=complex)
+    for coeff, factors in op.terms:
+        acc = np.eye(dim, dtype=complex)
+        for mode, flavor in factors:  # leftmost factor acts last
+            acc = acc @ _ladder_matrix(op.n_modes, mode, flavor)
+        total += coeff * acc
+    return total
+
+
+def total_number_matrix(n_modes: int, cap: int = DENSE_CAP_DEFAULT) -> np.ndarray:
+    _check_fock_cap(n_modes, cap)
+    states = np.arange(1 << n_modes, dtype=np.uint64)
+    return np.diag(np.bitwise_count(states).astype(float)).astype(complex)
+
+
+def parity_matrix(n_modes: int, cap: int = DENSE_CAP_DEFAULT) -> np.ndarray:
+    """Diagonal (-1)^(particle number) operator."""
+    _check_fock_cap(n_modes, cap)
+    states = np.arange(1 << n_modes, dtype=np.uint64)
+    signs = 1.0 - 2.0 * (np.bitwise_count(states).astype(np.int64) % 2)
+    return np.diag(signs).astype(complex)

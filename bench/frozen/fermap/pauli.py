@@ -1,0 +1,379 @@
+"""Exact symbolic algebra of n-qubit Pauli strings and their weighted sums.
+
+A Pauli string is a pair of bitmasks over the qubits plus a global phase
+that is an exact fourth root of unity.  Qubit ``q`` carries X when only
+bit ``q`` of ``x_mask`` is set, Z when only bit ``q`` of ``z_mask`` is
+set, Y when both are set, and identity when neither is.  Qubit 0 is the
+least significant bit, so masks serialize identically everywhere.  The
+phase is stored as an integer exponent of i modulo 4; no phase ever
+touches floating point.
+
+Dense matrices are rendered only at desk scale (``DENSE_CAP_DEFAULT``
+qubits by default) and are meant for verification oracles, not
+simulation.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Mapping
+
+import numpy as np
+
+DENSE_CAP_DEFAULT = 12
+
+_PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
+_LETTERS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
+_LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+
+
+class DimensionError(ValueError):
+    """Operands act on different numbers of qubits."""
+
+
+class DenseCapError(RuntimeError):
+    """Dense rendering was requested beyond the configured qubit cap."""
+
+
+def _check_same_size(a, b):
+    if a.n_qubits != b.n_qubits:
+        raise DimensionError(
+            f"operands act on {a.n_qubits} and {b.n_qubits} qubits"
+        )
+
+
+@dataclass(frozen=True)
+class PauliString:
+    """A signed tensor product of single-qubit Pauli operators.
+
+    The represented operator is ``i**phase_exp`` times the product of the
+    I/X/Y/Z letters encoded by the masks.
+    """
+
+    n_qubits: int
+    x_mask: int
+    z_mask: int
+    phase_exp: int = 0
+
+    def __post_init__(self):
+        if self.n_qubits < 0:
+            raise ValueError("n_qubits must be non-negative")
+        full = (1 << self.n_qubits) - 1
+        if self.x_mask & ~full or self.z_mask & ~full:
+            raise DimensionError("mask has bits beyond n_qubits")
+        object.__setattr__(self, "phase_exp", self.phase_exp % 4)
+
+    @classmethod
+    def identity(cls, n_qubits: int) -> "PauliString":
+        return cls(n_qubits, 0, 0, 0)
+
+    @classmethod
+    def from_ops(
+        cls,
+        n_qubits: int,
+        ops: Iterable[tuple[int, str]] | Mapping[int, str] = (),
+        phase_exp: int = 0,
+    ) -> "PauliString":
+        """Build a string from (qubit, letter) pairs, letters in "IXYZ"."""
+        if isinstance(ops, Mapping):
+            ops = ops.items()
+        x = z = 0
+        for qubit, letter in ops:
+            if not 0 <= qubit < n_qubits:
+                raise IndexError(f"qubit {qubit} outside register of {n_qubits}")
+            try:
+                xb, zb = _LETTER_BITS[letter]
+            except KeyError:
+                raise ValueError(f"unknown Pauli letter {letter!r}") from None
+            bit = 1 << qubit
+            if (x | z) & bit and letter != "I":
+                raise ValueError(f"qubit {qubit} assigned twice")
+            x |= xb * bit
+            z |= zb * bit
+        return cls(n_qubits, x, z, phase_exp)
+
+    @property
+    def phase(self) -> complex:
+        """The global phase as an exact complex fourth root of unity."""
+        return _PHASES[self.phase_exp]
+
+    @property
+    def weight(self) -> int:
+        """Number of qubits acted on non-trivially."""
+        return (self.x_mask | self.z_mask).bit_count()
+
+    def is_identity(self) -> bool:
+        return self.x_mask == 0 and self.z_mask == 0
+
+    def letter_at(self, qubit: int) -> str:
+        if not 0 <= qubit < self.n_qubits:
+            raise IndexError(f"qubit {qubit} outside register of {self.n_qubits}")
+        return _LETTERS[(self.x_mask >> qubit) & 1, (self.z_mask >> qubit) & 1]
+
+    def ops(self) -> tuple[tuple[int, str], ...]:
+        """Non-identity (qubit, letter) pairs in qubit order."""
+        support = self.x_mask | self.z_mask
+        return tuple(
+            (q, self.letter_at(q)) for q in range(self.n_qubits) if (support >> q) & 1
+        )
+
+    def __mul__(self, other: "PauliString") -> "PauliString":
+        if not isinstance(other, PauliString):
+            return NotImplemented
+        _check_same_size(self, other)
+        # Work in X^x Z^z normal form: commuting Z past X flips sign, and
+        # each Y letter is i * XZ, so letter counts enter the exponent.
+        ny_a = (self.x_mask & self.z_mask).bit_count()
+        ny_b = (other.x_mask & other.z_mask).bit_count()
+        x = self.x_mask ^ other.x_mask
+        z = self.z_mask ^ other.z_mask
+        ny_out = (x & z).bit_count()
+        swaps = (self.z_mask & other.x_mask).bit_count()
+        exp = self.phase_exp + other.phase_exp + ny_a + ny_b - ny_out + 2 * swaps
+        return PauliString(self.n_qubits, x, z, exp % 4)
+
+    def adjoint(self) -> "PauliString":
+        return PauliString(self.n_qubits, self.x_mask, self.z_mask, -self.phase_exp)
+
+    def commutes(self, other: "PauliString") -> bool:
+        """True iff the symplectic inner product of the two strings is even."""
+        _check_same_size(self, other)
+        overlap = (self.x_mask & other.z_mask).bit_count() + (
+            self.z_mask & other.x_mask
+        ).bit_count()
+        return overlap % 2 == 0
+
+    def canonical(self) -> tuple["PauliString", complex]:
+        """Split into a phase-free string and its exact scalar phase."""
+        bare = PauliString(self.n_qubits, self.x_mask, self.z_mask, 0)
+        return bare, self.phase
+
+    def embedded(self, n_total: int, offset: int) -> "PauliString":
+        """The same string acting on qubits [offset, offset + n) of a larger register."""
+        if offset < 0 or offset + self.n_qubits > n_total:
+            raise DimensionError("embedding window does not fit target register")
+        return PauliString(
+            n_total, self.x_mask << offset, self.z_mask << offset, self.phase_exp
+        )
+
+    def to_dense(self, cap: int = DENSE_CAP_DEFAULT):
+        """Exact dense matrix of the string, qubit 0 least significant."""
+        if self.n_qubits > cap:
+            raise DenseCapError(
+                f"{self.n_qubits} qubits exceeds dense cap of {cap}"
+            )
+        dim = 1 << self.n_qubits
+        cols = np.arange(dim, dtype=np.uint64)
+        rows = cols ^ np.uint64(self.x_mask)
+        # X^x Z^z sends |s> to (-1)^{|s & z|} |s ^ x>; Y letters add i each.
+        ny = (self.x_mask & self.z_mask).bit_count()
+        signs = 1.0 - 2.0 * (
+            np.bitwise_count(cols & np.uint64(self.z_mask)).astype(np.int64) % 2
+        )
+        mat = np.zeros((dim, dim), dtype=complex)
+        mat[rows, cols] = _PHASES[(self.phase_exp + ny) % 4] * signs
+        return mat
+
+    def __str__(self) -> str:
+        prefix = {0: "", 1: "i*", 2: "-", 3: "-i*"}[self.phase_exp]
+        body = " ".join(f"{letter}{q}" for q, letter in self.ops())
+        return prefix + (body or "I")
+
+
+def _sort_key(ps: PauliString):
+    return (ps.z_mask, ps.x_mask)
+
+
+class QubitOperator:
+    """A complex-weighted sum of Pauli strings on a fixed register.
+
+    Terms are kept canonical: every key string carries phase +1 (the
+    phase folded into the coefficient), terms with exactly zero
+    coefficient are dropped, and serialization orders terms
+    lexicographically on (z_mask, x_mask).
+    """
+
+    __slots__ = ("n_qubits", "_terms")
+
+    def __init__(self, n_qubits: int, terms: Mapping[PauliString, complex] | None = None):
+        self.n_qubits = n_qubits
+        self._terms: dict[PauliString, complex] = {}
+        if terms:
+            for ps, coeff in terms.items():
+                self._add_term(ps, coeff)
+            self._prune()
+
+    @classmethod
+    def zero(cls, n_qubits: int) -> "QubitOperator":
+        return cls(n_qubits)
+
+    @classmethod
+    def identity(cls, n_qubits: int, coeff: complex = 1.0) -> "QubitOperator":
+        return cls.from_paulistring(PauliString.identity(n_qubits), coeff)
+
+    @classmethod
+    def from_paulistring(cls, ps: PauliString, coeff: complex = 1.0) -> "QubitOperator":
+        op = cls(ps.n_qubits)
+        op._add_term(ps, coeff)
+        op._prune()
+        return op
+
+    def _add_term(self, ps: PauliString, coeff: complex):
+        if ps.n_qubits != self.n_qubits:
+            raise DimensionError("term register size differs from operator")
+        bare, phase = ps.canonical()
+        self._terms[bare] = self._terms.get(bare, 0j) + complex(coeff) * phase
+
+    def _prune(self):
+        for ps in [ps for ps, c in self._terms.items() if c == 0]:
+            del self._terms[ps]
+
+    @property
+    def terms(self) -> dict[PauliString, complex]:
+        """Copy of the canonical term map (phase-+1 strings to coefficients)."""
+        return dict(self._terms)
+
+    def sorted_terms(self) -> list[tuple[PauliString, complex]]:
+        return sorted(self._terms.items(), key=lambda item: _sort_key(item[0]))
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    def __iter__(self) -> Iterator[tuple[PauliString, complex]]:
+        return iter(self.sorted_terms())
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __add__(self, other: "QubitOperator") -> "QubitOperator":
+        if not isinstance(other, QubitOperator):
+            return NotImplemented
+        _check_same_size(self, other)
+        out = QubitOperator(self.n_qubits)
+        out._terms = dict(self._terms)
+        for ps, coeff in other._terms.items():
+            out._terms[ps] = out._terms.get(ps, 0j) + coeff
+        out._prune()
+        return out
+
+    def __sub__(self, other: "QubitOperator") -> "QubitOperator":
+        return self + (-1.0) * other
+
+    def __neg__(self) -> "QubitOperator":
+        return (-1.0) * self
+
+    def __rmul__(self, scalar) -> "QubitOperator":
+        if isinstance(scalar, (int, float, complex)):
+            out = QubitOperator(self.n_qubits)
+            out._terms = {ps: scalar * c for ps, c in self._terms.items()}
+            out._prune()
+            return out
+        return NotImplemented
+
+    def __mul__(self, other):
+        if isinstance(other, (int, float, complex)):
+            return self.__rmul__(other)
+        if not isinstance(other, QubitOperator):
+            return NotImplemented
+        _check_same_size(self, other)
+        out = QubitOperator(self.n_qubits)
+        for ps_a, ca in self._terms.items():
+            for ps_b, cb in other._terms.items():
+                out._add_term(ps_a * ps_b, ca * cb)
+        out._prune()
+        return out
+
+    def adjoint(self) -> "QubitOperator":
+        out = QubitOperator(self.n_qubits)
+        # Keys are phase-free letter strings, hence Hermitian themselves.
+        out._terms = {ps: c.conjugate() for ps, c in self._terms.items()}
+        out._prune()
+        return out
+
+    def is_hermitian(self) -> bool:
+        return all(c.imag == 0 for c in self._terms.values())
+
+    def max_weight(self) -> int:
+        """Largest Pauli weight among the summands (0 for the zero operator)."""
+        return max((ps.weight for ps in self._terms), default=0)
+
+    def coefficient(self, ps: PauliString) -> complex:
+        bare, phase = ps.canonical()
+        return self._terms.get(bare, 0j) * phase.conjugate()
+
+    def embedded(self, n_total: int, offset: int) -> "QubitOperator":
+        out = QubitOperator(n_total)
+        for ps, coeff in self._terms.items():
+            out._terms[ps.embedded(n_total, offset)] = coeff
+        return out
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, QubitOperator):
+            return NotImplemented
+        return self.n_qubits == other.n_qubits and self._terms == other._terms
+
+    def __hash__(self):
+        return hash((self.n_qubits, frozenset(self._terms.items())))
+
+    def to_dense(self, cap: int = DENSE_CAP_DEFAULT):
+        if self.n_qubits > cap:
+            raise DenseCapError(
+                f"{self.n_qubits} qubits exceeds dense cap of {cap}"
+            )
+        dim = 1 << self.n_qubits
+        mat = np.zeros((dim, dim), dtype=complex)
+        cols = np.arange(dim, dtype=np.uint64)
+        for ps, coeff in self._terms.items():
+            rows = cols ^ np.uint64(ps.x_mask)
+            ny = (ps.x_mask & ps.z_mask).bit_count()
+            signs = 1.0 - 2.0 * (
+                np.bitwise_count(cols & np.uint64(ps.z_mask)).astype(np.int64) % 2
+            )
+            mat[rows, cols] += coeff * _PHASES[ny % 4] * signs
+        return mat
+
+    def to_json_dict(self) -> dict:
+        terms = []
+        for ps, coeff in self.sorted_terms():
+            terms.append(
+                {
+                    "coeff": [coeff.real, coeff.imag],
+                    "paulis": [[q, letter] for q, letter in ps.ops()],
+                }
+            )
+        return {"n_qubits": self.n_qubits, "terms": terms}
+
+    @classmethod
+    def from_json_dict(cls, data: Mapping) -> "QubitOperator":
+        n = int(data["n_qubits"])
+        out = cls(n)
+        for term in data["terms"]:
+            re, im = term["coeff"]
+            ps = PauliString.from_ops(n, [(int(q), str(p)) for q, p in term["paulis"]])
+            out._add_term(ps, complex(re, im))
+        out._prune()
+        return out
+
+    def to_json(self, **kwargs) -> str:
+        return json.dumps(self.to_json_dict(), **kwargs)
+
+    @classmethod
+    def from_json(cls, text: str) -> "QubitOperator":
+        return cls.from_json_dict(json.loads(text))
+
+    def __str__(self) -> str:
+        if not self._terms:
+            return "0"
+        parts = [f"({c.real:+g}{c.imag:+g}j) {ps}" for ps, c in self.sorted_terms()]
+        return " + ".join(parts)
+
+    __repr__ = __str__
+
+
+def commutator(a: QubitOperator, b: QubitOperator) -> QubitOperator:
+    return a * b - b * a
+
+
+def anticommutator(a: QubitOperator, b: QubitOperator) -> QubitOperator:
+    return a * b + b * a

@@ -1,0 +1,413 @@
+"""Independent correctness oracles for the encodings.
+
+Two kinds of check live here.  Symbolic checks sweep (anti)commutation
+identities in the exact Pauli algebra, where any nonzero residual
+operator is a hard failure.  Dense checks compare eigenvalue multisets
+of desk-scale matrices against the occupation-basis Fock oracle at
+fixed tolerances (1e-9 for spectra, 1e-12 for commutators, 1e-6 for
+penalty arithmetic) and are skipped, not failed, when they exceed the
+dense cap.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+import time
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Sequence
+
+import numpy as np
+
+from . import lsfs
+from .encodings import EncodingSpec, encode_model, lowering, raising
+from .models import (
+    FermionOperator,
+    LatticeSpec,
+    fock_matrix,
+    hopping_pair,
+    hubbard,
+    parity_matrix,
+)
+from .pauli import DENSE_CAP_DEFAULT, QubitOperator, anticommutator
+
+SPECTRUM_TOL = 1e-9
+COMMUTATOR_TOL = 1e-12
+PENALTY_TOL = 1e-6
+
+
+@dataclass
+class CheckResult:
+    name: str
+    status: str  # "pass" | "fail" | "skipped"
+    max_residual: float
+    wall_time_s: float
+    detail: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return self.status == "pass"
+
+    def to_dict(self) -> dict:
+        return {
+            "name": self.name,
+            "status": self.status,
+            "max_residual": self.max_residual,
+            "wall_time_s": self.wall_time_s,
+            "detail": self.detail,
+        }
+
+
+def _timed(name: str, body: Callable[[], tuple[bool, float, str]]) -> CheckResult:
+    start = time.perf_counter()
+    ok, residual, detail = body()
+    elapsed = time.perf_counter() - start
+    return CheckResult(
+        name=name,
+        status="pass" if ok else "fail",
+        max_residual=residual,
+        wall_time_s=elapsed,
+        detail=detail,
+    )
+
+
+def _operator_residual(op: QubitOperator) -> float:
+    return max((abs(c) for _, c in op.terms.items()), default=0.0)
+
+
+# ---------------------------------------------------------------------------
+# Symbolic checks.
+# ---------------------------------------------------------------------------
+
+
+def check_car(spec: EncodingSpec, name: Optional[str] = None) -> CheckResult:
+    """Exact CAR sweep: {a_i, a^dag_j} = delta_ij, {a_i, a_j} = 0."""
+    label = name or f"car-{spec.kind}-n{spec.n_modes}"
+
+    def body():
+        n = spec.n_modes
+        lows = [lowering(spec, j) for j in range(n)]
+        ups = [raising(spec, j) for j in range(n)]
+        ident = QubitOperator.identity(n)
+        worst = 0.0
+        offender = ""
+        for i in range(n):
+            for j in range(n):
+                mixed = anticommutator(lows[i], ups[j])
+                expected = ident if i == j else QubitOperator.zero(n)
+                res = _operator_residual(mixed - expected)
+                same = _operator_residual(anticommutator(lows[i], lows[j]))
+                if max(res, same) > worst:
+                    worst = max(res, same)
+                    offender = f"pair ({i}, {j})"
+        return worst == 0.0, worst, "" if worst == 0.0 else offender
+
+    return _timed(label, body)
+
+
+def random_forest_spec(n_modes: int, rng: random.Random) -> EncodingSpec:
+    sizes = []
+    left = n_modes
+    while left:
+        size = rng.randint(1, left)
+        sizes.append(size)
+        left -= size
+    return EncodingSpec.from_segments(sizes)
+
+
+def check_car_random_forests(
+    trials: int = 100, max_modes: int = 12, seed: int = 0
+) -> CheckResult:
+    """CAR sweep over randomly segmented forests (seeded)."""
+
+    def body():
+        rng = random.Random(seed)
+        for trial in range(trials):
+            n = rng.randint(2, max_modes)
+            spec = random_forest_spec(n, rng)
+            result = check_car(spec)
+            if not result.passed:
+                sizes = [stop - start for start, stop in spec.forest.segments]
+                return False, result.max_residual, f"trial {trial}, segments {sizes}"
+        return True, 0.0, f"{trials} forests"
+
+    return _timed(f"car-random-forests-x{trials}", body)
+
+
+def check_lsfs_algebra(layout: lsfs.EdgeLayout) -> CheckResult:
+    """All pairwise generator rules, loop operators, and stabilizer algebra."""
+    label = f"lsfs-algebra-{layout.w}x{layout.h}"
+
+    def body():
+        failures: list[str] = []
+        ident = QubitOperator.identity(layout.n_edges)
+        edges = layout.edges()
+        a_strings = {}
+        for u, v in edges:
+            gen = lsfs.a_op(layout, u, v)
+            if gen * gen != ident:
+                failures.append(f"A{(u, v)}^2 != 1")
+            if gen != -1.0 * lsfs.a_op(layout, v, u):
+                failures.append(f"A{(u, v)} not antisymmetric")
+            ((string, _),) = gen.sorted_terms()
+            a_strings[(u, v)] = string
+        b_strings = {}
+        prod = ident
+        for k in range(layout.n_vertices):
+            gen = lsfs.b_op(layout, k)
+            if gen * gen != ident:
+                failures.append(f"B{k}^2 != 1")
+            ((string, _),) = gen.sorted_terms()
+            b_strings[k] = string
+            prod = prod * gen
+        if prod != ident:
+            failures.append("product of all B != 1")
+        for e1, s1 in a_strings.items():
+            for e2, s2 in a_strings.items():
+                expected = len(set(e1) & set(e2)) != 1
+                if s1.commutes(s2) != expected:
+                    failures.append(f"A{e1} vs A{e2} rule broken")
+            for k, bs in b_strings.items():
+                if s1.commutes(bs) != (k not in e1):
+                    failures.append(f"A{e1} vs B{k} rule broken")
+        for k1, b1 in b_strings.items():
+            for k2, b2 in b_strings.items():
+                if not b1.commutes(b2):
+                    failures.append(f"B{k1} vs B{k2} do not commute")
+        stabs = lsfs.stabilizers(layout)
+        expected_count = (layout.w - 1) * (layout.h - 1)
+        if len(stabs) != expected_count:
+            failures.append(f"{len(stabs)} stabilizers, expected {expected_count}")
+        for plq, stab in zip(layout.plaquettes(), stabs):
+            ((string, coeff),) = stab.sorted_terms()
+            if coeff not in (1.0, -1.0) or stab * stab != ident:
+                failures.append(f"stabilizer {plq} not a +/-1 involution")
+            for s in list(a_strings.values()) + list(b_strings.values()):
+                if not string.commutes(s):
+                    failures.append(f"stabilizer {plq} fails to commute")
+            for other in stabs:
+                if not string.commutes(other.sorted_terms()[0][0]):
+                    failures.append(f"stabilizers {plq} do not commute")
+        detail = "; ".join(failures[:4])
+        if len(failures) > 4:
+            detail += f"; +{len(failures) - 4} more"
+        return not failures, 0.0 if not failures else 1.0, detail
+
+    return _timed(label, body)
+
+
+# ---------------------------------------------------------------------------
+# Dense checks.
+# ---------------------------------------------------------------------------
+
+
+def _skipped(name: str, needed: int, cap: int) -> CheckResult:
+    return CheckResult(
+        name=name,
+        status="skipped",
+        max_residual=float("nan"),
+        wall_time_s=0.0,
+        detail=f"needs {needed} qubits, dense cap {cap}",
+    )
+
+
+def spectra_match(
+    lattice: LatticeSpec,
+    spec_a: EncodingSpec,
+    spec_b: EncodingSpec,
+    t: float = 1.0,
+    u: float = 2.0,
+    cap: int = DENSE_CAP_DEFAULT,
+    name: Optional[str] = None,
+) -> CheckResult:
+    """Sorted eigenvalue multisets of a model under two encodings agree."""
+    label = name or f"spectra-{spec_a.kind}-vs-{spec_b.kind}"
+    if lattice.n_modes > cap:
+        return _skipped(label, lattice.n_modes, cap)
+
+    def body():
+        model = hubbard(lattice, t, u)
+        reference = np.sort(np.linalg.eigvalsh(fock_matrix(model, cap)))
+        worst = 0.0
+        for spec in (spec_a, spec_b):
+            evals = np.sort(
+                np.linalg.eigvalsh(encode_model(spec, model).to_dense(cap))
+            )
+            worst = max(worst, float(np.max(np.abs(evals - reference))))
+        return worst <= SPECTRUM_TOL, worst, ""
+
+    return _timed(label, body)
+
+
+def _single_spin_model(w: int, h: int, t: float, eps: float) -> FermionOperator:
+    lattice = LatticeSpec.rectangle(w, h, "row_major")
+    n = lattice.n_sites
+    model = FermionOperator.zero(n)
+    for i, j, _ in lattice.edges():
+        if t != 0.0:
+            model = model + hopping_pair(n, i, j, -t)
+    if eps != 0.0:
+        for m in range(n):
+            model = model + FermionOperator.term(n, eps, ((m, "n"),))
+    return model
+
+
+def _restricted_spectrum(matrix: np.ndarray, projector: np.ndarray):
+    evals, evecs = np.linalg.eigh(projector)
+    basis = evecs[:, evals > 0.5]
+    block = basis.conj().T @ matrix @ basis
+    return np.sort(np.linalg.eigvalsh(block)), basis.shape[1]
+
+
+def lsfs_sector_match(
+    w: int,
+    h: int,
+    t: float = 1.0,
+    eps: float = 0.0,
+    cap: int = DENSE_CAP_DEFAULT,
+) -> CheckResult:
+    """Loop-stabilized codespace spectrum equals the even-parity sector.
+
+    The reference is the Fock representation of the same single-spin
+    lattice model restricted to even particle number.
+    """
+    label = f"lsfs-sector-{w}x{h}"
+    layout = lsfs.EdgeLayout(w, h)
+    if max(layout.n_edges, w * h) > cap:
+        return _skipped(label, max(layout.n_edges, w * h), cap)
+
+    def body():
+        ham = lsfs.single_spin_hamiltonian(layout, t, eps).to_dense(cap)
+        projector = lsfs.codespace_projector(layout, cap)
+        commutator_res = float(np.max(np.abs(ham @ projector - projector @ ham)))
+        code_spec, code_dim = _restricted_spectrum(ham, projector)
+
+        model = _single_spin_model(w, h, t, eps)
+        reference = fock_matrix(model, cap)
+        even = (np.eye(1 << (w * h)) + parity_matrix(w * h, cap)) / 2
+        even_spec, even_dim = _restricted_spectrum(reference, even)
+
+        if code_dim != even_dim:
+            return False, float("inf"), f"dims {code_dim} vs {even_dim}"
+        worst = float(np.max(np.abs(code_spec - even_spec)))
+        ok = worst <= SPECTRUM_TOL and commutator_res <= COMMUTATOR_TOL
+        return ok, max(worst, commutator_res), f"codespace dim {code_dim}"
+
+    return _timed(label, body)
+
+
+def penalty_gap_check(
+    w: int,
+    h: int,
+    t: float = 1.0,
+    eps: float = 0.0,
+    delta: float = 100.0,
+    cap: int = DENSE_CAP_DEFAULT,
+) -> CheckResult:
+    """Penalty arithmetic: one violated stabilizer costs exactly delta.
+
+    Checks that the low-lying spectrum of H + penalty reproduces the
+    codespace spectrum (shifted by the penalty ground contribution), and
+    that the penalty-induced part of the code/violation gap is linear:
+    it equals delta and doubles when delta does.
+    """
+    label = f"penalty-{w}x{h}-delta{delta:g}"
+    layout = lsfs.EdgeLayout(w, h)
+    if layout.n_edges > cap:
+        return _skipped(label, layout.n_edges, cap)
+
+    def body():
+        stabs = [s.to_dense(cap) for s in lsfs.stabilizers(layout)]
+        if not stabs:
+            return False, float("inf"), "no plaquettes to penalize"
+        ham = lsfs.single_spin_hamiltonian(layout, t, eps).to_dense(cap)
+        penalty = sum(stabs)
+        projector = lsfs.codespace_projector(layout, cap)
+        dim = projector.shape[0]
+        code_spec, code_dim = _restricted_spectrum(ham, projector)
+        viol_spec, _ = _restricted_spectrum(ham, np.eye(dim) - projector)
+        # Delta-independent offset between the sector ground levels; the
+        # penalty adds exactly delta per violated stabilizer on top.
+        sector_offset = float(viol_spec[0] - code_spec[0])
+
+        def gap(delta_value: float) -> tuple[np.ndarray, float]:
+            evals = np.sort(np.linalg.eigvalsh(ham - (delta_value / 2.0) * penalty))
+            return evals, float(evals[code_dim] - evals[0])
+
+        evals_1, gap_1 = gap(delta)
+        _, gap_2 = gap(2.0 * delta)
+
+        shift = len(stabs) * delta / 2.0
+        low_res = float(np.max(np.abs(evals_1[:code_dim] + shift - code_spec)))
+        linear_res = abs(gap_1 - (delta + sector_offset))
+        double_res = abs(gap_2 - (2.0 * delta + sector_offset))
+        worst = max(low_res, linear_res, double_res)
+        return worst <= PENALTY_TOL, worst, f"gap at delta: {gap_1:.6f}"
+
+    return _timed(label, body)
+
+
+# ---------------------------------------------------------------------------
+# Suite runner.
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class SuiteReport:
+    checks: list[CheckResult] = field(default_factory=list)
+
+    @property
+    def status(self) -> str:
+        if any(c.status == "fail" for c in self.checks):
+            return "fail"
+        if any(c.status == "skipped" for c in self.checks):
+            return "partial"
+        return "pass"
+
+    def to_json(self) -> str:
+        payload = {
+            "status": self.status,
+            "checks": [c.to_dict() for c in self.checks],
+        }
+        return json.dumps(payload, indent=2, allow_nan=True)
+
+
+def run_suite(
+    symbolic_only: bool = False,
+    cap: int = DENSE_CAP_DEFAULT,
+    seed: int = 0,
+    forest_trials: int = 100,
+) -> SuiteReport:
+    """The standard desk-scale verification suite."""
+    checks = [
+        check_car(EncodingSpec.jordan_wigner(7)),
+        check_car(EncodingSpec.bravyi_kitaev(7)),
+        check_car_random_forests(trials=forest_trials, seed=seed),
+        check_lsfs_algebra(lsfs.EdgeLayout(3, 3)),
+        check_lsfs_algebra(lsfs.EdgeLayout(4, 4)),
+    ]
+    if not symbolic_only:
+        lattice = LatticeSpec.rectangle(2, 2, "snake")
+        checks.append(
+            spectra_match(
+                lattice,
+                EncodingSpec.jordan_wigner(8),
+                EncodingSpec.bravyi_kitaev(8),
+                cap=cap,
+                name="spectra-2x2-jw-vs-bk",
+            )
+        )
+        checks.append(
+            spectra_match(
+                lattice,
+                EncodingSpec.jordan_wigner(8),
+                EncodingSpec.from_segments([2, 2, 2, 2]),
+                cap=cap,
+                name="spectra-2x2-jw-vs-sbk",
+            )
+        )
+        checks.append(lsfs_sector_match(2, 2, t=1.0, cap=cap))
+        checks.append(lsfs_sector_match(2, 3, t=1.0, eps=0.5, cap=cap))
+        checks.append(penalty_gap_check(2, 2, delta=10.0, cap=cap))
+        checks.append(penalty_gap_check(2, 2, delta=100.0, cap=cap))
+    return SuiteReport(checks)
