@@ -29,14 +29,18 @@ from .pauli import DENSE_CAP_DEFAULT
 from .verify import run_suite
 
 
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(f"FERMAP_{name}")
-    return default if raw is None else float(raw)
+class ConfigError(Exception):
+    """Bad configuration content: reported on stderr with exit code 2."""
 
 
-def _env_int(name: str, default: int) -> int:
+def _env(name: str, parse, default):
+    """FERMAP_<name> parsed by ``parse``, or ``default`` when it is unset."""
     raw = os.environ.get(f"FERMAP_{name}")
-    return default if raw is None else int(raw)
+    try:
+        return default if raw is None else parse(raw)
+    except ValueError:
+        msg = f"FERMAP_{name}={raw!r} is not a valid {parse.__name__}"
+        raise ConfigError(msg) from None
 
 
 def _write_atomic(path: Path, text: str):
@@ -57,10 +61,6 @@ def _emit(text: str, out: Optional[str]):
         _write_atomic(Path(out), text)
     else:
         sys.stdout.write(text)
-
-
-class ConfigError(Exception):
-    """Bad configuration content: reported on stderr with exit code 2."""
 
 
 def _load_model_config(args) -> tuple[LatticeSpec, float, float, float]:
@@ -219,6 +219,8 @@ def _cmd_tables(args) -> int:
         if args.w is None or args.h is None:
             raise ConfigError("rectangular tables need --w and --h")
         report = analysis.table_I(args.w, args.h, measured=args.measure)
+    if not report.rows:
+        raise ConfigError("degenerate lattice: tables need sides >= 2 and --dim >= 1")
     text = report.to_csv() if args.format == "csv" else report.to_markdown()
     _emit(text, args.out)
     return 0
@@ -243,6 +245,8 @@ def _cmd_fig6(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise ConfigError("--trials must be at least 1")
     report = run_suite(
         symbolic_only=(args.suite == "symbolic"),
         cap=args.dense_cap,
@@ -311,9 +315,9 @@ def _add_lattice_flags(sub, with_model=True):
 
 
 def _add_coupling_flags(sub):
-    sub.add_argument("--t", type=float, default=_env_float("T", 1.0))
-    sub.add_argument("--u", type=float, default=_env_float("U", 1.0))
-    sub.add_argument("--eps", type=float, default=_env_float("EPS", 0.0))
+    sub.add_argument("--t", type=float, default=_env("T", float, 1.0))
+    sub.add_argument("--u", type=float, default=_env("U", float, 1.0))
+    sub.add_argument("--eps", type=float, default=_env("EPS", float, 0.0))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -334,12 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     enc.add_argument("--segments", help="comma-separated forest segment sizes")
     enc.add_argument("--segment-size", type=int, help="sbk row-chunk size")
     enc.add_argument("--spin", choices=("both", "single"), default="both")
-    delta_default = os.environ.get("FERMAP_DELTA")
-    enc.add_argument(
-        "--delta",
-        type=float,
-        default=None if delta_default is None else float(delta_default),
-    )
+    enc.add_argument("--delta", type=float, default=_env("DELTA", float, None))
     enc.add_argument("--out")
     enc.set_defaults(func=_cmd_encode)
 
@@ -375,9 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
     ver = subparsers.add_parser("verify", help="run the verification suite")
     ver.add_argument("--suite", choices=("desk", "symbolic"), default="desk")
     ver.add_argument(
-        "--dense-cap", type=int, default=_env_int("DENSE_CAP", DENSE_CAP_DEFAULT)
+        "--dense-cap", type=int, default=_env("DENSE_CAP", int, DENSE_CAP_DEFAULT)
     )
-    ver.add_argument("--seed", type=int, default=_env_int("SEED", 0))
+    ver.add_argument("--seed", type=int, default=_env("SEED", int, 0))
     ver.add_argument("--trials", type=int, default=100)
     ver.add_argument("--out")
     ver.set_defaults(func=_cmd_verify)
@@ -394,9 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"fermap: {exc}", file=sys.stderr)

@@ -10,11 +10,16 @@ lists interpolate between them.
 Majorana convention: c_j = a_j + a^dag_j and d_j = i (a^dag_j - a_j),
 so a_j = (c_j + i d_j) / 2 and number/hopping operators follow from the
 exact Pauli algebra.
+
+Every encoding is a per-mode table of Majorana bitmasks: a spec builds
+the c_j and d_j strings from the forest's parity, children and ancestor
+sets on first use of mode j and keeps them for its own lifetime.
+``encode_model`` multiplies them out per term and sums terms in place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .fenwick import FenwickForest
@@ -30,6 +35,10 @@ class EncodingSpec:
 
     kind: str
     forest: FenwickForest
+    # (mode, "c" | "d") -> bare Majorana string, filled on first use.
+    _majoranas: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -76,42 +85,50 @@ class EncodingSpec:
         return self.forest.n_sites
 
 
+def _majorana_string(forest: FenwickForest, j: int, flavor: str) -> PauliString:
+    """c_j: Z on P(j), X on j and U(j).  d_j: Y on j instead, no Z on F(j)."""
+    drop = forest.children(j) if flavor == "d" else ()
+    z = sum(1 << q for q in forest.parity_set(j) if q not in drop)
+    x = sum(1 << q for q in forest.ancestors(j)) | 1 << j
+    return PauliString(forest.n_sites, x, z | 1 << j if flavor == "d" else z)
+
+
+def _majorana(spec: EncodingSpec, j: int, flavor: str) -> PauliString:
+    """The c_j or d_j string of ``spec``, built at most once per spec."""
+    string = spec._majoranas.get((j, flavor))
+    if string is None:
+        string = spec._majoranas[j, flavor] = _majorana_string(spec.forest, j, flavor)
+    return string
+
+
 def majorana_c(spec: EncodingSpec, j: int) -> QubitOperator:
     """c_j = a_j + a^dag_j: Z on the parity set, X on j and its ancestors."""
-    forest = spec.forest
-    ops = [(q, "Z") for q in forest.parity_set(j)]
-    ops.append((j, "X"))
-    ops.extend((q, "X") for q in forest.ancestors(j))
-    return QubitOperator.from_paulistring(PauliString.from_ops(forest.n_sites, ops))
+    return QubitOperator.from_paulistring(_majorana(spec, j, "c"))
 
 
 def majorana_d(spec: EncodingSpec, j: int) -> QubitOperator:
     """d_j = i (a^dag_j - a_j): like c_j but Y on j and no Z on j's children."""
-    forest = spec.forest
-    zs = set(forest.parity_set(j)) - set(forest.children(j))
-    ops = [(q, "Z") for q in sorted(zs)]
-    ops.append((j, "Y"))
-    ops.extend((q, "X") for q in forest.ancestors(j))
-    return QubitOperator.from_paulistring(PauliString.from_ops(forest.n_sites, ops))
+    return QubitOperator.from_paulistring(_majorana(spec, j, "d"))
 
 
 def lowering(spec: EncodingSpec, j: int) -> QubitOperator:
     """a_j = (c_j + i d_j) / 2."""
-    return 0.5 * majorana_c(spec, j) + 0.5j * majorana_d(spec, j)
+    c, d = _majorana(spec, j, "c"), _majorana(spec, j, "d")
+    return QubitOperator(spec.n_modes, {c: 0.5, d: 0.5j})
 
 
 def raising(spec: EncodingSpec, j: int) -> QubitOperator:
     """a^dag_j = (c_j - i d_j) / 2."""
-    return 0.5 * majorana_c(spec, j) + (-0.5j) * majorana_d(spec, j)
+    c, d = _majorana(spec, j, "c"), _majorana(spec, j, "d")
+    return QubitOperator(spec.n_modes, {c: 0.5, d: -0.5j})
 
 
 def number_op(spec: EncodingSpec, j: int) -> QubitOperator:
     """n_j = (1 + i c_j d_j) / 2 = (1 - Z on F(j) and j) / 2."""
-    forest = spec.forest
-    n = forest.n_sites
-    zs = [(q, "Z") for q in forest.children(j)] + [(j, "Z")]
-    z_string = QubitOperator.from_paulistring(PauliString.from_ops(n, zs))
-    return QubitOperator.identity(n, 0.5) + (-0.5) * z_string
+    c, d = _majorana(spec, j, "c"), _majorana(spec, j, "d")
+    n = spec.n_modes
+    z_string = PauliString(n, 0, c.z_mask ^ d.z_mask)  # Z on F(j) and j
+    return QubitOperator(n, {PauliString.identity(n): 0.5, z_string: -0.5})
 
 
 def hopping_op(spec: EncodingSpec, j: int, k: int) -> QubitOperator:
@@ -136,13 +153,11 @@ def encode_model(spec: EncodingSpec, model: FermionOperator) -> QubitOperator:
     """
     n = spec.n_modes
     if model.n_modes > n:
-        raise IndexError(
-            f"model has {model.n_modes} modes, encoding only {n}"
-        )
+        raise IndexError(f"model has {model.n_modes} modes, encoding only {n}")
     total = QubitOperator.zero(n)
     for coeff, factors in model.terms:
         acc = QubitOperator.identity(n)
         for mode, flavor in factors:
             acc = acc * _FACTOR_BUILDERS[flavor](spec, mode)
-        total = total + coeff * acc
+        total._add_in_place(coeff * acc)
     return total

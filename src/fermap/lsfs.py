@@ -151,29 +151,6 @@ def a_op(layout: EdgeLayout, j: int, k: int) -> QubitOperator:
     return QubitOperator.from_paulistring(string, float(_epsilon(j, k)))
 
 
-def a_op_directional(layout: EdgeLayout, j: int, k: int) -> QubitOperator:
-    """The 2D specialized form of :func:`a_op` (boundary factors ignored).
-
-    Vertical edges: X on the edge, Z on the left/up/right edges of the
-    upper endpoint.  Horizontal edges: X on the edge, Z on the up edges
-    of both endpoints and the left edge of the left endpoint.
-    """
-    edge = layout.edge_index(j, k)
-    top_left = min(j, k)
-    other = max(j, k)
-    ops = {edge: "X"}
-    if abs(j - k) == 1:  # horizontal
-        dirs = [(top_left, "up"), (other, "up"), (top_left, "left")]
-    else:  # vertical
-        dirs = [(top_left, "left"), (top_left, "up"), (top_left, "right")]
-    for vertex, direction in dirs:
-        idx = layout.directional_edge(vertex, direction)
-        if idx is not None:
-            ops[idx] = "Z"
-    string = PauliString.from_ops(layout.n_edges, sorted(ops.items()))
-    return QubitOperator.from_paulistring(string, float(_epsilon(j, k)))
-
-
 def _is_unit_plaquette(layout: EdgeLayout, quad: Sequence[int]) -> bool:
     if len(quad) != 4 or len(set(quad)) != 4:
         return False
@@ -231,13 +208,13 @@ def single_spin_hamiltonian(
     total = QubitOperator.zero(layout.n_edges)
     if t != 0.0:
         for u, v in layout.edges():
-            total = total + (-t) * hopping_term(layout, u, v)
+            total._add_in_place((-t) * hopping_term(layout, u, v))
     if eps != 0.0:
         for k in range(layout.n_vertices):
-            total = total + eps * number_term(layout, k)
+            total._add_in_place(eps * number_term(layout, k))
     if delta != 0.0:
         for stab in stabilizers(layout):
-            total = total + (-delta / 2.0) * stab
+            total._add_in_place((-delta / 2.0) * stab)
     return total
 
 
@@ -262,14 +239,14 @@ def hubbard_lsfs(
     n_edges = layout.n_edges
     n_total = 2 * n_edges
     total = QubitOperator.zero(n_total)
+    spin_part = single_spin_hamiltonian(layout, t, eps, delta)
     for offset in (0, n_edges):
-        spin_part = single_spin_hamiltonian(layout, t, eps, delta)
-        total = total + spin_part.embedded(n_total, offset)
+        total._add_in_place(spin_part.embedded(n_total, offset))
     if u != 0.0:
         for k in range(layout.n_vertices):
-            n_dn = number_term(layout, k).embedded(n_total, 0)
-            n_up = number_term(layout, k).embedded(n_total, n_edges)
-            total = total + u * (n_dn * n_up)
+            n_k = number_term(layout, k)
+            n_dn, n_up = n_k.embedded(n_total, 0), n_k.embedded(n_total, n_edges)
+            total._add_in_place(u * (n_dn * n_up))
     return total
 
 

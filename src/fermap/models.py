@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -132,9 +132,6 @@ class LatticeSpec:
     def spin_offsets(self) -> tuple[int, int]:
         """Mode offsets of the spin-down and spin-up blocks."""
         return (0, self.n_sites)
-
-    def with_ordering(self, ordering: str) -> "LatticeSpec":
-        return replace(self, ordering=ordering)
 
     # Canonical site ids: row-major r*w + c on rectangles, mixed-radix
     # sum coord_a * w^a on hypercubes (axis 0 fastest).
@@ -276,10 +273,10 @@ def hubbard_terms(
 
 def hubbard(spec: LatticeSpec, t: float, u: float, eps: float = 0.0) -> FermionOperator:
     """The full Hubbard Hamiltonian on the given lattice."""
-    total = FermionOperator.zero(spec.n_modes)
-    for _, term in hubbard_terms(spec, t, u, eps):
-        total = total + term
-    return total
+    pieces = hubbard_terms(spec, t, u, eps)
+    return FermionOperator(
+        spec.n_modes, tuple(term for _, op in pieces for term in op.terms)
+    )
 
 
 # ---------------------------------------------------------------------------

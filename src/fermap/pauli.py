@@ -8,6 +8,10 @@ least significant bit, so masks serialize identically everywhere.  The
 phase is stored as an integer exponent of i modulo 4; no phase ever
 touches floating point.
 
+Long sums are accumulated in place (``QubitOperator._add_in_place``):
+the coefficients and term order of chained ``+``, without copying the
+growing sum at every step.
+
 Dense matrices are rendered only at desk scale (``DENSE_CAP_DEFAULT``
 qubits by default) and are meant for verification oracles, not
 simulation.
@@ -43,7 +47,7 @@ def _check_same_size(a, b):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PauliString:
     """A signed tensor product of single-qubit Pauli operators.
 
@@ -113,10 +117,14 @@ class PauliString:
 
     def ops(self) -> tuple[tuple[int, str], ...]:
         """Non-identity (qubit, letter) pairs in qubit order."""
-        support = self.x_mask | self.z_mask
-        return tuple(
-            (q, self.letter_at(q)) for q in range(self.n_qubits) if (support >> q) & 1
-        )
+        x, z = self.x_mask, self.z_mask
+        out = []
+        support = x | z
+        while support:  # one step per set bit, lowest first
+            q = (support & -support).bit_length() - 1
+            out.append((q, _LETTERS[(x >> q) & 1, (z >> q) & 1]))
+            support &= support - 1
+        return tuple(out)
 
     def __mul__(self, other: "PauliString") -> "PauliString":
         if not isinstance(other, PauliString):
@@ -146,8 +154,9 @@ class PauliString:
 
     def canonical(self) -> tuple["PauliString", complex]:
         """Split into a phase-free string and its exact scalar phase."""
-        bare = PauliString(self.n_qubits, self.x_mask, self.z_mask, 0)
-        return bare, self.phase
+        if self.phase_exp == 0:
+            return self, self.phase
+        return PauliString(self.n_qubits, self.x_mask, self.z_mask, 0), self.phase
 
     def embedded(self, n_total: int, offset: int) -> "PauliString":
         """The same string acting on qubits [offset, offset + n) of a larger register."""
@@ -249,13 +258,21 @@ class QubitOperator:
     def __add__(self, other: "QubitOperator") -> "QubitOperator":
         if not isinstance(other, QubitOperator):
             return NotImplemented
-        _check_same_size(self, other)
         out = QubitOperator(self.n_qubits)
         out._terms = dict(self._terms)
+        return out._add_in_place(other)
+
+    def _add_in_place(self, other: "QubitOperator") -> "QubitOperator":
+        """``self + other`` written into ``self``: same sums, same term order."""
+        _check_same_size(self, other)
+        terms = self._terms
         for ps, coeff in other._terms.items():
-            out._terms[ps] = out._terms.get(ps, 0j) + coeff
-        out._prune()
-        return out
+            coeff = terms.get(ps, 0j) + coeff
+            if coeff:
+                terms[ps] = coeff
+            else:  # keys of ``other`` are unique, so this is pruning after the loop
+                del terms[ps]
+        return self
 
     def __sub__(self, other: "QubitOperator") -> "QubitOperator":
         return self + (-1.0) * other
@@ -369,10 +386,6 @@ class QubitOperator:
         return " + ".join(parts)
 
     __repr__ = __str__
-
-
-def commutator(a: QubitOperator, b: QubitOperator) -> QubitOperator:
-    return a * b - b * a
 
 
 def anticommutator(a: QubitOperator, b: QubitOperator) -> QubitOperator:

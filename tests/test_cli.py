@@ -122,6 +122,16 @@ class TestTables:
     def test_usage_error(self):
         assert run(["tables", "--w", "3"]) == 2
 
+    @pytest.mark.parametrize(
+        "args",
+        [["--dim", "0", "--w", "3"], ["--dim", "2", "--w", "1"], ["--w", "1", "--h", "4"]],
+    )
+    def test_degenerate_lattice_rejected(self, args, capsys):
+        assert run(["tables", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("fermap: degenerate lattice")
+
 
 class TestSweepAndFig6:
     def test_sweep_csv(self, tmp_path):
@@ -162,6 +172,11 @@ class TestVerify:
         assert data["status"] == "partial"
         assert any(c["status"] == "skipped" for c in data["checks"])
 
+    @pytest.mark.parametrize("trials", ["-5", "0"])
+    def test_vacuous_trials_rejected(self, trials, capsys):
+        assert run(["verify", "--suite", "symbolic", "--trials", trials]) == 2
+        assert capsys.readouterr().err.startswith("fermap: --trials")
+
     def test_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FERMAP_DENSE_CAP", "4")
         out = tmp_path / "report.json"
@@ -198,3 +213,20 @@ class TestParser:
         assert run(["encode", "--w", "2", "--h", "2", "--encoding", "jw",
                     "--out", str(out)]) == 0
         assert json.loads(out.read_text())["meta"]["U"] == 7.5
+
+    @pytest.mark.parametrize(
+        "name,args",
+        [
+            ("T", ["tables", "--w", "2", "--h", "2"]),
+            ("EPS", ["encode", "--w", "2", "--h", "2"]),
+            ("DELTA", ["encode", "--w", "2", "--h", "2", "--encoding", "lsfs"]),
+            ("SEED", ["verify", "--trials", "1"]),
+        ],
+    )
+    def test_bad_env_value_exits_2(self, name, args, monkeypatch, capsys):
+        monkeypatch.setenv(f"FERMAP_{name}", "abc")
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert err == f"fermap: FERMAP_{name}='abc' is not a valid " + (
+            "int\n" if name == "SEED" else "float\n"
+        )

@@ -6,7 +6,6 @@ import pytest
 from fermap.lsfs import (
     EdgeLayout,
     a_op,
-    a_op_directional,
     b_op,
     codespace_projector,
     default_penalty,
@@ -18,6 +17,7 @@ from fermap.lsfs import (
     stabilizer,
     stabilizers,
 )
+from fermap.models import LatticeSpec, fock_matrix, hubbard
 from fermap.pauli import PauliString, QubitOperator
 
 
@@ -30,6 +30,32 @@ def pauli(layout, pairs, coeff=1.0):
     return QubitOperator.from_paulistring(
         PauliString.from_ops(layout.n_edges, pairs), coeff
     )
+
+
+def restricted_spectrum(matrix, projector):
+    evals, evecs = np.linalg.eigh(projector)
+    basis = evecs[:, evals > 0.5]
+    return np.sort(np.linalg.eigvalsh(basis.conj().T @ matrix @ basis))
+
+
+def a_op_directional(layout, j, k):
+    """The 2D specialized form of ``a_op`` (boundary factors ignored).
+
+    Vertical edges: X on the edge, Z on the left/up/right edges of the
+    upper endpoint.  Horizontal edges: X on the edge, Z on the up edges
+    of both endpoints and the left edge of the left endpoint.
+    """
+    top_left, other = min(j, k), max(j, k)
+    ops = {layout.edge_index(j, k): "X"}
+    if other - top_left == 1:  # horizontal
+        dirs = [(top_left, "up"), (other, "up"), (top_left, "left")]
+    else:  # vertical
+        dirs = [(top_left, "left"), (top_left, "up"), (top_left, "right")]
+    for vertex, direction in dirs:
+        idx = layout.directional_edge(vertex, direction)
+        if idx is not None:
+            ops[idx] = "Z"
+    return pauli(layout, sorted(ops.items()), 1.0 if j > k else -1.0)
 
 
 class TestLayout:
@@ -337,3 +363,24 @@ class TestCodespace:
         ham = single_spin_hamiltonian(lay, 1.0, 0.3).to_dense()
         proj = codespace_projector(lay)
         assert np.max(np.abs(ham @ proj - proj @ ham)) < 1e-12
+
+    def test_two_spin_hubbard_matches_fock_even_even_sector(self):
+        # Each spin lattice encodes the even-parity sector of its own
+        # sites, so the two-spin codespace holds the Fock states with even
+        # spin-down and even spin-up particle numbers.
+        w, h, t, u, eps = 2, 2, 0.8, 3.3, 0.4
+        lay = EdgeLayout(w, h)
+        ham = hubbard_lsfs(w, h, t, u, eps).to_dense()
+        spin_proj = codespace_projector(lay)
+        code_spec = restricted_spectrum(ham, np.kron(spin_proj, spin_proj))
+
+        sites = w * h
+        fock = fock_matrix(hubbard(LatticeSpec.rectangle(w, h), t, u, eps))
+        low = (1 << sites) - 1
+        even = [
+            s for s in range(1 << (2 * sites))
+            if bin(s & low).count("1") % 2 == 0 and bin(s >> sites).count("1") % 2 == 0
+        ]
+        fock_spec = np.sort(np.linalg.eigvalsh(fock[np.ix_(even, even)]))
+        assert len(code_spec) == len(fock_spec) == 64
+        assert np.max(np.abs(code_spec - fock_spec)) < 1e-9

@@ -131,6 +131,14 @@ class TestStringProperties:
     def test_dense_matches_kron(self, a):
         assert np.max(np.abs(a.to_dense() - kron_dense(a))) < 1e-12
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([1, 61, 62, 64, 65, 200]).flatmap(pauli_strings))
+    def test_ops_matches_letter_scan(self, a):
+        scan = tuple(
+            (q, a.letter_at(q)) for q in range(a.n_qubits) if a.letter_at(q) != "I"
+        )
+        assert a.ops() == scan
+
     @settings(max_examples=100, deadline=None)
     @given(pauli_strings())
     def test_adjoint_involution(self, a):

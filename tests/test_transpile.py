@@ -1,0 +1,184 @@
+"""The transpile path against naive references, and guards on its work counts.
+
+The references rebuild every Majorana with ``PauliString.from_ops`` and
+sum every Hamiltonian by chained addition, the way the encoders first
+did it.  The encoders must match them exactly: same coefficients, same
+term order, same JSON text.
+"""
+
+import random
+from collections import Counter
+
+import pytest
+
+from fermap import encodings, lsfs
+from fermap.analysis import model_encoding
+from fermap.encodings import EncodingSpec, encode_model
+from fermap.models import FermionOperator, LatticeSpec, hubbard, hubbard_terms
+from fermap.pauli import PauliString, QubitOperator
+from fermap.verify import random_forest_spec
+
+T, U, EPS, DELTA = 0.73, 4.21, 0.37, 2.9
+
+
+def plus(a, b):
+    """``a + b`` as ``QubitOperator.__add__`` computed it: copy, add, prune."""
+    assert a.n_qubits == b.n_qubits
+    terms = a.terms
+    for ps, coeff in b.terms.items():
+        terms[ps] = terms.get(ps, 0j) + coeff
+    out = QubitOperator(a.n_qubits)
+    out._terms = {ps: c for ps, c in terms.items() if c != 0}
+    return out
+
+
+def naive_majorana(spec, j, flavor):
+    forest = spec.forest
+    if flavor == "c":
+        ops = [(q, "Z") for q in forest.parity_set(j)] + [(j, "X")]
+    else:
+        zs = set(forest.parity_set(j)) - set(forest.children(j))
+        ops = [(q, "Z") for q in sorted(zs)] + [(j, "Y")]
+    ops.extend((q, "X") for q in forest.ancestors(j))
+    return QubitOperator.from_paulistring(PauliString.from_ops(forest.n_sites, ops))
+
+
+def naive_factor(spec, mode, flavor):
+    n = spec.n_modes
+    if flavor == "n":
+        zs = [(q, "Z") for q in spec.forest.children(mode)] + [(mode, "Z")]
+        z_string = QubitOperator.from_paulistring(PauliString.from_ops(n, zs))
+        return plus(QubitOperator.identity(n, 0.5), (-0.5) * z_string)
+    sign = 0.5j if flavor == "-" else -0.5j
+    c, d = naive_majorana(spec, mode, "c"), naive_majorana(spec, mode, "d")
+    return plus(0.5 * c, sign * d)
+
+
+def naive_encode(spec, model):
+    n = spec.n_modes
+    total = QubitOperator.zero(n)
+    for coeff, factors in model.terms:
+        acc = QubitOperator.identity(n)
+        for mode, flavor in factors:
+            acc = acc * naive_factor(spec, mode, flavor)
+        total = plus(total, coeff * acc)
+    return total
+
+
+def naive_single_spin(layout, t, eps, delta):
+    total = QubitOperator.zero(layout.n_edges)
+    for u, v in layout.edges():
+        total = plus(total, (-t) * lsfs.hopping_term(layout, u, v))
+    for k in range(layout.n_vertices):
+        total = plus(total, eps * lsfs.number_term(layout, k))
+    for stab in lsfs.stabilizers(layout):
+        total = plus(total, (-delta / 2.0) * stab)
+    return total
+
+
+def naive_hubbard_lsfs(w, h, t, u, eps, delta):
+    layout = lsfs.EdgeLayout(w, h)
+    n_edges = layout.n_edges
+    total = QubitOperator.zero(2 * n_edges)
+    for offset in (0, n_edges):
+        part = naive_single_spin(layout, t, eps, delta)
+        total = plus(total, part.embedded(2 * n_edges, offset))
+    for k in range(layout.n_vertices):
+        n_dn = lsfs.number_term(layout, k).embedded(2 * n_edges, 0)
+        n_up = lsfs.number_term(layout, k).embedded(2 * n_edges, n_edges)
+        total = plus(total, u * (n_dn * n_up))
+    return total
+
+
+def assert_identical(op, ref):
+    assert op.n_qubits == ref.n_qubits
+    assert list(op.terms.items()) == list(ref.terms.items())
+    assert op.to_json() == ref.to_json()
+
+
+def specs(lattice):
+    rng = random.Random(lattice.n_sites)
+    yield model_encoding("jw", lattice)
+    yield model_encoding("bk", lattice)
+    yield model_encoding("sbk", lattice)
+    for _ in range(3):
+        yield random_forest_spec(lattice.n_modes, rng)
+
+
+class TestExactness:
+    @pytest.mark.parametrize("w,h", [(3, 3), (4, 3)])
+    def test_encode_model(self, w, h):
+        lattice = LatticeSpec.rectangle(w, h)
+        model = hubbard(lattice, T, U, EPS)
+        for spec in specs(lattice):
+            assert_identical(encode_model(spec, model), naive_encode(spec, model))
+
+    @pytest.mark.parametrize("w,h", [(3, 3), (4, 3)])
+    def test_single_spin_hamiltonian(self, w, h):
+        layout = lsfs.EdgeLayout(w, h)
+        assert_identical(
+            lsfs.single_spin_hamiltonian(layout, T, EPS, DELTA),
+            naive_single_spin(layout, T, EPS, DELTA),
+        )
+
+    @pytest.mark.parametrize("w,h", [(3, 3), (4, 3)])
+    def test_hubbard_lsfs(self, w, h):
+        assert_identical(
+            lsfs.hubbard_lsfs(w, h, T, U, EPS, DELTA),
+            naive_hubbard_lsfs(w, h, T, U, EPS, DELTA),
+        )
+
+    def test_majorana_table_matches_from_ops(self):
+        spec = random_forest_spec(17, random.Random(5))
+        for j in range(17):
+            assert encodings.majorana_c(spec, j) == naive_majorana(spec, j, "c")
+            assert encodings.majorana_d(spec, j) == naive_majorana(spec, j, "d")
+
+    def test_hubbard_concatenates_terms(self):
+        lattice = LatticeSpec.rectangle(3, 2)
+        expected = FermionOperator.zero(lattice.n_modes)
+        for _, term in hubbard_terms(lattice, T, U, EPS):
+            expected = expected + term
+        assert hubbard(lattice, T, U, EPS) == expected
+
+
+class TestWorkCount:
+    """Deterministic call counts that keep the quadratic paths out."""
+
+    def test_jw_8x8(self, monkeypatch):
+        calls = Counter()
+        builds = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            FermionOperator, "__add__", counting("fermion", FermionOperator.__add__)
+        )
+        monkeypatch.setattr(
+            QubitOperator, "__add__", counting("qubit", QubitOperator.__add__)
+        )
+        build = encodings._majorana_string
+
+        def counted_build(forest, j, flavor):
+            builds[j, flavor] += 1
+            return build(forest, j, flavor)
+
+        monkeypatch.setattr(encodings, "_majorana_string", counted_build)
+
+        lattice = LatticeSpec.rectangle(8, 8)
+        model = hubbard(lattice, T, U, EPS)
+        assert calls["fermion"] == 0
+        spec = EncodingSpec.jordan_wigner(lattice.n_modes)
+        op = encode_model(spec, model)
+        assert calls["qubit"] == 0
+        assert len(builds) == 2 * lattice.n_modes
+        assert max(builds.values()) == 1
+        # A second pass over the same spec reuses every mask.
+        encode_model(spec, model)
+        assert max(builds.values()) == 1
+        assert len(op) > 0
