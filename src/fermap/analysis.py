@@ -17,9 +17,8 @@ conjugate pair exactly as in the single-block analysis.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import aux_fermion, lsfs
 from .encodings import EncodingSpec, encode_model, hopping_op
@@ -41,6 +40,16 @@ def ceil_log2(n: int) -> int:
     return (n - 1).bit_length()
 
 
+def versioned_csv(tag: str, header: str, rows: Iterable[Sequence]) -> str:
+    """``# fermap <tag> v1: <header>``, the header, then one line per row.
+
+    ``None`` cells are written blank.
+    """
+    lines = [f"# fermap {tag} v1: {header}", header]
+    lines += [",".join("" if v is None else str(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 @dataclass(frozen=True)
 class ReportRow:
     encoding: str
@@ -59,17 +68,14 @@ class LocalityReport:
 
     def to_csv(self) -> str:
         schema = CSV_SCHEMA_RECT if self.kind == "rectangle" else CSV_SCHEMA_HYPER
-        buf = io.StringIO()
-        buf.write(f"# fermap locality-report-{self.kind} v1: {schema}\n")
-        buf.write(schema + "\n")
-        for row in self.rows:
-            measured = "" if row.measured is None else str(row.measured)
-            formula = "" if row.formula is None else str(row.formula)
-            buf.write(
-                f"{row.encoding},{row.term_class},{row.dims[0]},{row.dims[1]},"
-                f"{measured},{formula},{row.exactness}\n"
-            )
-        return buf.getvalue()
+        return versioned_csv(
+            f"locality-report-{self.kind}",
+            schema,
+            (
+                (r.encoding, r.term_class, *r.dims, r.measured, r.formula, r.exactness)
+                for r in self.rows
+            ),
+        )
 
     def to_markdown(self) -> str:
         classes: list[str] = []
@@ -346,11 +352,11 @@ def table_I(w: int, h: int, measured: bool = True) -> LocalityReport:
     return LocalityReport("rectangle", rows)
 
 
-def table_II(dim: int, w: int, measured: Optional[bool] = None) -> LocalityReport:
+def table_II(dim: int, w: int, measured: bool = True) -> LocalityReport:
     """Worst-case hopping locality and qubit counts on hypercubic lattices.
 
-    Measured columns are produced for the tree encodings whenever the
-    register is desk-sized; the loop-stabilized scheme is only
+    Measured columns are produced for the tree encodings unless
+    ``measured`` is off; the loop-stabilized scheme is only
     synthesizable here in two dimensions, and the auxiliary-fermion
     values come from the resource planner.  Formula variants that the
     closed forms quote inconsistently are carried as ``info`` rows.
@@ -358,8 +364,6 @@ def table_II(dim: int, w: int, measured: Optional[bool] = None) -> LocalityRepor
     if dim < 1 or w < 2:
         return LocalityReport("hypercube", [])
     sites = w**dim
-    if measured is None:
-        measured = sites <= 256
     dims = (dim, w)
     lattice = LatticeSpec.hypercube(dim, w)
     rows: list[ReportRow] = []
@@ -482,48 +486,40 @@ def sweep_optimum(sweep: Sequence[tuple[int, int]]) -> tuple[int, int]:
 
 
 def sweep_csv(w: int, sweep: Sequence[tuple[int, int]]) -> str:
-    buf = io.StringIO()
-    buf.write("# fermap segment-sweep v1: w,segment_size,vertical_locality\n")
-    buf.write("w,segment_size,vertical_locality\n")
-    for size, value in sweep:
-        buf.write(f"{w},{size},{value}\n")
-    return buf.getvalue()
+    return versioned_csv(
+        "segment-sweep",
+        "w,segment_size,vertical_locality",
+        ((w, size, value) for size, value in sweep),
+    )
 
 
-def fig6_series(w_values: Sequence[int], measured: bool = True) -> list[dict]:
-    """Worst-case locality across all term classes on square lattices."""
+def fig6_series(w_values: Sequence[int]) -> list[dict]:
+    """Worst-case locality across all term classes on square lattices.
+
+    Read off ``table_I(w, w)``: per encoding, in the table's order, the
+    largest measured value over its term-class rows and the largest
+    formula over those rows that are not ``info``.  Sides below 2 give
+    an empty table and so no points.
+    """
     out = []
     for w in w_values:
-        if w < 2:
-            continue
-        lattice = LatticeSpec.rectangle(w, w, "snake")
-        formulas = {
-            "JW": w + 1,
-            "BK": 2 * floor_log2(w * w) + 2,
-            "SBK": max(2 * floor_log2(w) + 2, 2 * ceil_log2(w) + 1),
-            "AF": 4,
-            "LSFS": 8,
-        }
-        for enc, formula in formulas.items():
-            meas = None
-            if measured:
-                meas = max(measure(enc.lower(), lattice).values())
+        rows = [r for r in table_I(w, w).rows if r.term_class != "qubits"]
+        for enc in dict.fromkeys(r.encoding for r in rows):
+            mine = [r for r in rows if r.encoding == enc]
             out.append(
                 {
                     "encoding": enc,
                     "w": w,
-                    "measured": meas,
-                    "formula": formula,
+                    "measured": max(r.measured for r in mine),
+                    "formula": max(r.formula for r in mine if r.exactness != "info"),
                 }
             )
     return out
 
 
 def fig6_csv(rows: Sequence[dict]) -> str:
-    buf = io.StringIO()
-    buf.write("# fermap fig6-series v1: encoding,w,measured,formula\n")
-    buf.write("encoding,w,measured,formula\n")
-    for row in rows:
-        meas = "" if row["measured"] is None else str(row["measured"])
-        buf.write(f"{row['encoding']},{row['w']},{meas},{row['formula']}\n")
-    return buf.getvalue()
+    return versioned_csv(
+        "fig6-series",
+        "encoding,w,measured,formula",
+        ((r["encoding"], r["w"], r["measured"], r["formula"]) for r in rows),
+    )

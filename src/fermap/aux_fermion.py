@@ -153,11 +153,7 @@ def locality_profile(plan_: AuxPlan) -> dict[str, int]:
     """
     dims = plan_.dims
     if len(dims) == 2:
-        w, h = dims
-        profile = {"density-density": 2, "horizontal": 2}
-        if w >= 2 and h >= 2:
-            profile["vertical"] = 4
-        return profile
+        return {"density-density": 2, "horizontal": 2, "vertical": 4}
     dim = len(dims)
     if dim == 1:
         return {"density-density": 2, "hop": 2}

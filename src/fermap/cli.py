@@ -1,9 +1,10 @@
 """Batch command-line front end for encoding, analysis, and verification.
 
 Subcommands: encode, analyze, tables, sweep, fig6, verify, plan-aux.
-Every output is a deterministic file (JSON or CSV with a versioned
-header comment) written atomically; repeated runs with the same
-configuration produce byte-identical files.  Numeric defaults can be
+Every output is a file (JSON or CSV with a versioned header comment)
+written atomically; repeated runs with the same configuration produce
+byte-identical files, except the ``verify --out`` report, which records
+each check's ``wall_time_s``.  Numeric defaults can be
 overridden with FERMAP_-prefixed environment variables (FERMAP_T,
 FERMAP_U, FERMAP_EPS, FERMAP_DELTA, FERMAP_DENSE_CAP, FERMAP_SEED).
 
@@ -14,7 +15,6 @@ checks), 1 verification failure, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import sys
@@ -151,13 +151,12 @@ def _cmd_encode(args) -> int:
             Path(out).with_suffix(".stabilizers.json"),
             json.dumps(sidecar, sort_keys=True, indent=1) + "\n",
         )
-        buf = io.StringIO()
-        buf.write("# fermap plaquette-report v1: plaquette,weight,sign\n")
-        buf.write("plaquette,weight,sign\n")
-        for row in lsfs.plaquette_report(layout):
-            plq = " ".join(str(v) for v in row["plaquette"])
-            buf.write(f"{plq},{row['weight']},{row['sign']}\n")
-        _write_atomic(Path(out).with_suffix(".plaquettes.csv"), buf.getvalue())
+        rows = [
+            (" ".join(str(v) for v in row["plaquette"]), row["weight"], row["sign"])
+            for row in lsfs.plaquette_report(layout)
+        ]
+        text = analysis.versioned_csv("plaquette-report", "plaquette,weight,sign", rows)
+        _write_atomic(Path(out).with_suffix(".plaquettes.csv"), text)
         return 0
 
     if kind in ("jw", "bk", "sbk"):
@@ -199,14 +198,12 @@ def _cmd_analyze(args) -> int:
         if args.encoding == "all"
         else [args.encoding.lower()]
     )
-    buf = io.StringIO()
-    buf.write("# fermap measured-locality v1: encoding,term_class,measured\n")
-    buf.write("encoding,term_class,measured\n")
+    rows = []
     for name in names:
         per_class = analysis.measure(name, lattice, args.segment_size, t, u)
-        for klass in sorted(per_class):
-            buf.write(f"{name},{klass},{per_class[klass]}\n")
-    _emit(buf.getvalue(), args.out)
+        rows += [(name, klass, per_class[klass]) for klass in sorted(per_class)]
+    header = "encoding,term_class,measured"
+    _emit(analysis.versioned_csv("measured-locality", header, rows), args.out)
     return 0
 
 
@@ -285,16 +282,11 @@ def _cmd_plan_aux(args) -> int:
         }
         _emit(json.dumps(payload, sort_keys=True, indent=1) + "\n", args.out)
         return 0
-    buf = io.StringIO()
-    buf.write("# fermap aux-plan v1: site,degree,path_degree,nonlocal_degree,aux\n")
-    buf.write("site,degree,path_degree,nonlocal_degree,aux\n")
-    for site in range(plan.n_sites):
-        buf.write(
-            f"{site},{plan.degree[site]},{plan.path_degree[site]},"
-            f"{plan.nonlocal_degree[site]},{plan.aux_per_site[site]}\n"
-        )
-    buf.write(f"# total_qubits={plan.total_qubits} formula={plan.formula_qubits}\n")
-    _emit(buf.getvalue(), args.out)
+    header = "site,degree,path_degree,nonlocal_degree,aux"
+    columns = (plan.degree, plan.path_degree, plan.nonlocal_degree, plan.aux_per_site)
+    text = analysis.versioned_csv("aux-plan", header, zip(range(plan.n_sites), *columns))
+    text += f"# total_qubits={plan.total_qubits} formula={plan.formula_qubits}\n"
+    _emit(text, args.out)
     return 0
 
 

@@ -20,7 +20,7 @@ sets on first use of mode j and keeps them for its own lifetime.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .fenwick import FenwickForest
 from .models import LOWER, NUMBER, RAISE, FermionOperator
@@ -56,23 +56,6 @@ class EncodingSpec:
     def from_segments(cls, segment_sizes: Sequence[int]) -> "EncodingSpec":
         n = sum(segment_sizes)
         return cls("forest", FenwickForest.build(n, segment_sizes))
-
-    @classmethod
-    def from_config(cls, config: Mapping, n_modes: int) -> "EncodingSpec":
-        """Build from the JSON spec ``{"kind": ..., "segments": [...]}``."""
-        kind = str(config.get("kind", "jw")).lower()
-        if kind == "jw":
-            return cls.jordan_wigner(n_modes)
-        if kind == "bk":
-            return cls.bravyi_kitaev(n_modes)
-        if kind == "forest":
-            segments = [int(s) for s in config["segments"]]
-            if sum(segments) != n_modes:
-                raise ValueError(
-                    f"segments sum to {sum(segments)}, model has {n_modes} modes"
-                )
-            return cls.from_segments(segments)
-        raise ValueError(f"unknown encoding kind {kind!r}")
 
     def to_config(self) -> dict:
         return {

@@ -112,13 +112,6 @@ class FenwickForest:
         out.update(self.roots_before(j))
         return tuple(sorted(out))
 
-    def segment_of(self, j: int) -> int:
-        self._check_index(j)
-        for idx, (start, stop) in enumerate(self.segments):
-            if start <= j < stop:
-                return idx
-        raise AssertionError("segments do not cover the site range")
-
     def depth_of(self, j: int) -> int:
         return len(self.ancestors(j))
 
@@ -151,18 +144,3 @@ class FenwickForest:
             (x[j] + sum(x[k] for k in self._children[j])) % 2
             for j in range(self.n_sites)
         )
-
-    def dump(self) -> str:
-        """One line per node, ``j: parent=p children=[...]``, for golden files."""
-        lines = []
-        for j in range(self.n_sites):
-            p = self.parent[j]
-            parent_repr = "-" if p is None else str(p)
-            kids = ",".join(str(c) for c in self._children[j])
-            lines.append(f"{j}: parent={parent_repr} children=[{kids}]")
-        return "\n".join(lines)
-
-
-def build(n_sites: int, segment_sizes: Optional[Sequence[int]] = None) -> FenwickForest:
-    """Module-level alias for :meth:`FenwickForest.build`."""
-    return FenwickForest.build(n_sites, segment_sizes)

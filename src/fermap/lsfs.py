@@ -29,9 +29,6 @@ import numpy as np
 
 from .pauli import DENSE_CAP_DEFAULT, PauliString, QubitOperator
 
-_DIRECTIONS = ("left", "right", "up", "down")
-
-
 @dataclass(frozen=True)
 class EdgeLayout:
     """Edge-qubit layout of a single-spin w x h rectangular lattice."""

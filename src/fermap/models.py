@@ -128,11 +128,6 @@ class LatticeSpec:
     def n_modes(self) -> int:
         return 2 * self.n_sites
 
-    @property
-    def spin_offsets(self) -> tuple[int, int]:
-        """Mode offsets of the spin-down and spin-up blocks."""
-        return (0, self.n_sites)
-
     # Canonical site ids: row-major r*w + c on rectangles, mixed-radix
     # sum coord_a * w^a on hypercubes (axis 0 fastest).
     def site_id(self, coords: Sequence[int]) -> int:
@@ -172,6 +167,13 @@ class LatticeSpec:
 
     @functools.cached_property
     def site_order(self) -> tuple[int, ...]:
+        """Bijection canonical site id -> position within a spin block.
+
+        ``row_major`` keeps the canonical raster.  ``snake`` is the
+        locality-optimal raster whose consecutive indices run along the
+        shortest lattice side, so every hop along that side is a
+        nearest-index pair.
+        """
         n = self.n_sites
         if self.ordering == "row_major" or self.kind == "hypercube":
             return tuple(range(n))
@@ -184,28 +186,11 @@ class LatticeSpec:
                 order[r * self.w + c] = c * self.h + r
         return tuple(order)
 
-    def order_sites(self) -> tuple[int, ...]:
-        """Bijection canonical site id -> position within a spin block.
-
-        ``row_major`` keeps the canonical raster.  ``snake`` is the
-        locality-optimal raster whose consecutive indices run along the
-        shortest lattice side, so every hop along that side is a
-        nearest-index pair.
-        """
-        return self.site_order
-
     def mode_index(self, site: int, spin: int) -> int:
         """Mode of (site, spin), spin 0 = down block, spin 1 = up block."""
         if spin not in (0, 1):
             raise ValueError("spin must be 0 (down) or 1 (up)")
-        return self.site_order[site] + self.spin_offsets[spin]
-
-
-def edge_count(dim: int, w: int) -> int:
-    """Number of nearest-neighbour edges of a hypercubic lattice of side w."""
-    if dim < 1 or w < 1:
-        raise ValueError("need dim >= 1 and w >= 1")
-    return dim * (w - 1) * w ** (dim - 1)
+        return self.site_order[site] + spin * self.n_sites
 
 
 def hopping_pair(n_modes: int, i: int, j: int, coeff: complex = 1.0) -> FermionOperator:

@@ -107,9 +107,6 @@ class PauliString:
         """Number of qubits acted on non-trivially."""
         return (self.x_mask | self.z_mask).bit_count()
 
-    def is_identity(self) -> bool:
-        return self.x_mask == 0 and self.z_mask == 0
-
     def letter_at(self, qubit: int) -> str:
         if not 0 <= qubit < self.n_qubits:
             raise IndexError(f"qubit {qubit} outside register of {self.n_qubits}")
@@ -168,21 +165,7 @@ class PauliString:
 
     def to_dense(self, cap: int = DENSE_CAP_DEFAULT):
         """Exact dense matrix of the string, qubit 0 least significant."""
-        if self.n_qubits > cap:
-            raise DenseCapError(
-                f"{self.n_qubits} qubits exceeds dense cap of {cap}"
-            )
-        dim = 1 << self.n_qubits
-        cols = np.arange(dim, dtype=np.uint64)
-        rows = cols ^ np.uint64(self.x_mask)
-        # X^x Z^z sends |s> to (-1)^{|s & z|} |s ^ x>; Y letters add i each.
-        ny = (self.x_mask & self.z_mask).bit_count()
-        signs = 1.0 - 2.0 * (
-            np.bitwise_count(cols & np.uint64(self.z_mask)).astype(np.int64) % 2
-        )
-        mat = np.zeros((dim, dim), dtype=complex)
-        mat[rows, cols] = _PHASES[(self.phase_exp + ny) % 4] * signs
-        return mat
+        return QubitOperator.from_paulistring(self).to_dense(cap)
 
     def __str__(self) -> str:
         prefix = {0: "", 1: "i*", 2: "-", 3: "-i*"}[self.phase_exp]
@@ -334,6 +317,7 @@ class QubitOperator:
         return hash((self.n_qubits, frozenset(self._terms.items())))
 
     def to_dense(self, cap: int = DENSE_CAP_DEFAULT):
+        """Exact dense matrix of the sum, qubit 0 least significant."""
         if self.n_qubits > cap:
             raise DenseCapError(
                 f"{self.n_qubits} qubits exceeds dense cap of {cap}"
@@ -343,6 +327,7 @@ class QubitOperator:
         cols = np.arange(dim, dtype=np.uint64)
         for ps, coeff in self._terms.items():
             rows = cols ^ np.uint64(ps.x_mask)
+            # X^x Z^z sends |s> to (-1)^{|s & z|} |s ^ x>; Y letters add i each.
             ny = (ps.x_mask & ps.z_mask).bit_count()
             signs = 1.0 - 2.0 * (
                 np.bitwise_count(cols & np.uint64(ps.z_mask)).astype(np.int64) % 2

@@ -25,8 +25,8 @@ from .models import (
     FermionOperator,
     LatticeSpec,
     fock_matrix,
-    hopping_pair,
     hubbard,
+    hubbard_terms,
     parity_matrix,
 )
 from .pauli import DENSE_CAP_DEFAULT, QubitOperator, anticommutator
@@ -240,16 +240,16 @@ def spectra_match(
 
 
 def _single_spin_model(w: int, h: int, t: float, eps: float) -> FermionOperator:
+    """The spin-down block of the row-major Hubbard model, with U = 0."""
     lattice = LatticeSpec.rectangle(w, h, "row_major")
     n = lattice.n_sites
-    model = FermionOperator.zero(n)
-    for i, j, _ in lattice.edges():
-        if t != 0.0:
-            model = model + hopping_pair(n, i, j, -t)
-    if eps != 0.0:
-        for m in range(n):
-            model = model + FermionOperator.term(n, eps, ((m, "n"),))
-    return model
+    down = [
+        term
+        for _, op in hubbard_terms(lattice, t, 0.0, eps)
+        for term in op.terms
+        if all(mode < n for mode, _ in term[1])
+    ]
+    return FermionOperator(n, tuple(down))
 
 
 def _restricted_spectrum(matrix: np.ndarray, projector: np.ndarray):

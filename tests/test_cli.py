@@ -1,6 +1,10 @@
 """Command-line interface: outputs, determinism, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -230,3 +234,228 @@ class TestParser:
         assert err == f"fermap: FERMAP_{name}='abc' is not a valid " + (
             "int\n" if name == "SEED" else "float\n"
         )
+
+
+# Exact text of every CSV writer and of both table formats: any drift in a
+# header, separator, blank cell or trailer fails here.
+GOLDEN = {
+    "tables-3x4-csv": (
+        ["tables", "--w", "3", "--h", "4", "--format", "csv"],
+        "out",
+        """\
+# fermap locality-report-rectangle v1: encoding,term_class,w,h,measured,formula,exactness
+encoding,term_class,w,h,measured,formula,exactness
+JW,density-density,3,4,2,2,exact
+JW,horizontal,3,4,2,2,exact
+JW,vertical,3,4,4,4,exact
+JW,qubits,3,4,24,24,exact
+BK,density-density,3,4,8,8,exact
+BK,horizontal,3,4,5,7,bound
+BK,vertical,3,4,7,7,bound
+BK,qubits,3,4,24,24,exact
+SBK,density-density,3,4,4,4,bound
+SBK,horizontal,3,4,3,3,info
+SBK,vertical,3,4,5,3,info
+SBK,horizontal,3,4,3,4,bound
+SBK,vertical,3,4,5,5,bound
+SBK,qubits,3,4,24,24,exact
+AF,density-density,3,4,2,2,exact
+AF,horizontal,3,4,2,2,exact
+AF,vertical,3,4,4,4,exact
+AF,qubits,3,4,44,44,exact
+LSFS,density-density,3,4,8,8,exact
+LSFS,horizontal,3,4,4,5,bound
+LSFS,horizontal,3,4,4,7,bound
+LSFS,vertical,3,4,7,7,exact
+LSFS,qubits,3,4,34,34,exact
+""",
+    ),
+    "tables-3x4-md": (
+        ["tables", "--w", "3", "--h", "4"],
+        "out",
+        """\
+| Method | density-density | horizontal | vertical | qubits |
+|---|---|---|---|---|
+| JW | 2 = 2 (measured 2) | 2 = 2 (measured 2) | w+1 = 4 (measured 4) | 2wh = 24 (measured 24) |
+| BK | 2*floor_log2(wh)+2 = 8 (measured 8) | floor_log2(wh)+ceil_log2(wh) = 7 (measured 5) | floor_log2(wh)+ceil_log2(wh) = 7 (measured 7) | 2wh = 24 (measured 24) |
+| SBK | 2*floor_log2(w)+2 = 4 (measured 4) | floor_log2(w)+ceil_log2(w) = 3 (measured 3); 2*ceil_log2(w) = 4 (measured 3) | 2*floor_log2(w)+1 = 3 (measured 5); 2*ceil_log2(w)+1 = 5 (measured 5) | 2wh = 24 (measured 24) |
+| AF | 2 = 2 (measured 2) | 2 = 2 (measured 2) | 4 = 4 (measured 4) | 4(wh-1) = 44 (measured 44) |
+| LSFS | 8 = 8 (measured 8) | 5 = 5 (measured 4); 7 = 7 (measured 4) | 7 = 7 (measured 7) | 4wh-2w-2h = 34 (measured 34) |
+""",
+    ),
+    "tables-3x4-unmeasured-csv": (
+        ["tables", "--w", "3", "--h", "4", "--no-measure", "--format", "csv"],
+        "out",
+        """\
+# fermap locality-report-rectangle v1: encoding,term_class,w,h,measured,formula,exactness
+encoding,term_class,w,h,measured,formula,exactness
+JW,density-density,3,4,,2,exact
+JW,horizontal,3,4,,2,exact
+JW,vertical,3,4,,4,exact
+JW,qubits,3,4,,24,exact
+BK,density-density,3,4,,8,exact
+BK,horizontal,3,4,,7,bound
+BK,vertical,3,4,,7,bound
+BK,qubits,3,4,,24,exact
+SBK,density-density,3,4,,4,bound
+SBK,horizontal,3,4,,3,info
+SBK,vertical,3,4,,3,info
+SBK,horizontal,3,4,,4,bound
+SBK,vertical,3,4,,5,bound
+SBK,qubits,3,4,,24,exact
+AF,density-density,3,4,2,2,exact
+AF,horizontal,3,4,2,2,exact
+AF,vertical,3,4,4,4,exact
+AF,qubits,3,4,44,44,exact
+LSFS,density-density,3,4,,8,exact
+LSFS,horizontal,3,4,,5,bound
+LSFS,horizontal,3,4,,7,bound
+LSFS,vertical,3,4,,7,exact
+LSFS,qubits,3,4,,34,exact
+""",
+    ),
+    "tables-d2-w3-csv": (
+        ["tables", "--dim", "2", "--w", "3", "--format", "csv"],
+        "out",
+        """\
+# fermap locality-report-hypercube v1: encoding,term_class,D,w,measured,formula,exactness
+encoding,term_class,D,w,measured,formula,exactness
+JW,hop,2,3,4,4,exact
+JW,qubits,2,3,18,18,exact
+BK,hop,2,3,5,6,info
+BK,hop,2,3,5,7,bound
+BK,qubits,2,3,18,18,exact
+SBK,hop,2,3,5,3,info
+SBK,hop,2,3,5,5,bound
+SBK,qubits,2,3,18,18,exact
+AF,hop,2,3,4,4,exact
+AF,hop,2,3,2,2,info
+AF,qubits,2,3,32,36,bound
+LSFS,hop,2,3,6,7,bound
+LSFS,density-density,2,3,8,8,bound
+LSFS,qubits,2,3,24,24,exact
+""",
+    ),
+    "tables-d2-w3-md": (
+        ["tables", "--dim", "2", "--w", "3"],
+        "out",
+        """\
+| Method | hop | qubits | density-density |
+|---|---|---|---|
+| JW | w^(D-1)+1 = 4 (measured 4) | 2w^D = 18 (measured 18) | - |
+| BK | 2*floor_log2(w^D) = 6 (measured 5); floor_log2(w^D)+ceil_log2(w^D) = 7 (measured 5) | 2w^D = 18 (measured 18) | - |
+| SBK | 2*floor_log2(w^(D-1))+1 = 3 (measured 5); 2*ceil_log2(w^(D-1))+1 = 5 (measured 5) | 2w^D = 18 (measured 18) | - |
+| AF | 2D = 4 (measured 4); 2D-2 = 2 (measured 2) | 2D*w^D = 36 (measured 32) | - |
+| LSFS | 4D-1 = 7 (measured 6) | 2D(w-1)w^(D-1) = 24 (measured 24) | 4D = 8 (measured 8) |
+""",
+    ),
+    "sweep-w8": (
+        ["sweep", "--w", "8"],
+        "out",
+        """\
+# fermap segment-sweep v1: w,segment_size,vertical_locality
+w,segment_size,vertical_locality
+8,1,9
+8,2,7
+8,4,7
+8,8,8
+# optimum segment_size=4 vertical_locality=7
+""",
+    ),
+    "fig6-2-4": (
+        ["fig6", "--w-min", "2", "--w-max", "4"],
+        "out",
+        """\
+# fermap fig6-series v1: encoding,w,measured,formula
+encoding,w,measured,formula
+JW,2,3,3
+BK,2,6,6
+SBK,2,3,4
+AF,2,4,4
+LSFS,2,4,8
+JW,3,4,4
+BK,3,8,8
+SBK,3,5,5
+AF,3,4,4
+LSFS,3,8,8
+JW,4,5,5
+BK,4,10,10
+SBK,4,5,6
+AF,4,4,4
+LSFS,4,8,8
+""",
+    ),
+    "analyze-3x3": (
+        ["analyze", "--w", "3", "--h", "3"],
+        "out",
+        """\
+# fermap measured-locality v1: encoding,term_class,measured
+encoding,term_class,measured
+jw,density-density,2
+jw,horizontal,2
+jw,vertical,4
+bk,density-density,8
+bk,horizontal,5
+bk,vertical,5
+sbk,density-density,4
+sbk,horizontal,3
+sbk,vertical,5
+af,density-density,2
+af,horizontal,2
+af,vertical,4
+lsfs,density-density,8
+lsfs,horizontal,4
+lsfs,vertical,6
+""",
+    ),
+    "plan-aux-3x3-csv": (
+        ["plan-aux", "--w", "3", "--h", "3", "--format", "csv"],
+        "out",
+        """\
+# fermap aux-plan v1: site,degree,path_degree,nonlocal_degree,aux
+site,degree,path_degree,nonlocal_degree,aux
+0,2,2,0,0
+1,3,2,1,1
+2,2,1,1,1
+3,3,2,1,1
+4,4,2,2,1
+5,3,2,1,1
+6,2,1,1,1
+7,3,2,1,1
+8,2,2,0,0
+# total_qubits=32 formula=32
+""",
+    ),
+    "lsfs-3x3-plaquettes": (
+        ["encode", "--encoding", "lsfs", "--w", "3", "--h", "3"],
+        "out.plaquettes.csv",
+        """\
+# fermap plaquette-report v1: plaquette,weight,sign
+plaquette,weight,sign
+0 1 4 3,5,1
+1 2 5 4,5,1
+3 4 7 6,5,1
+4 5 8 7,5,1
+""",
+    ),
+}
+
+
+class TestGoldenText:
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_exact_text(self, case, tmp_path):
+        argv, written, expected = GOLDEN[case]
+        assert run(argv + ["--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / written).read_text() == expected
+
+
+class TestBenchTracer:
+    def test_tracer_installs_and_runs(self, tmp_path):
+        """The tracer looks up every name it wraps, whatever job it runs."""
+        root = Path(__file__).resolve().parents[1]
+        argv = [sys.executable, str(root / "bench" / "tracer.py"), str(tmp_path / "trace.json"),
+                "--", "sweep", "--w", "4", "--out", str(tmp_path / "sweep.csv")]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads((tmp_path / "trace.json").read_text())["rc"] == 0

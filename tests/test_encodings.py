@@ -1,5 +1,7 @@
 """Majorana, ladder, number and hopping operators under JW/BK/forest maps."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from fermap.models import (
     hubbard,
 )
 from fermap.pauli import PauliString, QubitOperator, anticommutator
+from fermap.verify import random_forest_spec
 
 
 def single(n, ops, coeff=1.0):
@@ -271,16 +274,36 @@ class TestEncodeModel:
             encode_model(enc, FermionOperator.term(4, 1.0, ((3, "n"),)))
 
 
-class TestSpecConfig:
-    def test_round_trip(self):
-        spec = EncodingSpec.from_segments([2, 3, 3])
-        again = EncodingSpec.from_config(spec.to_config(), 8)
-        assert again.forest.segments == spec.forest.segments
+def fock_to_qubit_basis(forest):
+    """Permutation P sending occupancy state s (n_j = bit j) to |encode(n)>."""
+    n = forest.n_sites
+    perm = np.zeros((1 << n, 1 << n))
+    for s in range(1 << n):
+        code = forest.encode([(s >> j) & 1 for j in range(n)])
+        perm[sum(bit << j for j, bit in enumerate(code)), s] = 1.0
+    return perm
 
-    def test_kinds(self):
-        assert EncodingSpec.from_config({"kind": "jw"}, 5).forest.roots == tuple(range(5))
-        assert EncodingSpec.from_config({"kind": "bk"}, 5).forest.roots == (4,)
-        with pytest.raises(ValueError):
-            EncodingSpec.from_config({"kind": "forest", "segments": [2, 2]}, 5)
-        with pytest.raises(ValueError):
-            EncodingSpec.from_config({"kind": "parity"}, 5)
+
+BASIS_MAP_SPECS = {
+    "jw": EncodingSpec.jordan_wigner(8),
+    "bk": EncodingSpec.bravyi_kitaev(8),
+    "sbk-2222": EncodingSpec.from_segments([2, 2, 2, 2]),
+    **{f"random-{seed}": random_forest_spec(8, random.Random(seed)) for seed in (1, 2, 3)},
+}
+
+
+class TestFockBasisMap:
+    """Encoded model equals P . Fock matrix . P^T entry by entry.
+
+    Spectra cannot see errors that a particle-hole symmetry hides, such as
+    a sign-flipped number operator; the entrywise map can.
+    """
+
+    @pytest.mark.parametrize("name", sorted(BASIS_MAP_SPECS))
+    def test_hubbard_2x2(self, name):
+        spec = BASIS_MAP_SPECS[name]
+        model = hubbard(LatticeSpec.rectangle(2, 2), t=0.7, u=1.9, eps=0.3)
+        perm = fock_to_qubit_basis(spec.forest)
+        expected = perm @ fock_matrix(model) @ perm.T
+        got = encode_model(spec, model).to_dense()
+        assert np.max(np.abs(got - expected)) <= 1e-12

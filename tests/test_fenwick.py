@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermap.fenwick import FenwickForest, build
+from fermap.fenwick import FenwickForest
 
 
 def floor_log2(n):
@@ -19,7 +19,7 @@ def ceil_log2(n):
 
 class TestBuild:
     def test_seven_site_tree(self):
-        f = build(7)
+        f = FenwickForest.build(7)
         assert f.children(6) == (3, 5)
         assert f.children(3) == (1, 2)
         assert f.children(1) == (0,)
@@ -29,7 +29,7 @@ class TestBuild:
         assert f.roots == (6,)
 
     def test_single_site(self):
-        f = build(1)
+        f = FenwickForest.build(1)
         assert f.roots == (0,)
         assert f.parent == (None,)
         assert f.depth() == 0
@@ -38,52 +38,51 @@ class TestBuild:
         # For N = 2^d the parent of every non-root j is j | (j + 1):
         # flipping the lowest clear bit, the binary-label child rule.
         for n in (2, 4, 8, 16, 32):
-            f = build(n)
+            f = FenwickForest.build(n)
             for j in range(n - 1):
                 assert f.parent[j] == j | (j + 1)
             assert f.parent[n - 1] is None
 
     def test_eight_site_root_children(self):
-        f = build(8)
+        f = FenwickForest.build(8)
         assert f.children(7) == (3, 5, 6)  # 011, 101, 110 under the root
 
     @pytest.mark.parametrize("n", list(range(1, 130)) + [511, 512, 513, 1024])
     def test_depth_and_root_children(self, n):
-        f = build(n)
+        f = FenwickForest.build(n)
         assert f.depth() == ceil_log2(n) if n > 1 else f.depth() == 0
         assert len(f.children(n - 1)) == floor_log2(n)
 
     def test_parent_exceeds_child(self):
-        f = build(37, [10, 20, 7])
+        f = FenwickForest.build(37, [10, 20, 7])
         for j, p in enumerate(f.parent):
             if p is not None:
                 assert p > j
 
     def test_invalid_partitions(self):
         with pytest.raises(ValueError):
-            build(5, [2, 2])
+            FenwickForest.build(5, [2, 2])
         with pytest.raises(ValueError):
-            build(5, [5, 0])
+            FenwickForest.build(5, [5, 0])
         with pytest.raises(ValueError):
-            build(0)
+            FenwickForest.build(0)
 
     def test_segments_partition(self):
-        f = build(9, [3, 4, 2])
+        f = FenwickForest.build(9, [3, 4, 2])
         assert f.segments == ((0, 3), (3, 7), (7, 9))
         assert f.roots == (2, 6, 8)
-        assert [f.segment_of(j) for j in range(9)] == [0, 0, 0, 1, 1, 1, 1, 2, 2]
 
 
 class TestSetQueries:
     def test_sixteen_site_example(self):
-        f = build(16)
+        f = FenwickForest.build(16)
         assert f.lesser_cousins(9) == (7,)
         assert f.ancestors(9) == (11, 15)
         assert f.parity_set(9) == (7, 8)
         assert f.children(9) == (8,)
 
     def test_jw_limit(self):
-        f = build(6, [1] * 6)
+        f = FenwickForest.build(6, [1] * 6)
         for j in range(6):
             assert f.ancestors(j) == ()
             assert f.children(j) == ()
@@ -91,10 +90,10 @@ class TestSetQueries:
 
     def test_smallest_leaf_empty_parity(self):
         for n in (1, 5, 9, 16):
-            assert build(n).parity_set(0) == ()
+            assert FenwickForest.build(n).parity_set(0) == ()
 
     def test_index_out_of_range(self):
-        f = build(4)
+        f = FenwickForest.build(4)
         with pytest.raises(IndexError):
             f.children(4)
         with pytest.raises(IndexError):
@@ -102,7 +101,7 @@ class TestSetQueries:
 
     @pytest.mark.parametrize("sizes", [None, [4, 4], [1, 3, 4], [2, 2, 2, 2]])
     def test_order_invariants(self, sizes):
-        f = build(8, sizes)
+        f = FenwickForest.build(8, sizes)
         for j in range(8):
             assert all(i < j for i in f.children(j))
             assert all(i < j for i in f.lesser_cousins(j))
@@ -113,22 +112,22 @@ class TestSetQueries:
 
 class TestCoding:
     def test_paper_seven_site_string(self):
-        f = build(7)
+        f = FenwickForest.build(7)
         n = tuple(int(c) for c in "0111010")
         assert f.encode(n) == n  # this occupancy string is a fixed point
 
     def test_zeros(self):
-        f = build(11, [4, 7])
+        f = FenwickForest.build(11, [4, 7])
         assert f.encode([0] * 11) == tuple([0] * 11)
 
     def test_exhaustive_round_trip_n7(self):
-        f = build(7)
+        f = FenwickForest.build(7)
         for bits in itertools.product((0, 1), repeat=7):
             assert f.decode(f.encode(bits)) == bits
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            build(4).encode([0, 1])
+            FenwickForest.build(4).encode([0, 1])
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -141,7 +140,7 @@ class TestCoding:
             sizes.append(s)
             left -= s
         bits = tuple(data.draw(st.integers(0, 1)) for _ in range(n_sites))
-        f = build(n_sites, sizes)
+        f = FenwickForest.build(n_sites, sizes)
         code = f.encode(bits)
         assert f.decode(code) == bits
         # Parity contract: summing the code over P(j) recovers the
@@ -149,16 +148,3 @@ class TestCoding:
         for j in range(n_sites):
             prefix = sum(bits[:j]) % 2
             assert sum(code[k] for k in f.parity_set(j)) % 2 == prefix
-
-
-class TestDump:
-    def test_dump_format(self):
-        f = build(3)
-        assert f.dump().splitlines() == [
-            "0: parent=1 children=[]",
-            "1: parent=2 children=[0]",
-            "2: parent=- children=[1]",
-        ]
-
-    def test_dump_matches_classmethod(self):
-        assert FenwickForest.build(7).dump() == build(7).dump()

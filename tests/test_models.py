@@ -11,7 +11,6 @@ from fermap.models import (
     RAISE,
     FermionOperator,
     LatticeSpec,
-    edge_count,
     fock_matrix,
     hopping_pair,
     hubbard,
@@ -32,32 +31,26 @@ class TestLattice:
         for dim in range(1, 5):
             for w in range(1, 5):
                 spec = LatticeSpec.hypercube(dim, w)
-                assert len(spec.edges()) == edge_count(dim, w)
-
-    def test_edge_count_closed_form(self):
-        assert edge_count(1, 5) == 4
-        for w in range(1, 8):
-            assert edge_count(2, w) == 2 * (w - 1) * w
+                assert len(spec.edges()) == dim * (w - 1) * w ** (dim - 1)
 
     def test_orderings_identity_on_line(self):
         for ordering in ("row_major", "snake"):
             spec = LatticeSpec.rectangle(6, 1, ordering)
             # 6x1 is a wide rectangle; snake transposes to run down the column.
             if ordering == "snake":
-                assert spec.order_sites() == tuple(range(6))
+                assert spec.site_order == tuple(range(6))
             spec = LatticeSpec.rectangle(1, 6, ordering)
-            assert spec.order_sites() == tuple(range(6))
+            assert spec.site_order == tuple(range(6))
 
     def test_snake_is_short_side_raster(self):
         spec = LatticeSpec.rectangle(3, 3, "snake")
-        assert spec.order_sites() == tuple(range(9))
+        assert spec.site_order == tuple(range(9))
         wide = LatticeSpec.rectangle(4, 2, "snake")
         # consecutive indices run along the short (h=2) side
-        assert wide.order_sites() == (0, 2, 4, 6, 1, 3, 5, 7)
+        assert wide.site_order == (0, 2, 4, 6, 1, 3, 5, 7)
 
     def test_mode_blocks(self):
         spec = LatticeSpec.rectangle(2, 2)
-        assert spec.spin_offsets == (0, 4)
         assert spec.mode_index(3, 0) == 3
         assert spec.mode_index(0, 1) == 4
 
@@ -172,7 +165,7 @@ class TestOrderingLocality:
         # Raster along the short side: vertical neighbours sit exactly
         # min(w, h) apart in mode index, horizontal ones are adjacent.
         spec = LatticeSpec.rectangle(w, h, "snake")
-        order = spec.order_sites()
+        order = spec.site_order
         for i, j, klass in spec.edges():
             dist = abs(order[i] - order[j])
             if klass == "horizontal":
