@@ -163,13 +163,12 @@ def measure_encoding(
     lattice: LatticeSpec,
     t: float = 1.0,
     u: float = 1.0,
-    eps: float = 0.0,
 ) -> dict[str, int]:
     """Worst Pauli weight per term class of the encoded Hubbard model."""
     if spec.n_modes != lattice.n_modes:
         raise ValueError("encoding register does not match the lattice modes")
     worst: dict[str, int] = {}
-    for klass, term in hubbard_terms(lattice, t, u, eps):
+    for klass, term in hubbard_terms(lattice, t, u):
         weight = encode_model(spec, term).max_weight()
         worst[klass] = max(worst.get(klass, 0), weight)
     return worst
@@ -223,6 +222,22 @@ def measure(
 # ---------------------------------------------------------------------------
 
 
+def _report(
+    kind: str, dims: tuple[int, int], cells: dict, table: Sequence[tuple]
+) -> LocalityReport:
+    """Rows of ``(encoding, term_class, formula, expression, exactness)``.
+
+    Each measured cell is read as ``cells[encoding][term_class]`` and is
+    blank where that is absent; a row with a sixth entry carries its
+    measured cell itself.
+    """
+    rows = []
+    for enc, klass, formula, expr, exactness, *cell in table:
+        value = cell[0] if cell else cells.get(enc, {}).get(klass)
+        rows.append(ReportRow(enc, klass, dims, value, formula, expr, exactness))
+    return LocalityReport(kind, rows)
+
+
 def table_I(w: int, h: int, measured: bool = True) -> LocalityReport:
     """Locality/qubit table of the five schemes on a w x h rectangle.
 
@@ -233,123 +248,63 @@ def table_I(w: int, h: int, measured: bool = True) -> LocalityReport:
     if w < 2 or h < 2:
         return LocalityReport("rectangle", [])
     w, h = min(w, h), max(w, h)
-    dims = (w, h)
     lattice = LatticeSpec.rectangle(w, h, "snake")
     sites = w * h
-    rows: list[ReportRow] = []
+    cells = {}
+    if measured:
+        for enc in ("JW", "BK", "SBK"):
+            cells[enc] = {**measure(enc.lower(), lattice), "qubits": 2 * sites}
+        lsfs_qubits = 2 * lsfs.EdgeLayout(w, h).n_edges
+        cells["LSFS"] = {**measure_lsfs(w, h), "qubits": lsfs_qubits}
+    plan = aux_fermion.plan(w, h)
+    cells["AF"] = {**aux_fermion.locality_profile(plan), "qubits": plan.total_qubits}
 
-    def add(enc, klass, meas, formula, expr, exactness):
-        rows.append(ReportRow(enc, klass, dims, meas, formula, expr, exactness))
-
-    jw = measure("jw", lattice) if measured else {}
-    add("JW", "density-density", jw.get("density-density"), 2, "2", "exact")
-    add("JW", "horizontal", jw.get("horizontal"), 2, "2", "exact")
-    add("JW", "vertical", jw.get("vertical"), w + 1, "w+1", "exact")
-    add("JW", "qubits", 2 * sites if measured else None, 2 * sites, "2wh", "exact")
-
-    bk = measure("bk", lattice) if measured else {}
     fl, cl = floor_log2(sites), ceil_log2(sites)
-    add(
-        "BK",
-        "density-density",
-        bk.get("density-density"),
-        2 * fl + 2,
-        "2*floor_log2(wh)+2",
-        "exact",
-    )
-    for klass in ("horizontal", "vertical"):
-        add("BK", klass, bk.get(klass), fl + cl, "floor_log2(wh)+ceil_log2(wh)", "bound")
-    add("BK", "qubits", 2 * sites if measured else None, 2 * sites, "2wh", "exact")
-
     # SBK rows are bounds; the tabulated floor-log forms are only valid
     # bounds at power-of-two widths, so the ceiling forms from the
     # halved-segment analysis ride along whenever they differ.
-    sbk = measure("sbk", lattice) if measured else {}
     flw, clw = floor_log2(w), ceil_log2(w)
-    power_of_two = flw == clw
-    add(
-        "SBK",
-        "density-density",
-        sbk.get("density-density"),
-        2 * flw + 2,
-        "2*floor_log2(w)+2",
-        "bound",
-    )
-    add(
-        "SBK",
-        "horizontal",
-        sbk.get("horizontal"),
-        flw + clw,
-        "floor_log2(w)+ceil_log2(w)",
-        "bound" if power_of_two else "info",
-    )
-    add(
-        "SBK",
-        "vertical",
-        sbk.get("vertical"),
-        2 * flw + 1,
-        "2*floor_log2(w)+1",
-        "bound" if power_of_two else "info",
-    )
-    if not power_of_two:
-        add("SBK", "horizontal", sbk.get("horizontal"), 2 * clw, "2*ceil_log2(w)", "bound")
-        add(
-            "SBK",
-            "vertical",
-            sbk.get("vertical"),
-            2 * clw + 1,
-            "2*ceil_log2(w)+1",
-            "bound",
-        )
-    add("SBK", "qubits", 2 * sites if measured else None, 2 * sites, "2wh", "exact")
+    sbk_floor = "bound" if flw == clw else "info"
+    sbk_ceiling = [] if flw == clw else [
+        ("SBK", "horizontal", 2 * clw, "2*ceil_log2(w)", "bound"),
+        ("SBK", "vertical", 2 * clw + 1, "2*ceil_log2(w)+1", "bound"),
+    ]
+    # LSFS: boundary strings are shorter, so the constants are attained
+    # only once the lattice is wide enough in the relevant direction.
+    # The horizontal hop expansion is 5-local by construction; the
+    # headline table's 7 covers both hop orientations and is kept as a
+    # bound.
+    table = [
+        ("JW", "density-density", 2, "2", "exact"),
+        ("JW", "horizontal", 2, "2", "exact"),
+        ("JW", "vertical", w + 1, "w+1", "exact"),
+        ("JW", "qubits", 2 * sites, "2wh", "exact"),
+        ("BK", "density-density", 2 * fl + 2, "2*floor_log2(wh)+2", "exact"),
+        ("BK", "horizontal", fl + cl, "floor_log2(wh)+ceil_log2(wh)", "bound"),
+        ("BK", "vertical", fl + cl, "floor_log2(wh)+ceil_log2(wh)", "bound"),
+        ("BK", "qubits", 2 * sites, "2wh", "exact"),
+        ("SBK", "density-density", 2 * flw + 2, "2*floor_log2(w)+2", "bound"),
+        ("SBK", "horizontal", flw + clw, "floor_log2(w)+ceil_log2(w)", sbk_floor),
+        ("SBK", "vertical", 2 * flw + 1, "2*floor_log2(w)+1", sbk_floor),
+        *sbk_ceiling,
+        ("SBK", "qubits", 2 * sites, "2wh", "exact"),
+        ("AF", "density-density", 2, "2", "exact"),
+        ("AF", "horizontal", 2, "2", "exact"),
+        ("AF", "vertical", 4, "4", "exact"),
+        ("AF", "qubits", 4 * sites - 4, "4(wh-1)", "exact"),
+        ("LSFS", "density-density", 8, "8", "exact" if w >= 3 else "bound"),
+        ("LSFS", "horizontal", 5, "5", "exact" if w >= 4 and h >= 3 else "bound"),
+        ("LSFS", "horizontal", 7, "7", "bound"),
+        ("LSFS", "vertical", 7, "7", "exact" if w >= 3 and h >= 4 else "bound"),
+        ("LSFS", "qubits", 4 * sites - 2 * w - 2 * h, "4wh-2w-2h", "exact"),
+    ]
+    return _report("rectangle", (w, h), cells, table)
 
-    af_plan = aux_fermion.plan(w, h)
-    af = aux_fermion.locality_profile(af_plan)
-    add("AF", "density-density", af["density-density"], 2, "2", "exact")
-    add("AF", "horizontal", af["horizontal"], 2, "2", "exact")
-    add("AF", "vertical", af["vertical"], 4, "4", "exact")
-    add("AF", "qubits", af_plan.total_qubits, 4 * sites - 4, "4(wh-1)", "exact")
 
-    ls = measure_lsfs(w, h) if measured else {}
-    # Boundary strings are shorter, so the constants are attained only
-    # once the lattice is wide enough in the relevant direction.  The
-    # horizontal hop expansion is 5-local by construction; the headline
-    # table's 7 covers both hop orientations and is kept as a bound.
-    add(
-        "LSFS",
-        "density-density",
-        ls.get("density-density"),
-        8,
-        "8",
-        "exact" if w >= 3 else "bound",
-    )
-    add(
-        "LSFS",
-        "horizontal",
-        ls.get("horizontal"),
-        5,
-        "5",
-        "exact" if w >= 4 and h >= 3 else "bound",
-    )
-    add("LSFS", "horizontal", ls.get("horizontal"), 7, "7", "bound")
-    add(
-        "LSFS",
-        "vertical",
-        ls.get("vertical"),
-        7,
-        "7",
-        "exact" if w >= 3 and h >= 4 else "bound",
-    )
-    lsfs_qubits = 4 * sites - 2 * w - 2 * h
-    add(
-        "LSFS",
-        "qubits",
-        2 * lsfs.EdgeLayout(w, h).n_edges if measured else None,
-        lsfs_qubits,
-        "4wh-2w-2h",
-        "exact",
-    )
-    return LocalityReport("rectangle", rows)
+def _with_hop(per_class: dict[str, int], qubits: int) -> dict[str, int]:
+    """Per-class cells plus ``hop``, the worst hopping class, and ``qubits``."""
+    hops = [v for k, v in per_class.items() if k != "density-density"]
+    return {**per_class, "hop": max(hops), "qubits": qubits}
 
 
 def table_II(dim: int, w: int, measured: bool = True) -> LocalityReport:
@@ -364,90 +319,55 @@ def table_II(dim: int, w: int, measured: bool = True) -> LocalityReport:
     if dim < 1 or w < 2:
         return LocalityReport("hypercube", [])
     sites = w**dim
-    dims = (dim, w)
     lattice = LatticeSpec.hypercube(dim, w)
-    rows: list[ReportRow] = []
-
-    def add(enc, klass, meas, formula, expr, exactness):
-        rows.append(ReportRow(enc, klass, dims, meas, formula, expr, exactness))
-
-    def hop_worst(name):
-        if not measured:
-            return None
-        per_class = measure(name, lattice)
-        return max(v for k, v in per_class.items() if k.startswith("axis"))
-
-    add("JW", "hop", hop_worst("jw"), w ** (dim - 1) + 1, "w^(D-1)+1", "exact")
-    add("JW", "qubits", 2 * sites if measured else None, 2 * sites, "2w^D", "exact")
+    cells = {}
+    if measured:
+        for enc in ("JW", "BK", "SBK"):
+            cells[enc] = _with_hop(measure(enc.lower(), lattice), 2 * sites)
+        if dim == 2:
+            lsfs_qubits = 2 * lsfs.EdgeLayout(w, w).n_edges
+            cells["LSFS"] = _with_hop(measure_lsfs(w, w), lsfs_qubits)
+    plan = aux_fermion.plan_hypercubic(dim, w)
+    af_profile = aux_fermion.locality_profile(plan)
+    cells["AF"] = _with_hop(af_profile, plan.total_qubits)
+    # The 2D-2 variant row shows the planner's smallest hop locality (its
+    # hop-text-variant), not the worst one that its class reads.
+    af_variant = [] if dim == 1 else [
+        ("AF", "hop", 2 * dim - 2, "2D-2", "info",
+         min(v for k, v in af_profile.items() if k != "density-density")),
+    ]
 
     # The floor-log table forms are bounds only when the register size
     # is a power of two; the floor+ceil form is the one that always holds.
-    bk_meas = hop_worst("bk")
-    sites_pow2 = floor_log2(sites) == ceil_log2(sites)
-    add(
-        "BK",
-        "hop",
-        bk_meas,
-        2 * floor_log2(sites),
-        "2*floor_log2(w^D)",
-        "bound" if sites_pow2 else "info",
-    )
-    if not sites_pow2:
-        add(
-            "BK",
-            "hop",
-            bk_meas,
-            floor_log2(sites) + ceil_log2(sites),
-            "floor_log2(w^D)+ceil_log2(w^D)",
-            "bound",
-        )
-    add("BK", "qubits", 2 * sites if measured else None, 2 * sites, "2w^D", "exact")
-
+    fl, cl = floor_log2(sites), ceil_log2(sites)
+    bk_ceiling = [] if fl == cl else [
+        ("BK", "hop", fl + cl, "floor_log2(w^D)+ceil_log2(w^D)", "bound"),
+    ]
     # The slab segmentation degenerates in one dimension (slabs of one
     # site are the JW limit), so the closed form is informational there.
     slab = w ** (dim - 1)
-    sbk_meas = hop_worst("sbk")
-    slab_pow2 = floor_log2(slab) == ceil_log2(slab)
-    add(
-        "SBK",
-        "hop",
-        sbk_meas,
-        2 * floor_log2(slab) + 1,
-        "2*floor_log2(w^(D-1))+1",
-        "bound" if slab_pow2 and dim > 1 else "info",
-    )
-    if not slab_pow2:
-        add(
-            "SBK",
-            "hop",
-            sbk_meas,
-            2 * ceil_log2(slab) + 1,
-            "2*ceil_log2(w^(D-1))+1",
-            "bound",
-        )
-    add("SBK", "qubits", 2 * sites if measured else None, 2 * sites, "2w^D", "exact")
-
-    plan = aux_fermion.plan_hypercubic(dim, w)
-    profile = aux_fermion.locality_profile(plan)
-    hop_keys = [k for k in profile if k != "density-density"]
-    af_hop = max(profile[k] for k in hop_keys)
-    add("AF", "hop", af_hop, 2 * dim, "2D", "exact")
-    if dim > 1:
-        af_variant = profile.get("hop-text-variant", min(profile[k] for k in hop_keys))
-        add("AF", "hop", af_variant, 2 * dim - 2, "2D-2", "info")
-    add("AF", "qubits", plan.total_qubits, 2 * dim * sites, "2D*w^D", "bound")
-
-    lsfs_hop = lsfs_density = lsfs_register = None
-    if measured and dim == 2:
-        per_class = measure_lsfs(w, w)
-        lsfs_hop = max(per_class["horizontal"], per_class["vertical"])
-        lsfs_density = per_class["density-density"]
-        lsfs_register = 2 * lsfs.EdgeLayout(w, w).n_edges
-    add("LSFS", "hop", lsfs_hop, 4 * dim - 1, "4D-1", "bound")
-    add("LSFS", "density-density", lsfs_density, 4 * dim, "4D", "bound")
-    lsfs_qubits = 2 * dim * (w - 1) * w ** (dim - 1)
-    add("LSFS", "qubits", lsfs_register, lsfs_qubits, "2D(w-1)w^(D-1)", "exact")
-    return LocalityReport("hypercube", rows)
+    fl_slab, cl_slab = floor_log2(slab), ceil_log2(slab)
+    sbk_floor = "bound" if fl_slab == cl_slab and dim > 1 else "info"
+    sbk_ceiling = [] if fl_slab == cl_slab else [
+        ("SBK", "hop", 2 * cl_slab + 1, "2*ceil_log2(w^(D-1))+1", "bound"),
+    ]
+    table = [
+        ("JW", "hop", slab + 1, "w^(D-1)+1", "exact"),
+        ("JW", "qubits", 2 * sites, "2w^D", "exact"),
+        ("BK", "hop", 2 * fl, "2*floor_log2(w^D)", "bound" if fl == cl else "info"),
+        *bk_ceiling,
+        ("BK", "qubits", 2 * sites, "2w^D", "exact"),
+        ("SBK", "hop", 2 * fl_slab + 1, "2*floor_log2(w^(D-1))+1", sbk_floor),
+        *sbk_ceiling,
+        ("SBK", "qubits", 2 * sites, "2w^D", "exact"),
+        ("AF", "hop", 2 * dim, "2D", "exact"),
+        *af_variant,
+        ("AF", "qubits", 2 * dim * sites, "2D*w^D", "bound"),
+        ("LSFS", "hop", 4 * dim - 1, "4D-1", "bound"),
+        ("LSFS", "density-density", 4 * dim, "4D", "bound"),
+        ("LSFS", "qubits", 2 * dim * (w - 1) * slab, "2D(w-1)w^(D-1)", "exact"),
+    ]
+    return _report("hypercube", (dim, w), cells, table)
 
 
 def sbk_segment_sweep(

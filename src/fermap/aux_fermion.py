@@ -9,9 +9,10 @@ the auxiliary operators themselves are not synthesized here.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
+
+from .models import LatticeSpec
 
 
 def snake_path(w: int, h: int) -> tuple[int, ...]:
@@ -51,25 +52,6 @@ def snake_path_hypercubic(dim: int, w: int) -> tuple[int, ...]:
     )
 
 
-def _grid_adjacency(dims: Sequence[int]) -> list[set[int]]:
-    """Neighbour sets of a product-of-paths grid with mixed-radix ids."""
-    strides = []
-    acc = 1
-    for d in dims:
-        strides.append(acc)
-        acc *= d
-    n = acc
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for coords in itertools.product(*(range(d) for d in dims)):
-        here = sum(c * s for c, s in zip(coords, strides))
-        for axis, d in enumerate(dims):
-            if coords[axis] + 1 < d:
-                there = here + strides[axis]
-                adj[here].add(there)
-                adj[there].add(here)
-    return adj
-
-
 @dataclass(frozen=True)
 class AuxPlan:
     """Resource plan for one two-spin lattice model."""
@@ -96,9 +78,14 @@ class AuxPlan:
         return 2 * self.per_spin_qubits
 
 
-def _plan_from_path(dims: Sequence[int], path: Sequence[int], formula: int) -> AuxPlan:
-    adj = _grid_adjacency(dims)
-    n = len(adj)
+def _plan_from_path(
+    lattice: LatticeSpec, dims: Sequence[int], path: Sequence[int], formula: int
+) -> AuxPlan:
+    n = lattice.n_sites
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for a, b, _ in lattice.edges():
+        adj[a].add(b)
+        adj[b].add(a)
     path_deg = [0] * n
     for a, b in zip(path, path[1:]):
         if b not in adj[a]:
@@ -125,7 +112,8 @@ def plan(w: int, h: int) -> AuxPlan:
     """Two-spin rectangular plan; total qubit count is 4wh - 4."""
     if w < 2 or h < 2:
         raise ValueError("rectangular planning needs w, h >= 2")
-    return _plan_from_path((w, h), snake_path(w, h), 4 * w * h - 4)
+    lattice = LatticeSpec.rectangle(w, h)
+    return _plan_from_path(lattice, (w, h), snake_path(w, h), 4 * w * h - 4)
 
 
 def plan_hypercubic(dim: int, w: int) -> AuxPlan:
@@ -137,9 +125,9 @@ def plan_hypercubic(dim: int, w: int) -> AuxPlan:
     """
     if dim < 1 or w < 2:
         raise ValueError("hypercubic planning needs dim >= 1 and w >= 2")
-    return _plan_from_path(
-        (w,) * dim, snake_path_hypercubic(dim, w), 2 * dim * w**dim
-    )
+    lattice = LatticeSpec.hypercube(dim, w)
+    path = snake_path_hypercubic(dim, w)
+    return _plan_from_path(lattice, (w,) * dim, path, 2 * dim * w**dim)
 
 
 def locality_profile(plan_: AuxPlan) -> dict[str, int]:

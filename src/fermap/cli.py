@@ -6,7 +6,9 @@ written atomically; repeated runs with the same configuration produce
 byte-identical files, except the ``verify --out`` report, which records
 each check's ``wall_time_s``.  Numeric defaults can be
 overridden with FERMAP_-prefixed environment variables (FERMAP_T,
-FERMAP_U, FERMAP_EPS, FERMAP_DELTA, FERMAP_DENSE_CAP, FERMAP_SEED).
+FERMAP_U, FERMAP_EPS, FERMAP_DELTA, FERMAP_DENSE_CAP, FERMAP_SEED);
+FERMAP_EPS sets the default of ``encode --eps`` only, since no other
+subcommand takes an on-site energy.
 
 Exit codes: 0 success (including a partial verify run with skipped
 checks), 1 verification failure, 2 usage or configuration error.
@@ -175,7 +177,7 @@ def _cmd_encode(args) -> int:
     operator = encode_model(enc, hubbard(lattice, t, u, eps))
     meta = {
         "encoding": kind,
-        "segments": enc.to_config()["segments"],
+        "segments": [stop - start for start, stop in enc.forest.segments],
         "lattice": (
             {"kind": "rectangle", "w": lattice.w, "h": lattice.h}
             if lattice.kind == "rectangle"
@@ -193,11 +195,12 @@ def _cmd_encode(args) -> int:
 
 def _cmd_analyze(args) -> int:
     lattice, t, u, _ = _load_model_config(args)
-    names = (
-        ["jw", "bk", "sbk", "af", "lsfs"]
-        if args.encoding == "all"
-        else [args.encoding.lower()]
-    )
+    if args.encoding != "all":
+        names = [args.encoding.lower()]
+    elif lattice.kind == "rectangle":
+        names = ["jw", "bk", "sbk", "af", "lsfs"]
+    else:  # the loop-stabilized layout is defined on rectangles only
+        names = ["jw", "bk", "sbk", "af"]
     rows = []
     for name in names:
         per_class = analysis.measure(name, lattice, args.segment_size, t, u)
@@ -237,6 +240,8 @@ def _cmd_fig6(args) -> int:
     if args.w_min > args.w_max:
         raise ConfigError("--w-min must not exceed --w-max")
     rows = analysis.fig6_series(range(args.w_min, args.w_max + 1))
+    if not rows:
+        raise ConfigError("degenerate range: fig6 needs --w-max >= 2")
     _emit(analysis.fig6_csv(rows), args.out)
     return 0
 
@@ -295,9 +300,8 @@ def _cmd_plan_aux(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_lattice_flags(sub, with_model=True):
-    if with_model:
-        sub.add_argument("--model", help="model description JSON file")
+def _add_lattice_flags(sub):
+    sub.add_argument("--model", help="model description JSON file")
     sub.add_argument("--w", type=int, help="lattice width")
     sub.add_argument("--h", type=int, help="lattice height")
     sub.add_argument("--dim", type=int, help="hypercube dimension (with --w)")
@@ -309,7 +313,6 @@ def _add_lattice_flags(sub, with_model=True):
 def _add_coupling_flags(sub):
     sub.add_argument("--t", type=float, default=_env("T", float, 1.0))
     sub.add_argument("--u", type=float, default=_env("U", float, 1.0))
-    sub.add_argument("--eps", type=float, default=_env("EPS", float, 0.0))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -322,6 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     enc = subparsers.add_parser("encode", help="encode a lattice model to qubits")
     _add_lattice_flags(enc)
     _add_coupling_flags(enc)
+    enc.add_argument("--eps", type=float, default=_env("EPS", float, 0.0))
     enc.add_argument(
         "--encoding",
         default="jw",
@@ -340,10 +344,12 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--encoding", default="all")
     ana.add_argument("--segment-size", type=int)
     ana.add_argument("--out")
-    ana.set_defaults(func=_cmd_analyze)
+    ana.set_defaults(func=_cmd_analyze, eps=0.0)
 
     tab = subparsers.add_parser("tables", help="locality/qubit comparison tables")
-    _add_lattice_flags(tab, with_model=False)
+    tab.add_argument("--w", type=int)
+    tab.add_argument("--h", type=int)
+    tab.add_argument("--dim", type=int)
     tab.add_argument("--format", choices=("md", "csv"), default="md")
     tab.add_argument(
         "--measure", action=argparse.BooleanOptionalAction, default=True

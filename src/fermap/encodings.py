@@ -57,12 +57,6 @@ class EncodingSpec:
         n = sum(segment_sizes)
         return cls("forest", FenwickForest.build(n, segment_sizes))
 
-    def to_config(self) -> dict:
-        return {
-            "kind": self.kind,
-            "segments": [stop - start for start, stop in self.forest.segments],
-        }
-
     @property
     def n_modes(self) -> int:
         return self.forest.n_sites

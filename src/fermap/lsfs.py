@@ -23,7 +23,7 @@ so the codespace spectrum is insensitive to this global sign choice
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -83,19 +83,6 @@ class EdgeLayout:
         if ca == cb and rb == ra + 1:
             return self.n_horizontal + ra * self.w + ca
         raise ValueError(f"({u}, {v}) is not a lattice edge")
-
-    def directional_edge(self, k: int, direction: str) -> Optional[int]:
-        """Edge qubit in the given direction from vertex k, None off-lattice."""
-        r, c = self.coords(k)
-        if direction == "left":
-            return self.edge_index(k - 1, k) if c > 0 else None
-        if direction == "right":
-            return self.edge_index(k, k + 1) if c + 1 < self.w else None
-        if direction == "up":
-            return self.edge_index(k - self.w, k) if r > 0 else None
-        if direction == "down":
-            return self.edge_index(k, k + self.w) if r + 1 < self.h else None
-        raise ValueError(f"unknown direction {direction!r}")
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges (u < v) in qubit-index order."""

@@ -136,14 +136,6 @@ class LatticeSpec:
             return r * self.w + c
         return sum(coord * self.w**axis for axis, coord in enumerate(coords))
 
-    def sites(self) -> list[tuple[int, ...]]:
-        if self.kind == "rectangle":
-            return [(r, c) for r in range(self.h) for c in range(self.w)]
-        return [
-            tuple(reversed(coords))
-            for coords in itertools.product(range(self.w), repeat=self.dim)
-        ]
-
     def edges(self) -> list[tuple[int, int, str]]:
         """Undirected interaction edges (i < j by site id) with a term class."""
         out = []

@@ -298,10 +298,6 @@ class QubitOperator:
         """Largest Pauli weight among the summands (0 for the zero operator)."""
         return max((ps.weight for ps in self._terms), default=0)
 
-    def coefficient(self, ps: PauliString) -> complex:
-        bare, phase = ps.canonical()
-        return self._terms.get(bare, 0j) * phase.conjugate()
-
     def embedded(self, n_total: int, offset: int) -> "QubitOperator":
         out = QubitOperator(n_total)
         for ps, coeff in self._terms.items():

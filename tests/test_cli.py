@@ -109,6 +109,19 @@ class TestAnalyze:
         lines = out.read_text().splitlines()
         assert all(line.startswith(("#", "encoding", "bk,")) for line in lines)
 
+    @pytest.mark.parametrize("args", [["--dim", "3", "--w", "2"], ["--dim", "2", "--w", "3"]])
+    def test_all_on_hypercube_skips_lsfs(self, args, tmp_path):
+        out = tmp_path / "measured.csv"
+        assert run(["analyze", *args, "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[2:]
+        assert list(dict.fromkeys(r.split(",")[0] for r in rows)) == ["jw", "bk", "sbk", "af"]
+
+    def test_explicit_lsfs_on_hypercube_rejected(self, capsys):
+        assert run(["analyze", "--dim", "2", "--w", "3", "--encoding", "lsfs"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "fermap: loop-stabilized layout is defined on rectangles\n"
+
 
 class TestTables:
     def test_markdown_rows(self, capsys):
@@ -158,6 +171,12 @@ class TestSweepAndFig6:
 
     def test_fig6_bad_range(self):
         assert run(["fig6", "--w-min", "5", "--w-max", "3"]) == 2
+
+    def test_fig6_empty_range_rejected(self, capsys):
+        assert run(["fig6", "--w-min", "0", "--w-max", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "fermap: degenerate range: fig6 needs --w-max >= 2\n"
 
 
 class TestVerify:
@@ -209,6 +228,18 @@ class TestParser:
     def test_missing_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as err:
             run([])
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["tables", "--w", "3", "--h", "4", "--ordering", "row_major"],
+            ["analyze", "--w", "3", "--h", "3", "--eps", "0.5"],
+        ],
+    )
+    def test_ignored_options_are_gone(self, args):
+        with pytest.raises(SystemExit) as err:
+            run(args)
         assert err.value.code == 2
 
     def test_env_coupling_default(self, tmp_path, monkeypatch):
@@ -385,6 +416,24 @@ AF,4,4,4
 LSFS,4,8,8
 """,
     ),
+    "fig6-1-3": (
+        ["fig6", "--w-min", "1", "--w-max", "3"],
+        "out",
+        """\
+# fermap fig6-series v1: encoding,w,measured,formula
+encoding,w,measured,formula
+JW,2,3,3
+BK,2,6,6
+SBK,2,3,4
+AF,2,4,4
+LSFS,2,4,8
+JW,3,4,4
+BK,3,8,8
+SBK,3,5,5
+AF,3,4,4
+LSFS,3,8,8
+""",
+    ),
     "analyze-3x3": (
         ["analyze", "--w", "3", "--h", "3"],
         "out",
@@ -436,6 +485,110 @@ plaquette,weight,sign
 1 2 5 4,5,1
 3 4 7 6,5,1
 4 5 8 7,5,1
+""",
+    ),
+    "tables-4x5-csv": (
+        ["tables", "--w", "4", "--h", "5", "--format", "csv"],
+        "out",
+        """\
+# fermap locality-report-rectangle v1: encoding,term_class,w,h,measured,formula,exactness
+encoding,term_class,w,h,measured,formula,exactness
+JW,density-density,4,5,2,2,exact
+JW,horizontal,4,5,2,2,exact
+JW,vertical,4,5,5,5,exact
+JW,qubits,4,5,40,40,exact
+BK,density-density,4,5,10,10,exact
+BK,horizontal,4,5,8,9,bound
+BK,vertical,4,5,9,9,bound
+BK,qubits,4,5,40,40,exact
+SBK,density-density,4,5,4,6,bound
+SBK,horizontal,4,5,4,4,bound
+SBK,vertical,4,5,5,5,bound
+SBK,qubits,4,5,40,40,exact
+AF,density-density,4,5,2,2,exact
+AF,horizontal,4,5,2,2,exact
+AF,vertical,4,5,4,4,exact
+AF,qubits,4,5,76,76,exact
+LSFS,density-density,4,5,8,8,exact
+LSFS,horizontal,4,5,5,5,exact
+LSFS,horizontal,4,5,5,7,bound
+LSFS,vertical,4,5,7,7,exact
+LSFS,qubits,4,5,62,62,exact
+""",
+    ),
+    "tables-2x2-md": (
+        ["tables", "--w", "2", "--h", "2"],
+        "out",
+        """\
+| Method | density-density | horizontal | vertical | qubits |
+|---|---|---|---|---|
+| JW | 2 = 2 (measured 2) | 2 = 2 (measured 2) | w+1 = 3 (measured 3) | 2wh = 8 (measured 8) |
+| BK | 2*floor_log2(wh)+2 = 6 (measured 6) | floor_log2(wh)+ceil_log2(wh) = 4 (measured 3) | floor_log2(wh)+ceil_log2(wh) = 4 (measured 3) | 2wh = 8 (measured 8) |
+| SBK | 2*floor_log2(w)+2 = 4 (measured 2) | floor_log2(w)+ceil_log2(w) = 2 (measured 2) | 2*floor_log2(w)+1 = 3 (measured 3) | 2wh = 8 (measured 8) |
+| AF | 2 = 2 (measured 2) | 2 = 2 (measured 2) | 4 = 4 (measured 4) | 4(wh-1) = 12 (measured 12) |
+| LSFS | 8 = 8 (measured 4) | 5 = 5 (measured 2); 7 = 7 (measured 2) | 7 = 7 (measured 3) | 4wh-2w-2h = 8 (measured 8) |
+""",
+    ),
+    "tables-d1-w5-csv": (
+        ["tables", "--dim", "1", "--w", "5", "--format", "csv"],
+        "out",
+        """\
+# fermap locality-report-hypercube v1: encoding,term_class,D,w,measured,formula,exactness
+encoding,term_class,D,w,measured,formula,exactness
+JW,hop,1,5,2,2,exact
+JW,qubits,1,5,10,10,exact
+BK,hop,1,5,3,4,info
+BK,hop,1,5,3,5,bound
+BK,qubits,1,5,10,10,exact
+SBK,hop,1,5,2,1,info
+SBK,qubits,1,5,10,10,exact
+AF,hop,1,5,2,2,exact
+AF,qubits,1,5,10,10,bound
+LSFS,hop,1,5,,3,bound
+LSFS,density-density,1,5,,4,bound
+LSFS,qubits,1,5,,8,exact
+""",
+    ),
+    "tables-d3-w4-csv": (
+        ["tables", "--dim", "3", "--w", "4", "--format", "csv"],
+        "out",
+        """\
+# fermap locality-report-hypercube v1: encoding,term_class,D,w,measured,formula,exactness
+encoding,term_class,D,w,measured,formula,exactness
+JW,hop,3,4,17,17,exact
+JW,qubits,3,4,128,128,exact
+BK,hop,3,4,11,12,bound
+BK,qubits,3,4,128,128,exact
+SBK,hop,3,4,9,9,bound
+SBK,qubits,3,4,128,128,exact
+AF,hop,3,4,6,6,exact
+AF,hop,3,4,4,4,info
+AF,qubits,3,4,320,384,bound
+LSFS,hop,3,4,,11,bound
+LSFS,density-density,3,4,,12,bound
+LSFS,qubits,3,4,,288,exact
+""",
+    ),
+    "tables-d3-w3-unmeasured-csv": (
+        ["tables", "--dim", "3", "--w", "3", "--no-measure", "--format", "csv"],
+        "out",
+        """\
+# fermap locality-report-hypercube v1: encoding,term_class,D,w,measured,formula,exactness
+encoding,term_class,D,w,measured,formula,exactness
+JW,hop,3,3,,10,exact
+JW,qubits,3,3,,54,exact
+BK,hop,3,3,,8,info
+BK,hop,3,3,,9,bound
+BK,qubits,3,3,,54,exact
+SBK,hop,3,3,,7,info
+SBK,hop,3,3,,9,bound
+SBK,qubits,3,3,,54,exact
+AF,hop,3,3,6,6,exact
+AF,hop,3,3,4,4,info
+AF,qubits,3,3,122,162,bound
+LSFS,hop,3,3,,11,bound
+LSFS,density-density,3,3,,12,bound
+LSFS,qubits,3,3,,108,exact
 """,
     ),
 }

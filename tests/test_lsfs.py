@@ -38,6 +38,20 @@ def restricted_spectrum(matrix, projector):
     return np.sort(np.linalg.eigvalsh(basis.conj().T @ matrix @ basis))
 
 
+def directional_edge(layout, k, direction):
+    """Edge qubit in the given direction from vertex k, None off-lattice."""
+    r, c = layout.coords(k)
+    if direction == "left":
+        return layout.edge_index(k - 1, k) if c > 0 else None
+    if direction == "right":
+        return layout.edge_index(k, k + 1) if c + 1 < layout.w else None
+    if direction == "up":
+        return layout.edge_index(k - layout.w, k) if r > 0 else None
+    if direction == "down":
+        return layout.edge_index(k, k + layout.w) if r + 1 < layout.h else None
+    raise ValueError(f"unknown direction {direction!r}")
+
+
 def a_op_directional(layout, j, k):
     """The 2D specialized form of ``a_op`` (boundary factors ignored).
 
@@ -52,7 +66,7 @@ def a_op_directional(layout, j, k):
     else:  # vertical
         dirs = [(top_left, "left"), (top_left, "up"), (top_left, "right")]
     for vertex, direction in dirs:
-        idx = layout.directional_edge(vertex, direction)
+        idx = directional_edge(layout, vertex, direction)
         if idx is not None:
             ops[idx] = "Z"
     return pauli(layout, sorted(ops.items()), 1.0 if j > k else -1.0)
@@ -84,11 +98,11 @@ class TestLayout:
 
     def test_directional_edges(self):
         lay = EdgeLayout(3, 3)
-        assert lay.directional_edge(4, "left") == lay.edge_index(3, 4)
-        assert lay.directional_edge(4, "up") == lay.edge_index(1, 4)
-        assert lay.directional_edge(0, "left") is None
-        assert lay.directional_edge(0, "up") is None
-        assert lay.directional_edge(8, "down") is None
+        assert directional_edge(lay, 4, "left") == lay.edge_index(3, 4)
+        assert directional_edge(lay, 4, "up") == lay.edge_index(1, 4)
+        assert directional_edge(lay, 0, "left") is None
+        assert directional_edge(lay, 0, "up") is None
+        assert directional_edge(lay, 8, "down") is None
 
     def test_plaquette_census(self):
         assert len(EdgeLayout(4, 4).plaquettes()) == 9
@@ -263,8 +277,8 @@ class TestHopping:
             lay,
             [
                 (e, "Y"),
-                (lay.directional_edge(k, "down"), "Z"),
-                (lay.directional_edge(kp, "up"), "Z"),
+                (directional_edge(lay, k, "down"), "Z"),
+                (directional_edge(lay, kp, "up"), "Z"),
             ],
             0.5,
         )
@@ -272,10 +286,10 @@ class TestHopping:
             lay,
             [
                 (e, "Y"),
-                (lay.directional_edge(k, "up"), "Z"),
-                (lay.directional_edge(k, "left"), "Z"),
-                (lay.directional_edge(kp, "right"), "Z"),
-                (lay.directional_edge(kp, "down"), "Z"),
+                (directional_edge(lay, k, "up"), "Z"),
+                (directional_edge(lay, k, "left"), "Z"),
+                (directional_edge(lay, kp, "right"), "Z"),
+                (directional_edge(lay, kp, "down"), "Z"),
             ],
             -0.5,
         )
