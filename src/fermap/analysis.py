@@ -178,16 +178,16 @@ def measure_lsfs(w: int, h: int) -> dict[str, int]:
     """Worst weights of the loop-stabilized Hubbard terms per class."""
     layout = lsfs.EdgeLayout(w, h)
     n_total = 2 * layout.n_edges
-    worst = {"horizontal": 0, "vertical": 0, "density-density": 0}
-    for vert_u, vert_v in layout.edges():
+    worst: dict[str, int] = {}
+    # The lattice's site ids are the layout's vertex ids (r * w + c).
+    for vert_u, vert_v, klass in LatticeSpec.rectangle(w, h).edges():
         weight = lsfs.hopping_term(layout, vert_u, vert_v).max_weight()
-        klass = "horizontal" if abs(vert_u - vert_v) == 1 else "vertical"
-        worst[klass] = max(worst[klass], weight)
+        worst[klass] = max(worst.get(klass, 0), weight)
     for k in range(layout.n_vertices):
         n_dn = lsfs.number_term(layout, k).embedded(n_total, 0)
         n_up = lsfs.number_term(layout, k).embedded(n_total, layout.n_edges)
         worst["density-density"] = max(
-            worst["density-density"], (n_dn * n_up).max_weight()
+            worst.get("density-density", 0), (n_dn * n_up).max_weight()
         )
     return worst
 

@@ -153,10 +153,10 @@ def _cmd_encode(args) -> int:
             Path(out).with_suffix(".stabilizers.json"),
             json.dumps(sidecar, sort_keys=True, indent=1) + "\n",
         )
-        rows = [
-            (" ".join(str(v) for v in row["plaquette"]), row["weight"], row["sign"])
-            for row in lsfs.plaquette_report(layout)
-        ]
+        rows = []
+        for plq, stab in zip(layout.plaquettes(), stabs):
+            ((string, coeff),) = stab.sorted_terms()
+            rows.append((" ".join(str(v) for v in plq), string.weight, int(coeff.real)))
         text = analysis.versioned_csv("plaquette-report", "plaquette,weight,sign", rows)
         _write_atomic(Path(out).with_suffix(".plaquettes.csv"), text)
         return 0
@@ -394,10 +394,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"fermap: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, IndexError, OSError) as exc:
+    except (ConfigError, ValueError, IndexError, OSError) as exc:
         print(f"fermap: {exc}", file=sys.stderr)
         return 2
 

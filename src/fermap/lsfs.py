@@ -111,10 +111,8 @@ def _epsilon(j: int, k: int) -> int:
 
 def b_op(layout: EdgeLayout, k: int) -> QubitOperator:
     """Vertex generator: the cross of Z on all edges incident to k."""
-    ops = [(layout.edge_index(k, nb), "Z") for nb in layout.neighbors(k)]
-    return QubitOperator.from_paulistring(
-        PauliString.from_ops(layout.n_edges, ops)
-    )
+    z = sum(1 << layout.edge_index(k, nb) for nb in layout.neighbors(k))
+    return QubitOperator.from_paulistring(PauliString(layout.n_edges, 0, z))
 
 
 def a_op(layout: EdgeLayout, j: int, k: int) -> QubitOperator:
@@ -123,15 +121,10 @@ def a_op(layout: EdgeLayout, j: int, k: int) -> QubitOperator:
     X acts on the (j, k) edge; Z acts on every edge (l, j) with l in
     n(j), l < k and every edge (s, k) with s in n(k), s < j.
     """
-    edge = layout.edge_index(j, k)
-    ops = {edge: "X"}
-    for l in layout.neighbors(j):
-        if l < k:
-            ops[layout.edge_index(l, j)] = "Z"
-    for s in layout.neighbors(k):
-        if s < j:
-            ops[layout.edge_index(s, k)] = "Z"
-    string = PauliString.from_ops(layout.n_edges, sorted(ops.items()))
+    x = 1 << layout.edge_index(j, k)
+    z = sum(1 << layout.edge_index(l, j) for l in layout.neighbors(j) if l < k)
+    z |= sum(1 << layout.edge_index(s, k) for s in layout.neighbors(k) if s < j)
+    string = PauliString(layout.n_edges, x, z)
     return QubitOperator.from_paulistring(string, float(_epsilon(j, k)))
 
 
@@ -243,22 +236,6 @@ def codespace_projector(
     for stab in stabilizers(layout):
         proj = proj @ (np.eye(dim) + stab.to_dense(cap)) / 2.0
     return proj
-
-
-def plaquette_report(layout: EdgeLayout) -> list[dict]:
-    """Per-plaquette stabilizer summary rows (for the CSV sidecar)."""
-    rows = []
-    for plq in layout.plaquettes():
-        stab = stabilizer(layout, plq)
-        ((string, coeff),) = stab.sorted_terms()
-        rows.append(
-            {
-                "plaquette": plq,
-                "weight": string.weight,
-                "sign": int(coeff.real),
-            }
-        )
-    return rows
 
 
 def default_penalty(t: float, u: float, eps: float) -> float:

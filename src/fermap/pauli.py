@@ -8,6 +8,11 @@ least significant bit, so masks serialize identically everywhere.  The
 phase is stored as an integer exponent of i modulo 4; no phase ever
 touches floating point.
 
+A ``QubitOperator`` keys each term by the ``(x_mask, z_mask)`` pair of a
+phase-free letter string; a string's phase is folded into the
+coefficient when the string enters the operator.  Products of keys
+follow one phase rule (``_mul_masks``), shared with ``PauliString``.
+
 Long sums are accumulated in place (``QubitOperator._add_in_place``):
 the coefficients and term order of chained ``+``, without copying the
 growing sum at every step.
@@ -38,6 +43,15 @@ class DimensionError(ValueError):
 
 class DenseCapError(RuntimeError):
     """Dense rendering was requested beyond the configured qubit cap."""
+
+
+def _mul_masks(xa: int, za: int, xb: int, zb: int) -> tuple[int, int, int]:
+    """Masks and i-exponent (mod 4) of the product of two phase-free strings."""
+    # Work in X^x Z^z normal form: commuting Z past X flips sign, and
+    # each Y letter is i * XZ, so letter counts enter the exponent.
+    x, z = xa ^ xb, za ^ zb
+    exp = (xa & za).bit_count() + (xb & zb).bit_count() - (x & z).bit_count()
+    return x, z, (exp + 2 * (za & xb).bit_count()) % 4
 
 
 def _check_same_size(a, b):
@@ -127,16 +141,8 @@ class PauliString:
         if not isinstance(other, PauliString):
             return NotImplemented
         _check_same_size(self, other)
-        # Work in X^x Z^z normal form: commuting Z past X flips sign, and
-        # each Y letter is i * XZ, so letter counts enter the exponent.
-        ny_a = (self.x_mask & self.z_mask).bit_count()
-        ny_b = (other.x_mask & other.z_mask).bit_count()
-        x = self.x_mask ^ other.x_mask
-        z = self.z_mask ^ other.z_mask
-        ny_out = (x & z).bit_count()
-        swaps = (self.z_mask & other.x_mask).bit_count()
-        exp = self.phase_exp + other.phase_exp + ny_a + ny_b - ny_out + 2 * swaps
-        return PauliString(self.n_qubits, x, z, exp % 4)
+        x, z, exp = _mul_masks(self.x_mask, self.z_mask, other.x_mask, other.z_mask)
+        return PauliString(self.n_qubits, x, z, self.phase_exp + other.phase_exp + exp)
 
     def adjoint(self) -> "PauliString":
         return PauliString(self.n_qubits, self.x_mask, self.z_mask, -self.phase_exp)
@@ -149,20 +155,6 @@ class PauliString:
         ).bit_count()
         return overlap % 2 == 0
 
-    def canonical(self) -> tuple["PauliString", complex]:
-        """Split into a phase-free string and its exact scalar phase."""
-        if self.phase_exp == 0:
-            return self, self.phase
-        return PauliString(self.n_qubits, self.x_mask, self.z_mask, 0), self.phase
-
-    def embedded(self, n_total: int, offset: int) -> "PauliString":
-        """The same string acting on qubits [offset, offset + n) of a larger register."""
-        if offset < 0 or offset + self.n_qubits > n_total:
-            raise DimensionError("embedding window does not fit target register")
-        return PauliString(
-            n_total, self.x_mask << offset, self.z_mask << offset, self.phase_exp
-        )
-
     def to_dense(self, cap: int = DENSE_CAP_DEFAULT):
         """Exact dense matrix of the string, qubit 0 least significant."""
         return QubitOperator.from_paulistring(self).to_dense(cap)
@@ -173,15 +165,15 @@ class PauliString:
         return prefix + (body or "I")
 
 
-def _sort_key(ps: PauliString):
-    return (ps.z_mask, ps.x_mask)
-
-
 class QubitOperator:
     """A complex-weighted sum of Pauli strings on a fixed register.
 
-    Terms are kept canonical: every key string carries phase +1 (the
-    phase folded into the coefficient), terms with exactly zero
+    Each term is keyed by the ``(x_mask, z_mask)`` pair of a phase-free
+    letter string, which is Hermitian; a string enters only through
+    ``_add_term``, which folds its phase into the coefficient.  Keys are
+    combined only by XOR between operators of the same size, or shifted
+    inside a checked window (``embedded``), so every key fits the
+    register without a per-key check.  Terms with exactly zero
     coefficient are dropped, and serialization orders terms
     lexicographically on (z_mask, x_mask).
     """
@@ -190,7 +182,7 @@ class QubitOperator:
 
     def __init__(self, n_qubits: int, terms: Mapping[PauliString, complex] | None = None):
         self.n_qubits = n_qubits
-        self._terms: dict[PauliString, complex] = {}
+        self._terms: dict[tuple[int, int], complex] = {}
         if terms:
             for ps, coeff in terms.items():
                 self._add_term(ps, coeff)
@@ -214,20 +206,23 @@ class QubitOperator:
     def _add_term(self, ps: PauliString, coeff: complex):
         if ps.n_qubits != self.n_qubits:
             raise DimensionError("term register size differs from operator")
-        bare, phase = ps.canonical()
-        self._terms[bare] = self._terms.get(bare, 0j) + complex(coeff) * phase
+        key = (ps.x_mask, ps.z_mask)
+        self._terms[key] = self._terms.get(key, 0j) + complex(coeff) * ps.phase
 
     def _prune(self):
-        for ps in [ps for ps, c in self._terms.items() if c == 0]:
-            del self._terms[ps]
+        for key in [key for key, c in self._terms.items() if c == 0]:
+            del self._terms[key]
 
     @property
     def terms(self) -> dict[PauliString, complex]:
-        """Copy of the canonical term map (phase-+1 strings to coefficients)."""
-        return dict(self._terms)
+        """The term map as phase-free strings to coefficients, in insertion order."""
+        n = self.n_qubits
+        return {PauliString(n, x, z): c for (x, z), c in self._terms.items()}
 
     def sorted_terms(self) -> list[tuple[PauliString, complex]]:
-        return sorted(self._terms.items(), key=lambda item: _sort_key(item[0]))
+        n = self.n_qubits
+        items = sorted(self._terms.items(), key=lambda item: (item[0][1], item[0][0]))
+        return [(PauliString(n, x, z), c) for (x, z), c in items]
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -249,12 +244,12 @@ class QubitOperator:
         """``self + other`` written into ``self``: same sums, same term order."""
         _check_same_size(self, other)
         terms = self._terms
-        for ps, coeff in other._terms.items():
-            coeff = terms.get(ps, 0j) + coeff
+        for key, coeff in other._terms.items():
+            coeff = terms.get(key, 0j) + coeff
             if coeff:
-                terms[ps] = coeff
+                terms[key] = coeff
             else:  # keys of ``other`` are unique, so this is pruning after the loop
-                del terms[ps]
+                del terms[key]
         return self
 
     def __sub__(self, other: "QubitOperator") -> "QubitOperator":
@@ -266,7 +261,7 @@ class QubitOperator:
     def __rmul__(self, scalar) -> "QubitOperator":
         if isinstance(scalar, (int, float, complex)):
             out = QubitOperator(self.n_qubits)
-            out._terms = {ps: scalar * c for ps, c in self._terms.items()}
+            out._terms = {key: scalar * c for key, c in self._terms.items()}
             out._prune()
             return out
         return NotImplemented
@@ -278,16 +273,18 @@ class QubitOperator:
             return NotImplemented
         _check_same_size(self, other)
         out = QubitOperator(self.n_qubits)
-        for ps_a, ca in self._terms.items():
-            for ps_b, cb in other._terms.items():
-                out._add_term(ps_a * ps_b, ca * cb)
+        terms = out._terms
+        for (xa, za), ca in self._terms.items():
+            for (xb, zb), cb in other._terms.items():
+                x, z, exp = _mul_masks(xa, za, xb, zb)
+                terms[x, z] = terms.get((x, z), 0j) + ca * cb * _PHASES[exp]
         out._prune()
         return out
 
     def adjoint(self) -> "QubitOperator":
         out = QubitOperator(self.n_qubits)
         # Keys are phase-free letter strings, hence Hermitian themselves.
-        out._terms = {ps: c.conjugate() for ps, c in self._terms.items()}
+        out._terms = {key: c.conjugate() for key, c in self._terms.items()}
         out._prune()
         return out
 
@@ -296,21 +293,20 @@ class QubitOperator:
 
     def max_weight(self) -> int:
         """Largest Pauli weight among the summands (0 for the zero operator)."""
-        return max((ps.weight for ps in self._terms), default=0)
+        return max(((x | z).bit_count() for x, z in self._terms), default=0)
 
     def embedded(self, n_total: int, offset: int) -> "QubitOperator":
+        """The same sum acting on qubits [offset, offset + n) of a larger register."""
+        if offset < 0 or offset + self.n_qubits > n_total:
+            raise DimensionError("embedding window does not fit target register")
         out = QubitOperator(n_total)
-        for ps, coeff in self._terms.items():
-            out._terms[ps.embedded(n_total, offset)] = coeff
+        out._terms = {(x << offset, z << offset): c for (x, z), c in self._terms.items()}
         return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QubitOperator):
             return NotImplemented
         return self.n_qubits == other.n_qubits and self._terms == other._terms
-
-    def __hash__(self):
-        return hash((self.n_qubits, frozenset(self._terms.items())))
 
     def to_dense(self, cap: int = DENSE_CAP_DEFAULT):
         """Exact dense matrix of the sum, qubit 0 least significant."""
@@ -321,12 +317,12 @@ class QubitOperator:
         dim = 1 << self.n_qubits
         mat = np.zeros((dim, dim), dtype=complex)
         cols = np.arange(dim, dtype=np.uint64)
-        for ps, coeff in self._terms.items():
-            rows = cols ^ np.uint64(ps.x_mask)
+        for (x, z), coeff in self._terms.items():
+            rows = cols ^ np.uint64(x)
             # X^x Z^z sends |s> to (-1)^{|s & z|} |s ^ x>; Y letters add i each.
-            ny = (ps.x_mask & ps.z_mask).bit_count()
+            ny = (x & z).bit_count()
             signs = 1.0 - 2.0 * (
-                np.bitwise_count(cols & np.uint64(ps.z_mask)).astype(np.int64) % 2
+                np.bitwise_count(cols & np.uint64(z)).astype(np.int64) % 2
             )
             mat[rows, cols] += coeff * _PHASES[ny % 4] * signs
         return mat

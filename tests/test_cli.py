@@ -45,7 +45,10 @@ class TestEncode:
         assert len(sidecar["stabilizers"]) == 9
         csv = (tmp_path / "lsfs.plaquettes.csv").read_text()
         assert csv.startswith("# fermap plaquette-report v1")
-        assert len(csv.strip().splitlines()) == 11  # header x2 + 9 rows
+        rows = csv.strip().splitlines()[2:]
+        assert len(rows) == 9
+        assert all(row.endswith(",1") for row in rows)  # every sign +1
+        assert "5 6 10 9,6,1" in rows  # interior plaquette, weight 6
 
     def test_lsfs_single_spin_rejects_u(self, tmp_path, capsys):
         code = run(["encode", "--w", "2", "--h", "2", "--u", "2",
@@ -115,6 +118,15 @@ class TestAnalyze:
         assert run(["analyze", *args, "--out", str(out)]) == 0
         rows = out.read_text().splitlines()[2:]
         assert list(dict.fromkeys(r.split(",")[0] for r in rows)) == ["jw", "bk", "sbk", "af"]
+
+    @pytest.mark.parametrize(
+        "w, h, hop",
+        [("1", "4", "lsfs,vertical,3"), ("4", "1", "lsfs,horizontal,3")],
+    )
+    def test_lsfs_one_row_or_column_has_one_hop_class(self, w, h, hop, capsys):
+        assert run(["analyze", "--w", w, "--h", h, "--encoding", "lsfs"]) == 0
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert rows == ["lsfs,density-density,4", hop]
 
     def test_explicit_lsfs_on_hypercube_rejected(self, capsys):
         assert run(["analyze", "--dim", "2", "--w", "3", "--encoding", "lsfs"]) == 2
@@ -603,11 +615,20 @@ class TestGoldenText:
 
 
 class TestBenchTracer:
-    def test_tracer_installs_and_runs(self, tmp_path):
+    @pytest.mark.parametrize(
+        "job",
+        [
+            ["sweep", "--w", "4"],
+            ["encode", "--w", "2", "--h", "2", "--encoding", "lsfs"],
+            ["verify", "--suite", "symbolic", "--trials", "2"],
+        ],
+        ids=["sweep", "encode-lsfs", "verify"],
+    )
+    def test_tracer_installs_and_runs(self, job, tmp_path):
         """The tracer looks up every name it wraps, whatever job it runs."""
         root = Path(__file__).resolve().parents[1]
         argv = [sys.executable, str(root / "bench" / "tracer.py"), str(tmp_path / "trace.json"),
-                "--", "sweep", "--w", "4", "--out", str(tmp_path / "sweep.csv")]
+                "--", *job, "--out", str(tmp_path / "job.out")]
         env = dict(os.environ, PYTHONPATH=str(root / "src"))
         proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr

@@ -12,7 +12,6 @@ from fermap.lsfs import (
     hopping_term,
     hubbard_lsfs,
     number_term,
-    plaquette_report,
     single_spin_hamiltonian,
     stabilizer,
     stabilizers,
@@ -257,13 +256,6 @@ class TestStabilizers:
             stabilizer(lay, (0, 1, 2, 3))
         with pytest.raises(ValueError):
             stabilizer(lay, (0, 1, 3, 4))  # not cyclic order
-
-    def test_report(self):
-        rows = plaquette_report(EdgeLayout(4, 4))
-        assert len(rows) == 9
-        assert all(row["sign"] == 1 for row in rows)
-        interior = [r for r in rows if r["plaquette"] == (5, 6, 10, 9)]
-        assert interior[0]["weight"] == 6
 
 
 class TestHopping:

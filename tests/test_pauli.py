@@ -251,3 +251,129 @@ class TestSerialization:
         x = QubitOperator.from_paulistring(ps(1, [(0, "X")]))
         z = QubitOperator.from_paulistring(ps(1, [(0, "Z")]))
         assert anticommutator(x, z).is_zero()
+
+
+# A test-local copy of the operator algebra that keyed each term by a whole
+# phase-free PauliString: products go through PauliString.__mul__, the phase
+# is split off by hand and folded in as ``0j + complex(c) * phase``.  The
+# mask-keyed QubitOperator must match it term for term and byte for byte.
+
+SIZES = [1, 61, 62, 63, 64, 65, 200]
+COEFFS = st.one_of(
+    st.sampled_from([1.0, -1.0, 0.5, 1j, -0.25j, 0.0, -0.0, complex(-0.0, 1.0), 2 - 0j]),
+    st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
+)
+SCALARS = st.one_of(st.sampled_from([0, 2, -1, 0.0, -0.0]), COEFFS)
+_ONE_QUBIT = {
+    ("X", "Y"): (1, "Z"), ("Y", "X"): (3, "Z"),
+    ("Y", "Z"): (1, "X"), ("Z", "Y"): (3, "X"),
+    ("Z", "X"): (1, "Y"), ("X", "Z"): (3, "Y"),
+}
+
+
+def one_qubit_product(p, r):
+    if "I" in (p, r):
+        return 0, r if p == "I" else p
+    return (0, "I") if p == r else _ONE_QUBIT[p, r]
+
+
+def letter_product(a, b):
+    """``a * b`` qubit by qubit from the one-qubit table, without the mask rule."""
+    exp, ops = a.phase_exp + b.phase_exp, []
+    for q in range(a.n_qubits):
+        e, letter = one_qubit_product(a.letter_at(q), b.letter_at(q))
+        exp += e
+        ops.append((q, letter))
+    return PauliString.from_ops(a.n_qubits, ops, exp)
+
+
+def ref_fold(pairs):
+    terms = {}
+    for string, coeff in pairs:
+        key = PauliString(string.n_qubits, string.x_mask, string.z_mask)
+        terms[key] = terms.get(key, 0j) + complex(coeff) * string.phase
+    return {key: c for key, c in terms.items() if c != 0}
+
+
+def ref_mul(a, b):
+    return ref_fold((pa * pb, ca * cb) for pa, ca in a.items() for pb, cb in b.items())
+
+
+def ref_add(a, b):
+    terms = dict(a)
+    for key, coeff in b.items():
+        coeff = terms.get(key, 0j) + coeff
+        if coeff:
+            terms[key] = coeff
+        else:
+            del terms[key]
+    return terms
+
+
+def ref_json(n, terms):
+    rows = sorted(terms.items(), key=lambda item: (item[0].z_mask, item[0].x_mask))
+    body = [
+        {
+            "coeff": [c.real, c.imag],
+            "paulis": [[q, s.letter_at(q)] for q in range(n) if s.letter_at(q) != "I"],
+        }
+        for s, c in rows
+    ]
+    return json.dumps({"n_qubits": n, "terms": body})
+
+
+def assert_matches(op, n, ref):
+    assert op.n_qubits == n
+    assert list(op.terms.items()) == list(ref.items())
+    assert op.to_json() == ref_json(n, ref)  # keeps the sign of a zero
+
+
+@st.composite
+def operator_pairs(draw):
+    """Two operators on one register whose strings share a small mask pool."""
+    n = draw(st.sampled_from(SIZES))
+    masks = st.integers(0, (1 << n) - 1)
+    pool = st.sampled_from(draw(st.lists(st.tuples(masks, masks), min_size=1, max_size=3)))
+    terms = st.lists(st.tuples(pool, st.integers(0, 3), COEFFS), max_size=4)
+    a, b = (
+        {PauliString(n, x, z, p): c for (x, z), p, c in draw(terms)} for _ in range(2)
+    )
+    return n, a, b
+
+
+class TestMaskKeyedReference:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(SIZES).flatmap(lambda n: st.tuples(pauli_strings(n), pauli_strings(n))))
+    def test_string_product_matches_letter_table(self, pair):
+        a, b = pair
+        assert a * b == letter_product(a, b)
+
+    @settings(max_examples=150, deadline=None)
+    @given(operator_pairs())
+    def test_product_and_sum(self, case):
+        n, a, b = case
+        op_a, op_b = QubitOperator(n, a), QubitOperator(n, b)
+        assert_matches(op_a, n, ref_fold(a.items()))
+        assert_matches(op_a * op_b, n, ref_mul(ref_fold(a.items()), ref_fold(b.items())))
+        assert_matches(op_a + op_b, n, ref_add(ref_fold(a.items()), ref_fold(b.items())))
+
+    @settings(max_examples=100, deadline=None)
+    @given(operator_pairs(), SCALARS, st.integers(0, 70), st.data())
+    def test_scalar_and_embedded(self, case, scalar, extra, data):
+        n, a, _ = case
+        op, ref = QubitOperator(n, a), ref_fold(a.items())
+        scaled = {key: scalar * c for key, c in ref.items() if scalar * c != 0}
+        assert_matches(scalar * op, n, scaled)
+        assert_matches(op * scalar, n, scaled)
+        offset = data.draw(st.integers(0, extra))
+        moved = {
+            PauliString(n + extra, s.x_mask << offset, s.z_mask << offset): c
+            for s, c in ref.items()
+        }
+        assert_matches(op.embedded(n + extra, offset), n + extra, moved)
+
+    def test_embedding_window_checked_when_empty(self):
+        with pytest.raises(DimensionError):
+            QubitOperator(3).embedded(4, 2)
+        with pytest.raises(DimensionError):
+            QubitOperator(3).embedded(4, -1)

@@ -28,7 +28,7 @@ def plus(a, b):
     for ps, coeff in b.terms.items():
         terms[ps] = terms.get(ps, 0j) + coeff
     out = QubitOperator(a.n_qubits)
-    out._terms = {ps: c for ps, c in terms.items() if c != 0}
+    out._terms = {(ps.x_mask, ps.z_mask): c for ps, c in terms.items() if c != 0}
     return out
 
 
