@@ -184,8 +184,8 @@ def measure_lsfs(w: int, h: int) -> dict[str, int]:
         weight = lsfs.hopping_term(layout, vert_u, vert_v).max_weight()
         worst[klass] = max(worst.get(klass, 0), weight)
     for k in range(layout.n_vertices):
-        n_dn = lsfs.number_term(layout, k).embedded(n_total, 0)
-        n_up = lsfs.number_term(layout, k).embedded(n_total, layout.n_edges)
+        n_k = lsfs.number_term(layout, k)
+        n_dn, n_up = n_k.embedded(n_total, 0), n_k.embedded(n_total, layout.n_edges)
         worst["density-density"] = max(
             worst.get("density-density", 0), (n_dn * n_up).max_weight()
         )

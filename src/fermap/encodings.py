@@ -11,9 +11,9 @@ Majorana convention: c_j = a_j + a^dag_j and d_j = i (a^dag_j - a_j),
 so a_j = (c_j + i d_j) / 2 and number/hopping operators follow from the
 exact Pauli algebra.
 
-Every encoding is a per-mode table of Majorana bitmasks: a spec builds
-the c_j and d_j strings from the forest's parity, children and ancestor
-sets on first use of mode j and keeps them for its own lifetime.
+Every encoding is a per-mode table of Majorana bitmasks: a spec ORs the
+c_j and d_j strings from the forest's parity, children and ancestor
+masks on first use of mode j and keeps them for its own lifetime.
 ``encode_model`` multiplies them out per term and sums terms in place.
 """
 
@@ -64,10 +64,11 @@ class EncodingSpec:
 
 def _majorana_string(forest: FenwickForest, j: int, flavor: str) -> PauliString:
     """c_j: Z on P(j), X on j and U(j).  d_j: Y on j instead, no Z on F(j)."""
-    drop = forest.children(j) if flavor == "d" else ()
-    z = sum(1 << q for q in forest.parity_set(j) if q not in drop)
-    x = sum(1 << q for q in forest.ancestors(j)) | 1 << j
-    return PauliString(forest.n_sites, x, z | 1 << j if flavor == "d" else z)
+    forest._check_index(j)  # a negative j would index from the end
+    x, z = forest.ancestor_mask[j] | 1 << j, forest.parity_mask[j]
+    if flavor == "d":
+        z = z & ~forest.children_mask[j] | 1 << j
+    return PauliString(forest.n_sites, x, z)
 
 
 def _majorana(spec: EncodingSpec, j: int, flavor: str) -> PauliString:

@@ -4,28 +4,39 @@ A forest partitions the sites into contiguous segments and builds one
 Fenwick tree per segment by the midpoint recursion: connect the right
 end R of a range to floor((L+R)/2) and recurse into the two halves.
 Every parent index therefore exceeds its child's, and each segment is
-rooted at its last index.  The forest answers the set queries needed by
-the tree-based fermion encodings (children, ancestors, lesser cousins
-and the parity set) and performs the occupancy <-> partial-sum bit
-transcoding, all deterministically (set queries return sorted tuples).
+rooted at its last index.  The recursion records each site's sets as
+int bitmasks; the set queries read their bits out as sorted tuples.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 
+def _members(mask: int) -> tuple[int, ...]:
+    return tuple(q for q in range(mask.bit_length()) if mask >> q & 1)
+
+
 @dataclass(frozen=True)
 class FenwickForest:
-    """Immutable parent/child structure over ``n_sites`` sites."""
+    """Immutable parent/child structure over ``n_sites`` sites.
+
+    Bit q of ``children_mask[j]``, ``ancestor_mask[j]`` and ``parity_mask[j]``
+    marks q in F(j), U(j) and P(j) = F(j) u C(j) u the earlier roots.
+    ``build`` fills them in ``connect(left, right, below, above)``, which
+    roots [left, right] at ``right``: the sums stored at ``below`` give the
+    parity of the sites before ``left``, and ``above`` is U(right), so at
+    a singleton j they are P(j) and U(j).
+    """
 
     n_sites: int
     parent: tuple[Optional[int], ...]
     segments: tuple[tuple[int, int], ...]  # half-open [start, stop) ranges
     roots: tuple[int, ...]
-    _children: tuple[tuple[int, ...], ...] = field(repr=False)
+    children_mask: tuple[int, ...] = field(repr=False)
+    ancestor_mask: tuple[int, ...] = field(repr=False)
+    parity_mask: tuple[int, ...] = field(repr=False)
 
     @classmethod
     def build(
@@ -45,32 +56,36 @@ class FenwickForest:
             )
 
         parent: list[Optional[int]] = [None] * n_sites
-        children: list[list[int]] = [[] for _ in range(n_sites)]
+        children = [0] * n_sites
+        ancestors = [0] * n_sites
+        parity = [0] * n_sites
 
-        def connect(left: int, right: int):
+        def connect(left: int, right: int, below: int, above: int):
             if left == right:
+                parity[right], ancestors[right] = below, above
                 return
             mid = (left + right) // 2
             parent[mid] = right
-            children[right].append(mid)
-            connect(left, mid)
-            connect(mid + 1, right)
+            children[right] |= 1 << mid
+            connect(left, mid, below, above | 1 << right)
+            connect(mid + 1, right, below | 1 << mid, above)
 
         segments = []
-        roots = []
-        start = 0
+        below = start = 0
         for size in sizes:
             stop = start + size
-            connect(start, stop - 1)
+            connect(start, stop - 1, below, 0)
+            below |= 1 << (stop - 1)  # the roots of the segments so far
             segments.append((start, stop))
-            roots.append(stop - 1)
             start = stop
         return cls(
             n_sites=n_sites,
             parent=tuple(parent),
             segments=tuple(segments),
-            roots=tuple(roots),
-            _children=tuple(tuple(sorted(c)) for c in children),
+            roots=tuple(stop - 1 for _, stop in segments),
+            children_mask=tuple(children),
+            ancestor_mask=tuple(ancestors),
+            parity_mask=tuple(parity),
         )
 
     def _check_index(self, j: int):
@@ -80,46 +95,30 @@ class FenwickForest:
     def children(self, j: int) -> tuple[int, ...]:
         """F(j): the children of site j."""
         self._check_index(j)
-        return self._children[j]
+        return _members(self.children_mask[j])
 
     def ancestors(self, j: int) -> tuple[int, ...]:
         """U(j): all ancestors of j within its tree, in increasing order."""
         self._check_index(j)
-        out = []
-        node = self.parent[j]
-        while node is not None:
-            out.append(node)
-            node = self.parent[node]
-        return tuple(sorted(out))
+        return _members(self.ancestor_mask[j])
 
     def lesser_cousins(self, j: int) -> tuple[int, ...]:
         """C(j): children, with index below j, of every ancestor of j."""
         self._check_index(j)
-        out = [c for anc in self.ancestors(j) for c in self._children[anc] if c < j]
-        return tuple(sorted(out))
-
-    def roots_before(self, j: int) -> tuple[int, ...]:
-        """Roots of earlier segments, i.e. all roots with index below j."""
-        self._check_index(j)
-        cut = bisect.bisect_left(self.roots, j)
-        return self.roots[:cut]
+        # Each site has one parent, so the ancestors' child masks are disjoint.
+        cousins = sum(self.children_mask[a] for a in _members(self.ancestor_mask[j]))
+        return _members(cousins & ((1 << j) - 1))
 
     def parity_set(self, j: int) -> tuple[int, ...]:
         """P(j) = F(j) u C(j) plus the roots of all earlier segments."""
         self._check_index(j)
-        out = set(self._children[j])
-        out.update(self.lesser_cousins(j))
-        out.update(self.roots_before(j))
-        return tuple(sorted(out))
-
-    def depth_of(self, j: int) -> int:
-        return len(self.ancestors(j))
+        return _members(self.parity_mask[j])
 
     def depth(self) -> int:
         """Depth of the deepest tree in the forest."""
-        return max(self.depth_of(j) for j in range(self.n_sites))
+        return max(mask.bit_count() for mask in self.ancestor_mask)
 
-    def _check_bits(self, bits: Sequence[int]) -> list[int]:
+    def _check_bits(self, bits: Sequence[int]) -> int:
         vals = [int(b) for b in bits]
         if len(vals) != self.n_sites:
             raise ValueError(
@@ -127,20 +126,19 @@ class FenwickForest:
             )
         if any(b not in (0, 1) for b in vals):
             raise ValueError("bits must be 0 or 1")
-        return vals
+        return sum(b << j for j, b in enumerate(vals))  # bits[j] at bit j
 
     def encode(self, occupancies: Sequence[int]) -> tuple[int, ...]:
         """Map occupancies n to stored partial sums x, x_j = n_j + sum_{k in F(j)} x_k mod 2."""
-        n = self._check_bits(occupancies)
-        x = [0] * self.n_sites
-        for j in range(self.n_sites):  # children precede parents
-            x[j] = (n[j] + sum(x[k] for k in self._children[j])) % 2
-        return tuple(x)
+        x = self._check_bits(occupancies)
+        for j, kids in enumerate(self.children_mask):  # children precede parents
+            x ^= ((x & kids).bit_count() & 1) << j  # bit j turns from n_j to x_j
+        return tuple(x >> j & 1 for j in range(self.n_sites))
 
     def decode(self, code: Sequence[int]) -> tuple[int, ...]:
         """Invert :meth:`encode` exactly."""
         x = self._check_bits(code)
         return tuple(
-            (x[j] + sum(x[k] for k in self._children[j])) % 2
-            for j in range(self.n_sites)
+            (x >> j) + (x & kids).bit_count() & 1
+            for j, kids in enumerate(self.children_mask)
         )

@@ -112,6 +112,10 @@ class TestMajoranas:
         spec = EncodingSpec.bravyi_kitaev(4)
         with pytest.raises(IndexError):
             majorana_c(spec, 4)
+        for build in (majorana_c, majorana_d, lowering, raising, number_op):
+            for j in (-1, spec.n_modes):
+                with pytest.raises(IndexError):
+                    build(spec, j)
 
 
 class TestLadder:

@@ -9,6 +9,37 @@ from hypothesis import strategies as st
 from fermap.fenwick import FenwickForest
 
 
+def reference_sets(forest):
+    """F(j), U(j), C(j) and P(j) per site, from ``parent`` and ``roots`` alone.
+
+    These are the paper's definitions, written independently of the
+    forest's masks: F(j) are the sites whose parent is j, U(j) is found
+    by walking parents, C(j) are the children below j of every ancestor
+    of j, and P(j) = F(j) u C(j) u the roots below j.  Each set is a
+    sorted tuple.
+    """
+    n = forest.n_sites
+    children = [{i for i in range(n) if forest.parent[i] == j} for j in range(n)]
+    ancestors = []
+    for j in range(n):
+        up, node = set(), forest.parent[j]
+        while node is not None:
+            up.add(node)
+            node = forest.parent[node]
+        ancestors.append(up)
+    cousins = [
+        {c for a in ancestors[j] for c in children[a] if c < j} for j in range(n)
+    ]
+    parity = [
+        children[j] | cousins[j] | {r for r in forest.roots if r < j}
+        for j in range(n)
+    ]
+    return tuple(
+        [tuple(sorted(s)) for s in sets]
+        for sets in (children, ancestors, cousins, parity)
+    )
+
+
 def floor_log2(n):
     return n.bit_length() - 1
 
@@ -98,6 +129,10 @@ class TestSetQueries:
             f.children(4)
         with pytest.raises(IndexError):
             f.parity_set(-1)
+        for query in (f.children, f.ancestors, f.lesser_cousins, f.parity_set):
+            for j in (-1, f.n_sites):
+                with pytest.raises(IndexError):
+                    query(j)
 
     @pytest.mark.parametrize("sizes", [None, [4, 4], [1, 3, 4], [2, 2, 2, 2]])
     def test_order_invariants(self, sizes):
@@ -108,6 +143,39 @@ class TestSetQueries:
             assert all(i < j for i in f.parity_set(j))
             assert all(i > j for i in f.ancestors(j))
             assert not set(f.parity_set(j)) & set(f.ancestors(j))
+
+
+class TestReference:
+    """Every mask-backed query against the paper's set definitions."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_queries_match_definitions(self, data):
+        # Up to 200 sites, so masks run past one 64-bit word.
+        n_sites = data.draw(st.integers(1, 200))
+        sizes = []
+        left = n_sites
+        while left:
+            size = data.draw(st.integers(1, left))
+            sizes.append(size)
+            left -= size
+        f = FenwickForest.build(n_sites, sizes)
+        children, ancestors, cousins, parity = reference_sets(f)
+        for j in range(n_sites):
+            assert f.children(j) == children[j]
+            assert f.ancestors(j) == ancestors[j]
+            assert f.lesser_cousins(j) == cousins[j]
+            assert f.parity_set(j) == parity[j]
+            assert f.children_mask[j] == sum(1 << q for q in children[j])
+            assert f.ancestor_mask[j] == sum(1 << q for q in ancestors[j])
+            assert f.parity_mask[j] == sum(1 << q for q in parity[j])
+        assert f.depth() == max(len(up) for up in ancestors)
+        bits = [data.draw(st.integers(0, 1)) for _ in range(n_sites)]
+        code = [0] * n_sites
+        for j in range(n_sites):
+            code[j] = (bits[j] + sum(code[k] for k in children[j])) % 2
+        assert f.encode(bits) == tuple(code)
+        assert f.decode(code) == tuple(bits)
 
 
 class TestCoding:

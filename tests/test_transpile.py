@@ -1,19 +1,23 @@
 """The transpile path against naive references, and guards on its work counts.
 
-The references rebuild every Majorana with ``PauliString.from_ops`` and
-sum every Hamiltonian by chained addition, the way the encoders first
-did it.  The encoders must match them exactly: same coefficients, same
-term order, same JSON text.
+The references rebuild every Majorana with ``PauliString.from_ops`` from
+the forest's sets by the paper's definitions (``test_fenwick``'s
+``reference_sets``, not the forest's masks) and sum every Hamiltonian by
+chained addition, the way the encoders first did it.  The encoders must
+match them exactly: same coefficients, same term order, same JSON text.
 """
 
+import functools
 import random
 from collections import Counter
 
 import pytest
+from test_fenwick import reference_sets
 
 from fermap import encodings, lsfs
 from fermap.analysis import model_encoding
 from fermap.encodings import EncodingSpec, encode_model
+from fermap.fenwick import FenwickForest
 from fermap.models import FermionOperator, LatticeSpec, hubbard, hubbard_terms
 from fermap.pauli import PauliString, QubitOperator
 from fermap.verify import random_forest_spec
@@ -32,21 +36,26 @@ def plus(a, b):
     return out
 
 
+# The forest's sets by the paper's definitions, not by its masks.
+reference = functools.cache(reference_sets)
+
+
 def naive_majorana(spec, j, flavor):
-    forest = spec.forest
+    children, ancestors, _, parity = reference(spec.forest)
     if flavor == "c":
-        ops = [(q, "Z") for q in forest.parity_set(j)] + [(j, "X")]
+        ops = [(q, "Z") for q in parity[j]] + [(j, "X")]
     else:
-        zs = set(forest.parity_set(j)) - set(forest.children(j))
+        zs = set(parity[j]) - set(children[j])
         ops = [(q, "Z") for q in sorted(zs)] + [(j, "Y")]
-    ops.extend((q, "X") for q in forest.ancestors(j))
-    return QubitOperator.from_paulistring(PauliString.from_ops(forest.n_sites, ops))
+    ops.extend((q, "X") for q in ancestors[j])
+    return QubitOperator.from_paulistring(PauliString.from_ops(spec.n_modes, ops))
 
 
 def naive_factor(spec, mode, flavor):
     n = spec.n_modes
     if flavor == "n":
-        zs = [(q, "Z") for q in spec.forest.children(mode)] + [(mode, "Z")]
+        children = reference(spec.forest)[0]
+        zs = [(q, "Z") for q in children[mode]] + [(mode, "Z")]
         z_string = QubitOperator.from_paulistring(PauliString.from_ops(n, zs))
         return plus(QubitOperator.identity(n, 0.5), (-0.5) * z_string)
     sign = 0.5j if flavor == "-" else -0.5j
@@ -169,6 +178,11 @@ class TestWorkCount:
             return build(forest, j, flavor)
 
         monkeypatch.setattr(encodings, "_majorana_string", counted_build)
+        queries = ("parity_set", "ancestors", "children", "lesser_cousins")
+        for name in queries:
+            monkeypatch.setattr(
+                FenwickForest, name, counting(name, getattr(FenwickForest, name))
+            )
 
         lattice = LatticeSpec.rectangle(8, 8)
         model = hubbard(lattice, T, U, EPS)
@@ -176,6 +190,9 @@ class TestWorkCount:
         spec = EncodingSpec.jordan_wigner(lattice.n_modes)
         op = encode_model(spec, model)
         assert calls["qubit"] == 0
+        # Majorana strings are ORed from the forest's masks, so no set
+        # query (a sorted tuple per call) runs on the encode path.
+        assert all(calls[name] == 0 for name in queries)
         assert len(builds) == 2 * lattice.n_modes
         assert max(builds.values()) == 1
         # A second pass over the same spec reuses every mask.

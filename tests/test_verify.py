@@ -56,7 +56,9 @@ class TestCar:
             parent=(None, None),
             segments=((0, 2),),
             roots=(1,),
-            _children=((), ()),
+            children_mask=(0, 0),
+            ancestor_mask=(0, 0),
+            parity_mask=(0, 0),
         )
         result = check_car(EncodingSpec("forest", broken))
         assert not result.passed
