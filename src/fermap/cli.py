@@ -28,7 +28,6 @@ from . import analysis, aux_fermion, lsfs
 from .encodings import EncodingSpec, encode_model
 from .models import LatticeSpec, hubbard
 from .pauli import DENSE_CAP_DEFAULT
-from .verify import run_suite
 
 
 class ConfigError(Exception):
@@ -247,6 +246,7 @@ def _cmd_fig6(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_suite  # dense checks: the only command that loads numpy
     if args.trials < 1:
         raise ConfigError("--trials must be at least 1")
     report = run_suite(

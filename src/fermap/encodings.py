@@ -14,17 +14,19 @@ exact Pauli algebra.
 Every encoding is a per-mode table of Majorana bitmasks: a spec ORs the
 c_j and d_j strings from the forest's parity, children and ancestor
 masks on first use of mode j and keeps them for its own lifetime.
-``encode_model`` multiplies them out per term and sums terms in place.
+``encode_model`` multiplies each term's factors as mask-keyed term maps
+``{(x_mask, z_mask): coeff}`` and sums the terms into one operator in place.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from .fenwick import FenwickForest
 from .models import LOWER, NUMBER, RAISE, FermionOperator
-from .pauli import PauliString, QubitOperator
+from .pauli import PauliString, QubitOperator, _add_terms, _mul_terms
 
 KINDS = ("jw", "bk", "forest")
 
@@ -89,24 +91,35 @@ def majorana_d(spec: EncodingSpec, j: int) -> QubitOperator:
     return QubitOperator.from_paulistring(_majorana(spec, j, "d"))
 
 
+def _ladder_terms(spec: EncodingSpec, j: int, flavor: str) -> dict:
+    """Term map of a_j, a^dag_j or n_j, straight from j's Majorana masks."""
+    c, d = _majorana(spec, j, "c"), _majorana(spec, j, "d")
+    if flavor == NUMBER:  # (1 - Z on F(j) and j) / 2
+        return {(0, 0): 0.5 + 0j, (0, c.z_mask ^ d.z_mask): -0.5 + 0j}
+    # (c_j +- i d_j) / 2; a +0.0 real part, as ``QubitOperator(n, {d: -0.5j})`` folds it.
+    d_coeff = complex(0.0, 0.5 if flavor == LOWER else -0.5)
+    return {(c.x_mask, c.z_mask): 0.5 + 0j, (d.x_mask, d.z_mask): d_coeff}
+
+
+def _ladder_op(spec: EncodingSpec, j: int, flavor: str) -> QubitOperator:
+    op = QubitOperator(spec.n_modes)
+    op._terms = _ladder_terms(spec, j, flavor)
+    return op
+
+
 def lowering(spec: EncodingSpec, j: int) -> QubitOperator:
     """a_j = (c_j + i d_j) / 2."""
-    c, d = _majorana(spec, j, "c"), _majorana(spec, j, "d")
-    return QubitOperator(spec.n_modes, {c: 0.5, d: 0.5j})
+    return _ladder_op(spec, j, LOWER)
 
 
 def raising(spec: EncodingSpec, j: int) -> QubitOperator:
     """a^dag_j = (c_j - i d_j) / 2."""
-    c, d = _majorana(spec, j, "c"), _majorana(spec, j, "d")
-    return QubitOperator(spec.n_modes, {c: 0.5, d: -0.5j})
+    return _ladder_op(spec, j, RAISE)
 
 
 def number_op(spec: EncodingSpec, j: int) -> QubitOperator:
     """n_j = (1 + i c_j d_j) / 2 = (1 - Z on F(j) and j) / 2."""
-    c, d = _majorana(spec, j, "c"), _majorana(spec, j, "d")
-    n = spec.n_modes
-    z_string = PauliString(n, 0, c.z_mask ^ d.z_mask)  # Z on F(j) and j
-    return QubitOperator(n, {PauliString.identity(n): 0.5, z_string: -0.5})
+    return _ladder_op(spec, j, NUMBER)
 
 
 def hopping_op(spec: EncodingSpec, j: int, k: int) -> QubitOperator:
@@ -117,9 +130,6 @@ def hopping_op(spec: EncodingSpec, j: int, k: int) -> QubitOperator:
         majorana_c(spec, k) * majorana_d(spec, j)
         + majorana_c(spec, j) * majorana_d(spec, k)
     )
-
-
-_FACTOR_BUILDERS = {RAISE: raising, LOWER: lowering, NUMBER: number_op}
 
 
 def encode_model(spec: EncodingSpec, model: FermionOperator) -> QubitOperator:
@@ -134,8 +144,7 @@ def encode_model(spec: EncodingSpec, model: FermionOperator) -> QubitOperator:
         raise IndexError(f"model has {model.n_modes} modes, encoding only {n}")
     total = QubitOperator.zero(n)
     for coeff, factors in model.terms:
-        acc = QubitOperator.identity(n)
-        for mode, flavor in factors:
-            acc = acc * _FACTOR_BUILDERS[flavor](spec, mode)
-        total._add_in_place(coeff * acc)
+        maps = [_ladder_terms(spec, mode, flavor) for mode, flavor in factors]
+        acc = functools.reduce(_mul_terms, maps or [{(0, 0): 1 + 0j}])
+        _add_terms(total._terms, ((key, coeff * c) for key, c in acc.items()))
     return total

@@ -23,11 +23,12 @@ so the codespace spectrum is insensitive to this global sign choice
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .pauli import DENSE_CAP_DEFAULT, PauliString, QubitOperator
+
+if TYPE_CHECKING:
+    import numpy as np
 
 @dataclass(frozen=True)
 class EdgeLayout:
@@ -231,6 +232,7 @@ def codespace_projector(
     layout: EdgeLayout, cap: int = DENSE_CAP_DEFAULT
 ) -> np.ndarray:
     """Dense projector onto the joint +1 eigenspace of all stabilizers."""
+    import numpy as np
     dim = 1 << layout.n_edges
     proj = np.eye(dim, dtype=complex)
     for stab in stabilizers(layout):

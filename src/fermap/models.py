@@ -17,11 +17,12 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .pauli import DENSE_CAP_DEFAULT, DenseCapError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 RAISE = "+"
 LOWER = "-"
@@ -271,6 +272,7 @@ def _check_fock_cap(n_modes: int, cap: int):
 
 
 def _ladder_matrix(n_modes: int, mode: int, flavor: str) -> np.ndarray:
+    import numpy as np
     dim = 1 << n_modes
     states = np.arange(dim, dtype=np.uint64)
     bit = np.uint64(1 << mode)
@@ -296,6 +298,7 @@ def fock_matrix(
     op: FermionOperator, cap: int = DENSE_CAP_DEFAULT
 ) -> np.ndarray:
     """Dense matrix of a FermionOperator in the occupation-number basis."""
+    import numpy as np
     _check_fock_cap(op.n_modes, cap)
     dim = 1 << op.n_modes
     total = np.zeros((dim, dim), dtype=complex)
@@ -308,6 +311,7 @@ def fock_matrix(
 
 
 def total_number_matrix(n_modes: int, cap: int = DENSE_CAP_DEFAULT) -> np.ndarray:
+    import numpy as np
     _check_fock_cap(n_modes, cap)
     states = np.arange(1 << n_modes, dtype=np.uint64)
     return np.diag(np.bitwise_count(states).astype(float)).astype(complex)
@@ -315,6 +319,7 @@ def total_number_matrix(n_modes: int, cap: int = DENSE_CAP_DEFAULT) -> np.ndarra
 
 def parity_matrix(n_modes: int, cap: int = DENSE_CAP_DEFAULT) -> np.ndarray:
     """Diagonal (-1)^(particle number) operator."""
+    import numpy as np
     _check_fock_cap(n_modes, cap)
     states = np.arange(1 << n_modes, dtype=np.uint64)
     signs = 1.0 - 2.0 * (np.bitwise_count(states).astype(np.int64) % 2)

@@ -19,7 +19,9 @@ growing sum at every step.
 
 Dense matrices are rendered only at desk scale (``DENSE_CAP_DEFAULT``
 qubits by default) and are meant for verification oracles, not
-simulation.
+simulation.  numpy is imported inside the dense kernels alone, here and
+in ``models`` and ``lsfs``: importing it costs more than the rest of
+``fermap``, and encoding, measuring and tabulating never need it.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
-
-import numpy as np
 
 DENSE_CAP_DEFAULT = 12
 
@@ -52,6 +52,27 @@ def _mul_masks(xa: int, za: int, xb: int, zb: int) -> tuple[int, int, int]:
     x, z = xa ^ xb, za ^ zb
     exp = (xa & za).bit_count() + (xb & zb).bit_count() - (x & z).bit_count()
     return x, z, (exp + 2 * (za & xb).bit_count()) % 4
+
+
+def _mul_terms(a: dict, b: dict) -> dict:
+    """Product of two ``{(x_mask, z_mask): coeff}`` maps, exact zeros dropped."""
+    out = {}
+    for (xa, za), ca in a.items():
+        for (xb, zb), cb in b.items():
+            x, z, exp = _mul_masks(xa, za, xb, zb)
+            out[x, z] = out.get((x, z), 0j) + ca * cb * _PHASES[exp]
+    return {key: c for key, c in out.items() if c}
+
+
+def _add_terms(terms: dict, items: Iterable[tuple[tuple[int, int], complex]]):
+    """Add unique-key ``(key, coeff)`` items into ``terms``; exact zeros drop out."""
+    for key, coeff in items:
+        if coeff:
+            coeff = terms.get(key, 0j) + coeff
+            if coeff:
+                terms[key] = coeff
+            else:
+                del terms[key]
 
 
 def _check_same_size(a, b):
@@ -243,13 +264,7 @@ class QubitOperator:
     def _add_in_place(self, other: "QubitOperator") -> "QubitOperator":
         """``self + other`` written into ``self``: same sums, same term order."""
         _check_same_size(self, other)
-        terms = self._terms
-        for key, coeff in other._terms.items():
-            coeff = terms.get(key, 0j) + coeff
-            if coeff:
-                terms[key] = coeff
-            else:  # keys of ``other`` are unique, so this is pruning after the loop
-                del terms[key]
+        _add_terms(self._terms, other._terms.items())
         return self
 
     def __sub__(self, other: "QubitOperator") -> "QubitOperator":
@@ -273,12 +288,7 @@ class QubitOperator:
             return NotImplemented
         _check_same_size(self, other)
         out = QubitOperator(self.n_qubits)
-        terms = out._terms
-        for (xa, za), ca in self._terms.items():
-            for (xb, zb), cb in other._terms.items():
-                x, z, exp = _mul_masks(xa, za, xb, zb)
-                terms[x, z] = terms.get((x, z), 0j) + ca * cb * _PHASES[exp]
-        out._prune()
+        out._terms = _mul_terms(self._terms, other._terms)
         return out
 
     def adjoint(self) -> "QubitOperator":
@@ -310,6 +320,7 @@ class QubitOperator:
 
     def to_dense(self, cap: int = DENSE_CAP_DEFAULT):
         """Exact dense matrix of the sum, qubit 0 least significant."""
+        import numpy as np
         if self.n_qubits > cap:
             raise DenseCapError(
                 f"{self.n_qubits} qubits exceeds dense cap of {cap}"

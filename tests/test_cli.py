@@ -614,6 +614,45 @@ class TestGoldenText:
         assert (tmp_path / written).read_text() == expected
 
 
+# Runs fermap.cli.main in a fresh interpreter, then fails if numpy was loaded.
+COLD_START = """
+import sys
+from fermap.cli import main
+try:
+    rc = main(sys.argv[1:])
+except SystemExit as exc:
+    rc = exc.code
+assert rc == 0, f"exit code {rc}"
+assert "numpy" not in sys.modules, "numpy was imported"
+"""
+
+
+class TestColdStart:
+    @pytest.mark.parametrize(
+        "job",
+        [
+            ["--help"],
+            ["encode", "--w", "2", "--h", "2", "--encoding", "jw"],
+            ["encode", "--w", "2", "--h", "2", "--encoding", "lsfs"],
+            ["tables", "--w", "4", "--h", "3", "--format", "csv"],
+            ["sweep", "--w", "8"],
+            ["fig6", "--w-min", "2", "--w-max", "3"],
+            ["analyze", "--w", "3", "--h", "2"],
+            ["plan-aux", "--w", "3", "--h", "3"],
+        ],
+        ids=["help", "encode-jw", "encode-lsfs", "tables", "sweep", "fig6", "analyze",
+             "plan-aux"],
+    )
+    def test_no_numpy_outside_dense_kernels(self, job, tmp_path):
+        """Only dense matrices need numpy; every other command runs without loading it."""
+        root = Path(__file__).resolve().parents[1]
+        out = [] if job == ["--help"] else ["--out", str(tmp_path / "out")]
+        argv = [sys.executable, "-c", COLD_START, *job, *out]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+
 class TestBenchTracer:
     @pytest.mark.parametrize(
         "job",

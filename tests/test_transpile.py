@@ -2,16 +2,21 @@
 
 The references rebuild every Majorana with ``PauliString.from_ops`` from
 the forest's sets by the paper's definitions (``test_fenwick``'s
-``reference_sets``, not the forest's masks) and sum every Hamiltonian by
-chained addition, the way the encoders first did it.  The encoders must
-match them exactly: same coefficients, same term order, same JSON text.
+``reference_sets``, not the forest's masks), multiply operators string by
+string with ``PauliString.__mul__`` (not the term-map kernel) and sum
+every Hamiltonian by chained addition, the way the encoders first did it.
+The encoders must match them exactly: same coefficients, same term order,
+same JSON text.
 """
 
 import functools
+import math
 import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_fenwick import reference_sets
 
 from fermap import encodings, lsfs
@@ -33,6 +38,17 @@ def plus(a, b):
         terms[ps] = terms.get(ps, 0j) + coeff
     out = QubitOperator(a.n_qubits)
     out._terms = {(ps.x_mask, ps.z_mask): c for ps, c in terms.items() if c != 0}
+    return out
+
+
+def times(a, b):
+    """``a * b`` string by string, each product's phase folded in by ``_add_term``."""
+    assert a.n_qubits == b.n_qubits
+    out = QubitOperator(a.n_qubits)
+    for pa, ca in a.terms.items():
+        for pb, cb in b.terms.items():
+            out._add_term(pa * pb, ca * cb)
+    out._prune()
     return out
 
 
@@ -69,7 +85,7 @@ def naive_encode(spec, model):
     for coeff, factors in model.terms:
         acc = QubitOperator.identity(n)
         for mode, flavor in factors:
-            acc = acc * naive_factor(spec, mode, flavor)
+            acc = times(acc, naive_factor(spec, mode, flavor))
         total = plus(total, coeff * acc)
     return total
 
@@ -95,7 +111,7 @@ def naive_hubbard_lsfs(w, h, t, u, eps, delta):
     for k in range(layout.n_vertices):
         n_dn = lsfs.number_term(layout, k).embedded(2 * n_edges, 0)
         n_up = lsfs.number_term(layout, k).embedded(2 * n_edges, n_edges)
-        total = plus(total, u * (n_dn * n_up))
+        total = plus(total, u * times(n_dn, n_up))
     return total
 
 
@@ -143,6 +159,45 @@ class TestExactness:
             assert encodings.majorana_c(spec, j) == naive_majorana(spec, j, "c")
             assert encodings.majorana_d(spec, j) == naive_majorana(spec, j, "d")
 
+    def test_ladder_factors_match_operator_forms(self):
+        """Each factor's coefficients, signed zeros included, as ``_add_term`` folds them."""
+
+        def parts(op):
+            return [
+                (key, math.copysign(1.0, c.real), c.real, math.copysign(1.0, c.imag), c.imag)
+                for key, c in op._terms.items()
+            ]
+
+        n = 11
+        for spec in (EncodingSpec.jordan_wigner(n), random_forest_spec(n, random.Random(3))):
+            children = reference(spec.forest)[0]
+            for j in range(n):
+                (c,) = naive_majorana(spec, j, "c").terms
+                (d,) = naive_majorana(spec, j, "d").terms
+                z = PauliString.from_ops(n, [(q, "Z") for q in (*children[j], j)])
+                forms = {
+                    encodings.lowering: QubitOperator(n, {c: 0.5, d: 0.5j}),
+                    encodings.raising: QubitOperator(n, {c: 0.5, d: -0.5j}),
+                    encodings.number_op: QubitOperator(
+                        n, {PauliString.identity(n): 0.5, z: -0.5}
+                    ),
+                }
+                for build, form in forms.items():
+                    assert parts(build(spec, j)) == parts(form)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_encode_model_edge_terms(self, data):
+        """Terms of 0-3 factors: lone n_j, repeated modes, signed-zero coefficients."""
+        n = data.draw(st.integers(1, 5))
+        spec = random_forest_spec(n, random.Random(data.draw(st.integers(0, 99))))
+        parts = st.sampled_from([0.0, -0.0, 0.5, -1.25]) | st.floats(-4, 4)
+        coeffs = st.builds(complex, parts, parts) | parts
+        factors = st.tuples(st.integers(0, n - 1), st.sampled_from(["+", "-", "n"]))
+        terms = st.tuples(coeffs, st.lists(factors, max_size=3).map(tuple))
+        model = FermionOperator(n, tuple(data.draw(st.lists(terms, max_size=6))))
+        assert_identical(encode_model(spec, model), naive_encode(spec, model))
+
     def test_hubbard_concatenates_terms(self):
         lattice = LatticeSpec.rectangle(3, 2)
         expected = FermionOperator.zero(lattice.n_modes)
@@ -168,9 +223,10 @@ class TestWorkCount:
         monkeypatch.setattr(
             FermionOperator, "__add__", counting("fermion", FermionOperator.__add__)
         )
-        monkeypatch.setattr(
-            QubitOperator, "__add__", counting("qubit", QubitOperator.__add__)
-        )
+        for name in ("__add__", "__mul__", "__rmul__"):
+            monkeypatch.setattr(
+                QubitOperator, name, counting(name, getattr(QubitOperator, name))
+            )
         build = encodings._majorana_string
 
         def counted_build(forest, j, flavor):
@@ -189,7 +245,9 @@ class TestWorkCount:
         assert calls["fermion"] == 0
         spec = EncodingSpec.jordan_wigner(lattice.n_modes)
         op = encode_model(spec, model)
-        assert calls["qubit"] == 0
+        # Factors are multiplied and scaled as term maps: no operator
+        # sum, product or scaling per factor or per term.
+        assert calls["__add__"] == calls["__mul__"] == calls["__rmul__"] == 0
         # Majorana strings are ORed from the forest's masks, so no set
         # query (a sorted tuple per call) runs on the encode path.
         assert all(calls[name] == 0 for name in queries)
