@@ -194,12 +194,15 @@ def _cmd_encode(args) -> int:
 
 def _cmd_analyze(args) -> int:
     lattice, t, u, _ = _load_model_config(args)
+    rectangle = lattice.kind == "rectangle"
     if args.encoding != "all":
         names = [args.encoding.lower()]
-    elif lattice.kind == "rectangle":
-        names = ["jw", "bk", "sbk", "af", "lsfs"]
-    else:  # the loop-stabilized layout is defined on rectangles only
-        names = ["jw", "bk", "sbk", "af"]
+    else:  # the encodings that exist on this lattice
+        names = ["jw", "bk", "sbk"]
+        if min((lattice.w, lattice.h) if rectangle else (lattice.w,)) >= 2:
+            names.append("af")  # AF plans need every side >= 2
+        if rectangle and lattice.n_sites >= 2:
+            names.append("lsfs")  # an edge layout needs two vertices
     rows = []
     for name in names:
         per_class = analysis.measure(name, lattice, args.segment_size, t, u)

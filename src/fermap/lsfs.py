@@ -23,12 +23,10 @@ so the codespace spectrum is insensitive to this global sign choice
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
-from .pauli import DENSE_CAP_DEFAULT, PauliString, QubitOperator
+from .pauli import DENSE_CAP_DEFAULT, DenseCapError, PauliString, QubitOperator
 
-if TYPE_CHECKING:
-    import numpy as np
 
 @dataclass(frozen=True)
 class EdgeLayout:
@@ -228,16 +226,19 @@ def hubbard_lsfs(
     return total
 
 
-def codespace_projector(
-    layout: EdgeLayout, cap: int = DENSE_CAP_DEFAULT
-) -> np.ndarray:
-    """Dense projector onto the joint +1 eigenspace of all stabilizers."""
-    import numpy as np
-    dim = 1 << layout.n_edges
-    proj = np.eye(dim, dtype=complex)
+def codespace_projector(layout: EdgeLayout, cap: int = DENSE_CAP_DEFAULT):
+    """Dense projector onto the joint +1 eigenspace of all stabilizers.
+
+    Multiplies (1 + S_p)/2 in the exact Pauli algebra after the cap check
+    (the product has up to 2^P terms) and renders it once with ``to_dense``.
+    """
+    n = layout.n_edges
+    if n > cap:
+        raise DenseCapError(f"{n} qubits exceeds dense cap of {cap}")
+    proj = QubitOperator.identity(n)
     for stab in stabilizers(layout):
-        proj = proj @ (np.eye(dim) + stab.to_dense(cap)) / 2.0
-    return proj
+        proj = proj * (QubitOperator.identity(n, 0.5) + 0.5 * stab)
+    return proj.to_dense(cap)
 
 
 def default_penalty(t: float, u: float, eps: float) -> float:

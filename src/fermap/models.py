@@ -6,10 +6,10 @@ ids) or a hypercubic lattice of dimension D and side w carries 2 * sites
 modes: the spin-down block occupies mode indices [0, sites) and spin-up
 occupies [sites, 2*sites).
 
-The module also hosts the dense Fock-space oracle: an occupation-basis
-matrix builder with explicit antisymmetric sign bookkeeping, which the
-verification suite uses as the reference representation independent of
-any Pauli-string pathway.
+The module also hosts the dense Fock-space oracle: each term acts on
+every occupation-basis state at once, with explicit antisymmetric sign
+bookkeeping, and the verification suite uses it as the reference
+representation independent of any Pauli-string pathway.
 """
 
 from __future__ import annotations
@@ -260,8 +260,11 @@ def hubbard(spec: LatticeSpec, t: float, u: float, eps: float = 0.0) -> FermionO
 # ---------------------------------------------------------------------------
 # Dense Fock-space oracle.
 #
-# Basis state s has occupancy n_j = bit j of s; a_j carries the sign
-# (-1)^(number of occupied modes below j).  This is a direct occupation-
+# Basis state s has occupancy n_j = bit j of s.  A term acts on all basis
+# states at once, its rightmost factor first: a factor zeroes the states
+# it annihilates (a_j needs n_j = 1, a^dag_j needs n_j = 0, n_j keeps the
+# occupied ones), and a ladder factor then multiplies by (-1)^(number of
+# occupied modes below j) and flips bit j.  This is a direct occupation-
 # number construction and shares no code with the Pauli-string pathway.
 # ---------------------------------------------------------------------------
 
@@ -271,29 +274,6 @@ def _check_fock_cap(n_modes: int, cap: int):
         raise DenseCapError(f"{n_modes} modes exceeds dense cap of {cap}")
 
 
-def _ladder_matrix(n_modes: int, mode: int, flavor: str) -> np.ndarray:
-    import numpy as np
-    dim = 1 << n_modes
-    states = np.arange(dim, dtype=np.uint64)
-    bit = np.uint64(1 << mode)
-    below = np.uint64((1 << mode) - 1)
-    signs = 1.0 - 2.0 * (np.bitwise_count(states & below).astype(np.int64) % 2)
-    occupied = (states & bit) != 0
-    mat = np.zeros((dim, dim), dtype=complex)
-    if flavor == NUMBER:
-        mat[states[occupied], states[occupied]] = 1.0
-        return mat
-    if flavor == LOWER:
-        src = states[occupied]
-    elif flavor == RAISE:
-        src = states[~occupied]
-    else:
-        raise ValueError(f"unknown factor flavor {flavor!r}")
-    dst = src ^ bit
-    mat[dst, src] = signs[src]
-    return mat
-
-
 def fock_matrix(
     op: FermionOperator, cap: int = DENSE_CAP_DEFAULT
 ) -> np.ndarray:
@@ -301,12 +281,20 @@ def fock_matrix(
     import numpy as np
     _check_fock_cap(op.n_modes, cap)
     dim = 1 << op.n_modes
+    src = np.arange(dim, dtype=np.uint64)
     total = np.zeros((dim, dim), dtype=complex)
     for coeff, factors in op.terms:
-        acc = np.eye(dim, dtype=complex)
-        for mode, flavor in factors:  # leftmost factor acts last
-            acc = acc @ _ladder_matrix(op.n_modes, mode, flavor)
-        total += coeff * acc
+        state = src.copy()
+        amp = np.full(dim, coeff, dtype=complex)
+        for mode, flavor in reversed(factors):
+            bit = np.uint64(1 << mode)
+            # a^dag_j kills the occupied states, a_j and n_j the empty ones
+            amp[((state & bit) != 0) == (flavor == RAISE)] = 0
+            if flavor != NUMBER:
+                odd = np.bitwise_count(state & np.uint64((1 << mode) - 1)) % 2 == 1
+                amp[odd] = -amp[odd]
+                state ^= bit
+        total[state, src] += amp  # one (row, column) pair per source state
     return total
 
 

@@ -2,11 +2,14 @@
 
 Two kinds of check live here.  Symbolic checks sweep (anti)commutation
 identities in the exact Pauli algebra, where any nonzero residual
-operator is a hard failure.  Dense checks compare eigenvalue multisets
-of desk-scale matrices against the occupation-basis Fock oracle at
-fixed tolerances (1e-9 for spectra, 1e-12 for commutators, 1e-6 for
-penalty arithmetic) and are skipped, not failed, when they exceed the
-dense cap.
+operator is a hard failure.  Dense checks render desk-scale matrices
+from the two dense kernels, ``models.fock_matrix`` and
+``QubitOperator.to_dense``, at fixed tolerances (1e-9 for spectra, 1e-12
+for commutators, 1e-6 for penalty arithmetic): forest encodings match
+the Fock matrix entry by entry through the forest's basis map, the
+loop-stabilized codespace matches the even sector's spectrum, and the
+penalty check renders the penalty ``lsfs.single_spin_hamiltonian``
+ships.  They are skipped, not failed, when they exceed the dense cap.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -49,13 +52,7 @@ class CheckResult:
         return self.status == "pass"
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "max_residual": self.max_residual,
-            "wall_time_s": self.wall_time_s,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 def _timed(name: str, body: Callable[[], tuple[bool, float, str]]) -> CheckResult:
@@ -220,20 +217,27 @@ def spectra_match(
     cap: int = DENSE_CAP_DEFAULT,
     name: Optional[str] = None,
 ) -> CheckResult:
-    """Sorted eigenvalue multisets of a model under two encodings agree."""
+    """A model under two encodings equals its Fock matrix entry by entry.
+
+    Fock state s (n_j = bit j of s) maps to the qubit basis state
+    ``code[s]``, whose bit j is bit j of ``spec.forest.encode(n)``, so the
+    encoded matrix restricted to ``code`` must equal the Fock matrix.
+    """
     label = name or f"spectra-{spec_a.kind}-vs-{spec_b.kind}"
     if lattice.n_modes > cap:
         return _skipped(label, lattice.n_modes, cap)
 
     def body():
         model = hubbard(lattice, t, u)
-        reference = np.sort(np.linalg.eigvalsh(fock_matrix(model, cap)))
+        reference = fock_matrix(model, cap)
+        n = lattice.n_modes
         worst = 0.0
         for spec in (spec_a, spec_b):
-            evals = np.sort(
-                np.linalg.eigvalsh(encode_model(spec, model).to_dense(cap))
-            )
-            worst = max(worst, float(np.max(np.abs(evals - reference))))
+            occupancies = ([s >> j & 1 for j in range(n)] for s in range(1 << n))
+            codes = map(spec.forest.encode, occupancies)
+            code = [sum(bit << j for j, bit in enumerate(x)) for x in codes]
+            encoded = encode_model(spec, model).to_dense(cap)[np.ix_(code, code)]
+            worst = max(worst, float(np.max(np.abs(encoded - reference))))
         return worst <= SPECTRUM_TOL, worst, ""
 
     return _timed(label, body)
@@ -268,8 +272,9 @@ def lsfs_sector_match(
 ) -> CheckResult:
     """Loop-stabilized codespace spectrum equals the even-parity sector.
 
-    The reference is the Fock representation of the same single-spin
-    lattice model restricted to even particle number.
+    The codespace projector and the Hamiltonian are rendered from the
+    exact Pauli algebra; the reference is the Fock matrix of the same
+    single-spin lattice model restricted to even particle number.
     """
     label = f"lsfs-sector-{w}x{h}"
     layout = lsfs.EdgeLayout(w, h)
@@ -306,7 +311,8 @@ def penalty_gap_check(
 ) -> CheckResult:
     """Penalty arithmetic: one violated stabilizer costs exactly delta.
 
-    Checks that the low-lying spectrum of H + penalty reproduces the
+    Renders the penalized Hamiltonian that ``single_spin_hamiltonian``
+    ships and checks that its low-lying spectrum reproduces the
     codespace spectrum (shifted by the penalty ground contribution), and
     that the penalty-induced part of the code/violation gap is linear:
     it equals delta and doubles when delta does.
@@ -317,11 +323,10 @@ def penalty_gap_check(
         return _skipped(label, layout.n_edges, cap)
 
     def body():
-        stabs = [s.to_dense(cap) for s in lsfs.stabilizers(layout)]
-        if not stabs:
+        n_stabs = len(layout.plaquettes())
+        if not n_stabs:
             return False, float("inf"), "no plaquettes to penalize"
         ham = lsfs.single_spin_hamiltonian(layout, t, eps).to_dense(cap)
-        penalty = sum(stabs)
         projector = lsfs.codespace_projector(layout, cap)
         dim = projector.shape[0]
         code_spec, code_dim = _restricted_spectrum(ham, projector)
@@ -331,13 +336,14 @@ def penalty_gap_check(
         sector_offset = float(viol_spec[0] - code_spec[0])
 
         def gap(delta_value: float) -> tuple[np.ndarray, float]:
-            evals = np.sort(np.linalg.eigvalsh(ham - (delta_value / 2.0) * penalty))
+            penalized = lsfs.single_spin_hamiltonian(layout, t, eps, delta_value)
+            evals = np.sort(np.linalg.eigvalsh(penalized.to_dense(cap)))
             return evals, float(evals[code_dim] - evals[0])
 
         evals_1, gap_1 = gap(delta)
         _, gap_2 = gap(2.0 * delta)
 
-        shift = len(stabs) * delta / 2.0
+        shift = n_stabs * delta / 2.0
         low_res = float(np.max(np.abs(evals_1[:code_dim] + shift - code_spec)))
         linear_res = abs(gap_1 - (delta + sector_offset))
         double_res = abs(gap_2 - (2.0 * delta + sector_offset))

@@ -120,6 +120,26 @@ class TestAnalyze:
         assert list(dict.fromkeys(r.split(",")[0] for r in rows)) == ["jw", "bk", "sbk", "af"]
 
     @pytest.mark.parametrize(
+        "args, names",
+        [
+            (["--w", "2", "--h", "1"], ["jw", "bk", "sbk", "lsfs"]),
+            (["--dim", "2", "--w", "1"], ["jw", "bk", "sbk"]),
+            (["--w", "1", "--h", "1"], ["jw", "bk", "sbk"]),
+        ],
+        ids=["2x1", "hypercube-side-1", "1x1"],
+    )
+    def test_all_lists_encodings_that_exist(self, args, names, capsys):
+        assert run(["analyze", *args]) == 0
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert list(dict.fromkeys(r.split(",")[0] for r in rows)) == names
+
+    def test_explicit_af_on_strip_rejected(self, capsys):
+        assert run(["analyze", "--w", "2", "--h", "1", "--encoding", "af"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "fermap: rectangular planning needs w, h >= 2\n"
+
+    @pytest.mark.parametrize(
         "w, h, hop",
         [("1", "4", "lsfs,vertical,3"), ("4", "1", "lsfs,horizontal,3")],
     )

@@ -17,7 +17,7 @@ from fermap.lsfs import (
     stabilizers,
 )
 from fermap.models import LatticeSpec, fock_matrix, hubbard
-from fermap.pauli import PauliString, QubitOperator
+from fermap.pauli import DenseCapError, PauliString, QubitOperator
 
 
 def string_of(op):
@@ -354,7 +354,34 @@ class TestHamiltonians:
         assert default_penalty(1.0, 4.0, 0.5) == 40.0
 
 
+def dense_projector(layout):
+    """Reference projector: the dense product of (I + S_p)/2 over plaquettes."""
+    dim = 1 << layout.n_edges
+    proj = np.eye(dim, dtype=complex)
+    for stab in stabilizers(layout):
+        proj = proj @ (np.eye(dim) + stab.to_dense()) / 2.0
+    return proj
+
+
+# Every layout with at most 10 edges: strips up to 11 sites, 2x2, 2x3,
+# 3x2, 2x4 and 4x2.  The 12-edge 3x3 reference product takes about 20 s
+# and 1 GB of memory on a 2-core machine, too much for the tier-1 suite.
+SMALL_LAYOUTS = [
+    (w, h) for w in range(1, 12) for h in range(1, 12)
+    if w * h >= 2 and 2 * w * h - w - h <= 10
+]
+
+
 class TestCodespace:
+    @pytest.mark.parametrize("w, h", SMALL_LAYOUTS)
+    def test_projector_is_dense_product(self, w, h):
+        layout = EdgeLayout(w, h)
+        assert codespace_projector(layout).tobytes() == dense_projector(layout).tobytes()
+
+    def test_projector_past_cap_raises(self):
+        with pytest.raises(DenseCapError):
+            codespace_projector(EdgeLayout(4, 4))
+
     def test_projector_rank_2x2(self):
         proj = codespace_projector(EdgeLayout(2, 2))
         assert int(round(np.trace(proj).real)) == 8

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermap.models import (
     LOWER,
@@ -18,6 +20,7 @@ from fermap.models import (
     parity_matrix,
     total_number_matrix,
 )
+from fermap.pauli import DenseCapError
 
 
 class TestLattice:
@@ -172,3 +175,64 @@ class TestOrderingLocality:
                 assert dist == 1
             else:
                 assert dist == min(w, h)
+
+
+def ladder_matrix(n_modes, mode, flavor):
+    """Dense 2^n x 2^n matrix of one ladder or number factor."""
+    dim = 1 << n_modes
+    states = np.arange(dim, dtype=np.uint64)
+    bit = np.uint64(1 << mode)
+    below = np.uint64((1 << mode) - 1)
+    signs = 1.0 - 2.0 * (np.bitwise_count(states & below).astype(np.int64) % 2)
+    occupied = (states & bit) != 0
+    mat = np.zeros((dim, dim), dtype=complex)
+    if flavor == NUMBER:
+        mat[states[occupied], states[occupied]] = 1.0
+        return mat
+    src = states[occupied] if flavor == LOWER else states[~occupied]
+    mat[src ^ bit, src] = signs[src]
+    return mat
+
+
+def ladder_product(op):
+    """Reference Fock matrix: each term as a product of factor matrices."""
+    dim = 1 << op.n_modes
+    total = np.zeros((dim, dim), dtype=complex)
+    for coeff, factors in op.terms:
+        acc = np.eye(dim, dtype=complex)
+        for mode, flavor in factors:  # leftmost factor acts last
+            acc = acc @ ladder_matrix(op.n_modes, mode, flavor)
+        total += coeff * acc
+    return total
+
+
+COEFFICIENTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, complex(-0.0, 0.0), complex(0.0, -0.0),
+                     complex(-0.0, -0.0), complex(-2.5, -0.0), complex(-0.0, 0.5)]),
+    st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def fermion_operators(draw):
+    n = draw(st.integers(1, 6))
+    factor = st.tuples(st.integers(0, n - 1), st.sampled_from([RAISE, LOWER, NUMBER]))
+    term = st.tuples(COEFFICIENTS.map(complex), st.lists(factor, max_size=4).map(tuple))
+    return FermionOperator(n, tuple(draw(st.lists(term, max_size=5))))
+
+
+class TestFockExactness:
+    """``fock_matrix`` equals the factor-matrix product byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(fermion_operators())
+    def test_matches_ladder_product(self, op):
+        assert fock_matrix(op).tobytes() == ladder_product(op).tobytes()
+
+    def test_hubbard_2x2(self):
+        model = hubbard(LatticeSpec.rectangle(2, 2), t=0.7, u=1.9, eps=0.3)
+        assert fock_matrix(model).tobytes() == ladder_product(model).tobytes()
+
+    def test_cap(self):
+        with pytest.raises(DenseCapError):
+            fock_matrix(FermionOperator.zero(5), cap=4)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from fermap import encodings
 from fermap.encodings import EncodingSpec
 from fermap.lsfs import EdgeLayout
 from fermap.models import LatticeSpec
@@ -172,6 +173,29 @@ class TestSuite:
         data = json.loads(report.to_json())
         assert data["status"] == "pass"
         assert {c["name"] for c in data["checks"]} >= {"car-jw-n7", "car-bk-n7"}
+
+    def test_sign_flipped_number_operator_fails_spectra(self, monkeypatch):
+        # n_j -> (1 + Z)/2 keeps every spectrum (particle-hole symmetry);
+        # only the entrywise basis map sees it.
+        ladder_terms = encodings._ladder_terms
+
+        def flipped(spec, j, flavor):
+            terms = ladder_terms(spec, j, flavor)
+            if flavor != "n":
+                return terms
+            return {key: c if key == (0, 0) else -c for key, c in terms.items()}
+
+        monkeypatch.setattr(encodings, "_ladder_terms", flipped)
+        report = run_suite(forest_trials=5)
+        assert len(report.checks) == 11
+        failed = [c.name for c in report.checks if c.status == "fail"]
+        assert failed == ["spectra-2x2-jw-vs-bk", "spectra-2x2-jw-vs-sbk"]
+
+    def test_to_dict_keys(self):
+        (check, *_) = run_suite(symbolic_only=True, forest_trials=2).checks
+        assert list(check.to_dict()) == [
+            "name", "status", "max_residual", "wall_time_s", "detail"
+        ]
 
     def test_deterministic_given_seed(self):
         a = run_suite(symbolic_only=True, forest_trials=8, seed=11)
