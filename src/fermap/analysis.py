@@ -181,8 +181,9 @@ def measure_lsfs(w: int, h: int) -> dict[str, int]:
     worst: dict[str, int] = {}
     # The lattice's site ids are the layout's vertex ids (r * w + c).
     for vert_u, vert_v, klass in LatticeSpec.rectangle(w, h).edges():
-        weight = lsfs.hopping_term(layout, vert_u, vert_v).max_weight()
-        worst[klass] = max(worst.get(klass, 0), weight)
+        hop = lsfs.hopping_term(layout, vert_u, vert_v)
+        if not hop.is_zero():  # the one hop of a two-site strip encodes to zero
+            worst[klass] = max(worst.get(klass, 0), hop.max_weight())
     for k in range(layout.n_vertices):
         n_k = lsfs.number_term(layout, k)
         n_dn, n_up = n_k.embedded(n_total, 0), n_k.embedded(n_total, layout.n_edges)

@@ -4,7 +4,9 @@ Subcommands: encode, analyze, tables, sweep, fig6, verify, plan-aux.
 Every output is a file (JSON or CSV with a versioned header comment)
 written atomically; repeated runs with the same configuration produce
 byte-identical files, except the ``verify --out`` report, which records
-each check's ``wall_time_s``.  Numeric defaults can be
+each check's ``wall_time_s``.  ``encode`` splices the operator text of
+``QubitOperator.to_json_text``, whose tests hold it byte-identical to
+``json.dumps(..., sort_keys=True, indent=1)``.  Numeric defaults can be
 overridden with FERMAP_-prefixed environment variables (FERMAP_T,
 FERMAP_U, FERMAP_EPS, FERMAP_DELTA, FERMAP_DENSE_CAP, FERMAP_SEED);
 FERMAP_EPS sets the default of ``encode --eps`` only, since no other
@@ -103,9 +105,15 @@ def _parse_segments(raw: str) -> list[int]:
         raise ConfigError(f"bad segment list {raw!r}") from exc
 
 
+def _json_with_last(head: dict, key: str, text: str) -> str:
+    """``json.dumps(head | {key: value}, sort_keys=True, indent=1) + "\\n"``
+    from ``text``, the value's text at depth 1; ``key`` sorts after ``head``'s."""
+    start = json.dumps(head, sort_keys=True, indent=1)[:-2]  # drop "\n}"
+    return f'{start},\n "{key}": {text}\n}}\n'
+
+
 def _meta_json(meta: dict, operator) -> str:
-    payload = {"meta": meta, "operator": operator.to_json_dict()}
-    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+    return _json_with_last({"meta": meta}, "operator", operator.to_json_text(1))
 
 
 # ---------------------------------------------------------------------------
@@ -143,15 +151,10 @@ def _cmd_encode(args) -> int:
         out = args.out or "lsfs_operator.json"
         _write_atomic(Path(out), _meta_json(meta, operator))
         stabs = lsfs.stabilizers(layout)
-        sidecar = {
-            "n_qubits": layout.n_edges,
-            "count": len(stabs),
-            "stabilizers": [s.to_json_dict() for s in stabs],
-        }
-        _write_atomic(
-            Path(out).with_suffix(".stabilizers.json"),
-            json.dumps(sidecar, sort_keys=True, indent=1) + "\n",
-        )
+        items = ",\n  ".join(s.to_json_text(2) for s in stabs)
+        head = {"n_qubits": layout.n_edges, "count": len(stabs)}
+        text = _json_with_last(head, "stabilizers", f"[\n  {items}\n ]" if stabs else "[]")
+        _write_atomic(Path(out).with_suffix(".stabilizers.json"), text)
         rows = []
         for plq, stab in zip(layout.plaquettes(), stabs):
             ((string, coeff),) = stab.sorted_terms()

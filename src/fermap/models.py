@@ -75,18 +75,6 @@ class FermionOperator:
             tuple((scalar * c, f) for c, f in self.terms),
         )
 
-    def hermitian_conjugate(self) -> "FermionOperator":
-        flip = {RAISE: LOWER, LOWER: RAISE, NUMBER: NUMBER}
-        out = []
-        for coeff, factors in self.terms:
-            out.append(
-                (
-                    coeff.conjugate(),
-                    tuple((m, flip[fl]) for m, fl in reversed(factors)),
-                )
-            )
-        return FermionOperator(self.n_modes, tuple(out))
-
     def __len__(self) -> int:
         return len(self.terms)
 
@@ -296,13 +284,6 @@ def fock_matrix(
                 state ^= bit
         total[state, src] += amp  # one (row, column) pair per source state
     return total
-
-
-def total_number_matrix(n_modes: int, cap: int = DENSE_CAP_DEFAULT) -> np.ndarray:
-    import numpy as np
-    _check_fock_cap(n_modes, cap)
-    states = np.arange(1 << n_modes, dtype=np.uint64)
-    return np.diag(np.bitwise_count(states).astype(float)).astype(complex)
 
 
 def parity_matrix(n_modes: int, cap: int = DENSE_CAP_DEFAULT) -> np.ndarray:

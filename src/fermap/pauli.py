@@ -15,7 +15,9 @@ follow one phase rule (``_mul_masks``), shared with ``PauliString``.
 
 Long sums are accumulated in place (``QubitOperator._add_in_place``):
 the coefficients and term order of chained ``+``, without copying the
-growing sum at every step.
+growing sum at every step.  One writer, ``QubitOperator.to_json_text``,
+serializes straight from the masks; tests pin its text byte for byte to
+``json.dumps(to_json_dict(), sort_keys=True, indent=1)`` at any depth.
 
 Dense matrices are rendered only at desk scale (``DENSE_CAP_DEFAULT``
 qubits by default) and are meant for verification oracles, not
@@ -35,6 +37,7 @@ DENSE_CAP_DEFAULT = 12
 _PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
 _LETTERS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 class DimensionError(ValueError):
@@ -73,6 +76,15 @@ def _add_terms(terms: dict, items: Iterable[tuple[tuple[int, int], complex]]):
                 terms[key] = coeff
             else:
                 del terms[key]
+
+
+def _ops(x: int, z: int) -> Iterator[tuple[int, str]]:
+    """Non-identity (qubit, letter) pairs of the masks, in qubit order."""
+    support = x | z
+    while support:  # one step per set bit, lowest first
+        low = support & -support
+        yield low.bit_length() - 1, _LETTERS[(x & low) != 0, (z & low) != 0]
+        support ^= low
 
 
 def _check_same_size(a, b):
@@ -142,21 +154,9 @@ class PauliString:
         """Number of qubits acted on non-trivially."""
         return (self.x_mask | self.z_mask).bit_count()
 
-    def letter_at(self, qubit: int) -> str:
-        if not 0 <= qubit < self.n_qubits:
-            raise IndexError(f"qubit {qubit} outside register of {self.n_qubits}")
-        return _LETTERS[(self.x_mask >> qubit) & 1, (self.z_mask >> qubit) & 1]
-
     def ops(self) -> tuple[tuple[int, str], ...]:
         """Non-identity (qubit, letter) pairs in qubit order."""
-        x, z = self.x_mask, self.z_mask
-        out = []
-        support = x | z
-        while support:  # one step per set bit, lowest first
-            q = (support & -support).bit_length() - 1
-            out.append((q, _LETTERS[(x >> q) & 1, (z >> q) & 1]))
-            support &= support - 1
-        return tuple(out)
+        return tuple(_ops(self.x_mask, self.z_mask))
 
     def __mul__(self, other: "PauliString") -> "PauliString":
         if not isinstance(other, PauliString):
@@ -270,9 +270,6 @@ class QubitOperator:
     def __sub__(self, other: "QubitOperator") -> "QubitOperator":
         return self + (-1.0) * other
 
-    def __neg__(self) -> "QubitOperator":
-        return (-1.0) * self
-
     def __rmul__(self, scalar) -> "QubitOperator":
         if isinstance(scalar, (int, float, complex)):
             out = QubitOperator(self.n_qubits)
@@ -339,15 +336,30 @@ class QubitOperator:
         return mat
 
     def to_json_dict(self) -> dict:
-        terms = []
-        for ps, coeff in self.sorted_terms():
-            terms.append(
-                {
-                    "coeff": [coeff.real, coeff.imag],
-                    "paulis": [[q, letter] for q, letter in ps.ops()],
-                }
-            )
+        terms = [
+            {"coeff": [c.real, c.imag], "paulis": [[q, letter] for q, letter in ps.ops()]}
+            for ps, c in self.sorted_terms()
+        ]
         return {"n_qubits": self.n_qubits, "terms": terms}
+
+    def to_json_text(self, depth: int = 0) -> str:
+        """``json.dumps(self.to_json_dict(), sort_keys=True, indent=1)`` at
+        nesting ``depth``, written straight from the term masks."""
+        p0, p1, p2, p3, p4, p5 = ("\n" + " " * (depth + k) for k in range(6))
+        pairs = {}  # (qubit, letter) -> its [q, "L"] text, built once per call
+        terms = []
+        for (x, z), c in sorted(self._terms.items(), key=lambda item: (item[0][1], item[0][0])):
+            paulis = []
+            for pair in _ops(x, z):
+                if pair not in pairs:
+                    pairs[pair] = f'[{p5}{pair[0]},{p5}"{pair[1]}"{p4}]'
+                paulis.append(pairs[pair])
+            paulis = f"[{p4}{(',' + p4).join(paulis)}{p3}]" if paulis else "[]"
+            re, im = float.__repr__(c.real), float.__repr__(c.imag)  # as json spells floats
+            re, im = _JSON_NONFINITE.get(re, re), _JSON_NONFINITE.get(im, im)
+            terms.append(f'{{{p3}"coeff": [{p4}{re},{p4}{im}{p3}],{p3}"paulis": {paulis}{p2}}}')
+        terms = f"[{p2}{(',' + p2).join(terms)}{p1}]" if terms else "[]"
+        return f'{{{p1}"n_qubits": {self.n_qubits},{p1}"terms": {terms}{p0}}}'
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "QubitOperator":

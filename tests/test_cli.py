@@ -1,5 +1,6 @@
 """Command-line interface: outputs, determinism, and exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -7,8 +8,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_pauli import reference_json_dict
 
+from fermap import lsfs
+from fermap.analysis import model_encoding
 from fermap.cli import main
+from fermap.encodings import EncodingSpec, encode_model
+from fermap.models import LatticeSpec, hubbard
 from fermap.pauli import QubitOperator
 
 
@@ -96,6 +102,129 @@ class TestEncode:
         assert run(["encode", "--encoding", "jw"]) == 2
 
 
+def dumps(data):
+    return json.dumps(data, sort_keys=True, indent=1) + "\n"
+
+
+def tree_operator(spec, lattice, t=1.0, u=1.0, eps=0.0):
+    return encode_model(spec, hubbard(lattice, t, u, eps))
+
+
+RECT, CUBE = LatticeSpec.rectangle, LatticeSpec.hypercube
+# Each case's operator file must equal json.dumps(sort_keys=True, indent=1)
+# of the reference data of the same operator, rebuilt here.
+TREE_FILES = {
+    "jw": (["--w", "3", "--h", "2", "--eps", "0.3"],
+           lambda: tree_operator(model_encoding("jw", RECT(3, 2)), RECT(3, 2), eps=0.3)),
+    "bk": (["--w", "2", "--h", "3", "--encoding", "bk", "--t", "1.5", "--u", "-0.5"],
+           lambda: tree_operator(model_encoding("bk", RECT(2, 3)), RECT(2, 3), 1.5, -0.5)),
+    "sbk": (["--w", "3", "--h", "3", "--encoding", "sbk", "--ordering", "row_major"],
+            lambda: tree_operator(model_encoding("sbk", RECT(3, 3, "row_major")),
+                                  RECT(3, 3, "row_major"))),
+    "forest": (["--w", "2", "--h", "2", "--encoding", "forest", "--segments", "3,5"],
+               lambda: tree_operator(EncodingSpec.from_segments([3, 5]), RECT(2, 2))),
+    "hypercube": (["--dim", "3", "--w", "2", "--encoding", "sbk"],
+                  lambda: tree_operator(model_encoding("sbk", CUBE(3, 2)), CUBE(3, 2))),
+}
+LSFS_FILES = {
+    "both-spins": (["--w", "3", "--h", "2", "--u", "2"], 3, 2, "both"),
+    "single-spin": (["--w", "3", "--h", "3", "--u", "0", "--spin", "single"], 3, 3, "single"),
+    "single-spin-strip": (["--w", "3", "--h", "1", "--u", "0", "--spin", "single"], 3, 1, "single"),
+}
+
+
+class TestEncodeText:
+    @pytest.mark.parametrize("case", sorted(TREE_FILES))
+    def test_tree_operator_file_is_json_dumps_text(self, case, tmp_path):
+        args, build = TREE_FILES[case]
+        out = tmp_path / "op.json"
+        assert run(["encode", *args, "--out", str(out)]) == 0
+        text = out.read_text()
+        meta = json.loads(text)["meta"]
+        assert text == dumps({"meta": meta, "operator": reference_json_dict(build())})
+
+    def test_stdout_without_out_is_json_dumps_text(self, capsys):
+        args, build = TREE_FILES["jw"]
+        assert run(["encode", *args]) == 0
+        text = capsys.readouterr().out
+        meta = json.loads(text)["meta"]
+        assert text == dumps({"meta": meta, "operator": reference_json_dict(build())})
+
+    @pytest.mark.parametrize("case", sorted(LSFS_FILES))
+    def test_lsfs_files_are_reference_text(self, case, tmp_path):
+        args, w, h, spin = LSFS_FILES[case]
+        out = tmp_path / "lsfs.json"
+        assert run(["encode", "--encoding", "lsfs", *args, "--out", str(out)]) == 0
+        layout = lsfs.EdgeLayout(w, h)
+        meta = json.loads(out.read_text())["meta"]
+        if spin == "both":
+            operator = lsfs.hubbard_lsfs(w, h, meta["t"], meta["U"], meta["eps"], meta["delta"])
+        else:
+            operator = lsfs.single_spin_hamiltonian(layout, meta["t"], meta["eps"], meta["delta"])
+        expected = {"meta": meta, "operator": reference_json_dict(operator)}
+        assert out.read_text() == dumps(expected)
+        stabs = lsfs.stabilizers(layout)
+        sidecar = {
+            "count": len(stabs),
+            "n_qubits": layout.n_edges,
+            "stabilizers": [reference_json_dict(s) for s in stabs],
+        }
+        assert (tmp_path / "lsfs.stabilizers.json").read_text() == dumps(sidecar)
+        rows = [
+            f"{' '.join(map(str, plq))},{(s.x_mask | s.z_mask).bit_count()},{int(c.real)}"
+            for plq, stab in zip(layout.plaquettes(), stabs)
+            for s, c in stab.terms.items()
+        ]
+        csv = "# fermap plaquette-report v1: plaquette,weight,sign\nplaquette,weight,sign\n"
+        assert (tmp_path / "lsfs.plaquettes.csv").read_text() == csv + "".join(
+            row + "\n" for row in rows
+        )
+
+    @pytest.mark.parametrize("w, h", [(3, 3), (4, 2), (3, 1)])
+    def test_stabilizer_sidecar_round_trips(self, w, h, tmp_path):
+        out = tmp_path / "lsfs.json"
+        assert run(["encode", "--encoding", "lsfs", "--w", str(w), "--h", str(h),
+                    "--u", "0", "--spin", "single", "--out", str(out)]) == 0
+        sidecar = json.loads((tmp_path / "lsfs.stabilizers.json").read_text())
+        layout = lsfs.EdgeLayout(w, h)
+        stabs = lsfs.stabilizers(layout)
+        assert sidecar["count"] == len(stabs) == len(sidecar["stabilizers"])
+        assert sidecar["n_qubits"] == layout.n_edges
+        read = [QubitOperator.from_json_dict(entry) for entry in sidecar["stabilizers"]]
+        assert read == stabs
+
+
+# sha256 of every file the two commands write, recorded while operator JSON
+# still went through json.dumps; they hold the bytes fixed.
+PINNED_SHA256 = {
+    "jw-4x3-eps": (
+        ["--w", "4", "--h", "3", "--eps", "0.3"],
+        {"op.json": "ea8887097ecf03b6ea9f9e9e276a47aea6ff297739c6f2668bdd37130c21b48e"},
+    ),
+    "lsfs-3x3": (
+        ["--w", "3", "--h", "3", "--encoding", "lsfs"],
+        {
+            "op.json": "7088649eedaf5694908b2b4b1ad0a5445c439a6e6c217b2fc6c29ffd62e013ae",
+            "op.plaquettes.csv":
+                "0fb09b5281b5e8c3968c548184d18f21399ef56193b0e230d16bf194c70a51bf",
+            "op.stabilizers.json":
+                "0fe6f5d6ef0ad4a4b542759cb765cf4b5b65e4968e8027b180770f9cadf2626f",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_SHA256))
+def test_encode_files_match_pinned_sha256(case, tmp_path):
+    args, pins = PINNED_SHA256[case]
+    assert run(["encode", *args, "--out", str(tmp_path / "op.json")]) == 0
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in tmp_path.iterdir()
+    }
+    assert digests == pins
+
+
 class TestAnalyze:
     def test_all_encodings(self, tmp_path):
         out = tmp_path / "measured.csv"
@@ -147,6 +276,16 @@ class TestAnalyze:
         assert run(["analyze", "--w", w, "--h", h, "--encoding", "lsfs"]) == 0
         rows = capsys.readouterr().out.splitlines()[2:]
         assert rows == ["lsfs,density-density,4", hop]
+
+    @pytest.mark.parametrize("encoding", ["lsfs", "all"])
+    @pytest.mark.parametrize("w, h, hop", [("2", "1", "horizontal"), ("1", "2", "vertical")])
+    def test_two_site_strip_has_no_lsfs_hop_row(self, w, h, hop, encoding, capsys):
+        """The one LSFS hop of a two-site strip encodes to zero: no class, no row."""
+        assert run(["analyze", "--w", w, "--h", h, "--encoding", encoding]) == 0
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert [r for r in rows if r.startswith("lsfs,")] == ["lsfs,density-density,2"]
+        if encoding == "all":
+            assert f"jw,{hop},2" in rows
 
     def test_explicit_lsfs_on_hypercube_rejected(self, capsys):
         assert run(["analyze", "--dim", "2", "--w", "3", "--encoding", "lsfs"]) == 2

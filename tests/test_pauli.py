@@ -1,6 +1,7 @@
 """Pauli string and operator algebra, checked against dense matrices."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +19,12 @@ from fermap.pauli import (
 
 def ps(n, ops, phase_exp=0):
     return PauliString.from_ops(n, ops, phase_exp)
+
+
+def letter_at(string, qubit):
+    """The letter on one qubit, read bit by bit from the masks."""
+    bits = (string.x_mask >> qubit) & 1, (string.z_mask >> qubit) & 1
+    return {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}[bits]
 
 
 def random_string(draw, n):
@@ -42,7 +49,7 @@ def kron_dense(string):
     }
     out = np.eye(1, dtype=complex)
     for q in reversed(range(string.n_qubits)):
-        out = np.kron(out, mats[string.letter_at(q)])
+        out = np.kron(out, mats[letter_at(string, q)])
     return string.phase * out
 
 
@@ -135,7 +142,7 @@ class TestStringProperties:
     @given(st.sampled_from([1, 61, 62, 64, 65, 200]).flatmap(pauli_strings))
     def test_ops_matches_letter_scan(self, a):
         scan = tuple(
-            (q, a.letter_at(q)) for q in range(a.n_qubits) if a.letter_at(q) != "I"
+            (q, letter_at(a, q)) for q in range(a.n_qubits) if letter_at(a, q) != "I"
         )
         assert a.ops() == scan
 
@@ -281,7 +288,7 @@ def letter_product(a, b):
     """``a * b`` qubit by qubit from the one-qubit table, without the mask rule."""
     exp, ops = a.phase_exp + b.phase_exp, []
     for q in range(a.n_qubits):
-        e, letter = one_qubit_product(a.letter_at(q), b.letter_at(q))
+        e, letter = one_qubit_product(letter_at(a, q), letter_at(b, q))
         exp += e
         ops.append((q, letter))
     return PauliString.from_ops(a.n_qubits, ops, exp)
@@ -310,16 +317,26 @@ def ref_add(a, b):
     return terms
 
 
-def ref_json(n, terms):
+def ref_json_dict(n, terms):
+    """The operator's JSON data from a string-keyed term map, letter by letter."""
     rows = sorted(terms.items(), key=lambda item: (item[0].z_mask, item[0].x_mask))
     body = [
         {
             "coeff": [c.real, c.imag],
-            "paulis": [[q, s.letter_at(q)] for q in range(n) if s.letter_at(q) != "I"],
+            "paulis": [[q, letter_at(s, q)] for q in range(n) if letter_at(s, q) != "I"],
         }
         for s, c in rows
     ]
-    return json.dumps({"n_qubits": n, "terms": body})
+    return {"n_qubits": n, "terms": body}
+
+
+def ref_json(n, terms):
+    return json.dumps(ref_json_dict(n, terms))
+
+
+def reference_json_dict(op):
+    """``op.to_json_dict()`` rebuilt without the library's serializers."""
+    return ref_json_dict(op.n_qubits, op.terms)
 
 
 def assert_matches(op, n, ref):
@@ -377,3 +394,70 @@ class TestMaskKeyedReference:
             QubitOperator(3).embedded(4, 2)
         with pytest.raises(DimensionError):
             QubitOperator(3).embedded(4, -1)
+
+
+# The writer must return exactly the text ``json.dumps(..., sort_keys=True,
+# indent=1)`` gives the operator's data nested ``depth`` levels deep.  The
+# reference nests the data in single-key objects and lets ``json`` format all
+# of it; the writer's text is wrapped in the same envelope by hand.
+
+PARTS = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, 1.0, -0.5, 1 / 3, math.nan, math.inf, -math.inf, 5e-324, -2.5e-310]
+    ),
+    st.floats(),
+)
+
+
+def nested_reference(data, depth):
+    for _ in range(depth):
+        data = {"op": data}
+    return json.dumps(data, sort_keys=True, indent=1)
+
+
+def nested_text(text, depth):
+    for level in reversed(range(depth)):
+        text = "{\n" + " " * (level + 1) + '"op": ' + text + "\n" + " " * level + "}"
+    return text
+
+
+def raw_operator(n, terms):
+    """An operator holding exactly ``terms``: no folding, pruning or phase."""
+    op = QubitOperator(n)
+    op._terms = dict(terms)
+    return op
+
+
+@st.composite
+def raw_operators(draw):
+    n = draw(st.sampled_from([0, 1, 63, 64, 65, 200]))
+    masks = st.integers(0, (1 << n) - 1)
+    coeffs = st.builds(complex, PARTS, PARTS)
+    return raw_operator(n, draw(st.dictionaries(st.tuples(masks, masks), coeffs, max_size=6)))
+
+
+class TestJsonText:
+    @settings(max_examples=300, deadline=None)
+    @given(raw_operators(), st.integers(0, 3))
+    def test_matches_json_dumps_at_depth(self, op, depth):
+        expected = nested_reference(reference_json_dict(op), depth)
+        assert nested_text(op.to_json_text(depth), depth) == expected
+
+    @pytest.mark.parametrize("depth", range(4))
+    @pytest.mark.parametrize("n", [0, 1, 64, 200])
+    @pytest.mark.parametrize(
+        "terms",
+        [{}, {(0, 0): 1 + 0j}, {(0, 0): complex(-0.0, math.nan)}],
+        ids=["empty", "identity", "identity-nan"],
+    )
+    def test_empty_and_identity(self, terms, n, depth):
+        op = raw_operator(n, terms)
+        expected = nested_reference(reference_json_dict(op), depth)
+        assert nested_text(op.to_json_text(depth), depth) == expected
+
+    def test_nonfinite_and_signed_zero_spellings(self):
+        op = raw_operator(2, {(1, 2): complex(-0.0, math.inf), (2, 0): complex(math.nan, -math.inf)})
+        text = op.to_json_text()
+        for spelling in ("-0.0", "Infinity", "NaN", "-Infinity"):
+            assert f"\n    {spelling}" in text
+        assert text == json.dumps(op.to_json_dict(), sort_keys=True, indent=1)
