@@ -387,6 +387,8 @@ def sbk_segment_sweep(
         segment_sizes = sorted({min(s, w) for s in segment_sizes} | {w})
     results = []
     for size in segment_sizes:
+        if size > w:  # no row of width w holds a larger tree
+            raise ValueError(f"segment size {size} exceeds the row width {w}")
         spec = EncodingSpec.from_segments(sbk_row_segments(w, 2, size))
         worst = 0
         for c in range(w):

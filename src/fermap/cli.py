@@ -89,13 +89,23 @@ def _load_model_config(args) -> tuple[LatticeSpec, float, float, float]:
             return spec, t, u, eps
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed model config: {exc}") from exc
-    if args.dim is not None:
-        if args.w is None:
-            raise ConfigError("hypercubic lattices need --w")
-        return LatticeSpec.hypercube(args.dim, args.w, args.ordering), t, u, eps
-    if args.w is None or args.h is None:
-        raise ConfigError("specify --model, or --w and --h (or --dim and --w)")
-    return LatticeSpec.rectangle(args.w, args.h, args.ordering), t, u, eps
+    dim, w, h = _lattice_flags(args, "lattices")
+    if dim is not None:
+        return LatticeSpec.hypercube(dim, w, args.ordering), t, u, eps
+    return LatticeSpec.rectangle(w, h, args.ordering), t, u, eps
+
+
+def _lattice_flags(args, noun: str) -> tuple[Optional[int], int, Optional[int]]:
+    """(dim, w, None) for a hypercube, (None, w, h) for a rectangle."""
+    if args.dim is None:
+        if args.w is None or args.h is None:
+            raise ConfigError(f"rectangular {noun} need --w and --h")
+        return None, args.w, args.h
+    if args.w is None:
+        raise ConfigError(f"hypercubic {noun} need --w")
+    if args.h is not None:
+        raise ConfigError(f"hypercubic {noun} take no --h: every side is --w")
+    return args.dim, args.w, None
 
 
 def _parse_segments(raw: str) -> list[int]:
@@ -216,14 +226,11 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_tables(args) -> int:
-    if args.dim is not None:
-        if args.w is None:
-            raise ConfigError("hypercubic tables need --w")
-        report = analysis.table_II(args.dim, args.w, measured=args.measure)
+    dim, w, h = _lattice_flags(args, "tables")
+    if dim is not None:
+        report = analysis.table_II(dim, w, measured=args.measure)
     else:
-        if args.w is None or args.h is None:
-            raise ConfigError("rectangular tables need --w and --h")
-        report = analysis.table_I(args.w, args.h, measured=args.measure)
+        report = analysis.table_I(w, h, measured=args.measure)
     if not report.rows:
         raise ConfigError("degenerate lattice: tables need sides >= 2 and --dim >= 1")
     text = report.to_csv() if args.format == "csv" else report.to_markdown()
@@ -255,6 +262,9 @@ def _cmd_verify(args) -> int:
     from .verify import run_suite  # dense checks: the only command that loads numpy
     if args.trials < 1:
         raise ConfigError("--trials must be at least 1")
+    if args.dense_cap < 0:
+        cap = args.dense_cap
+        raise ConfigError(f"--dense-cap (FERMAP_DENSE_CAP) must be at least 0, not {cap}")
     report = run_suite(
         symbolic_only=(args.suite == "symbolic"),
         cap=args.dense_cap,
@@ -270,14 +280,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_plan_aux(args) -> int:
-    if args.dim is not None:
-        if args.w is None:
-            raise ConfigError("hypercubic plans need --w")
-        plan = aux_fermion.plan_hypercubic(args.dim, args.w)
-    else:
-        if args.w is None or args.h is None:
-            raise ConfigError("rectangular plans need --w and --h")
-        plan = aux_fermion.plan(args.w, args.h)
+    dim, w, h = _lattice_flags(args, "plans")
+    plan = aux_fermion.plan_hypercubic(dim, w) if dim is not None else aux_fermion.plan(w, h)
     profile = aux_fermion.locality_profile(plan)
     if args.format == "json":
         payload = {

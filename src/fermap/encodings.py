@@ -12,8 +12,9 @@ so a_j = (c_j + i d_j) / 2 and number/hopping operators follow from the
 exact Pauli algebra.
 
 Every encoding is a per-mode table of Majorana bitmasks: a spec ORs the
-c_j and d_j strings from the forest's parity, children and ancestor
-masks on first use of mode j and keeps them for its own lifetime.
+c_j and d_j strings of every mode from the forest's parity, children and
+ancestor masks once, on its first encode, and keeps the table for its
+own lifetime.
 ``encode_model`` multiplies each term's factors as mask-keyed term maps
 ``{(x_mask, z_mask): coeff}`` and sums the terms into one operator in place.
 """
@@ -21,7 +22,7 @@ masks on first use of mode j and keeps them for its own lifetime.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .fenwick import FenwickForest
@@ -37,10 +38,6 @@ class EncodingSpec:
 
     kind: str
     forest: FenwickForest
-    # (mode, "c" | "d") -> bare Majorana string, filled on first use.
-    _majoranas: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -63,37 +60,37 @@ class EncodingSpec:
     def n_modes(self) -> int:
         return self.forest.n_sites
 
+    @functools.cached_property
+    def majoranas(self) -> tuple[tuple[PauliString, PauliString], ...]:
+        """Per mode j, its (c_j, d_j) strings, ORed once from the forest's masks.
 
-def _majorana_string(forest: FenwickForest, j: int, flavor: str) -> PauliString:
-    """c_j: Z on P(j), X on j and U(j).  d_j: Y on j instead, no Z on F(j)."""
-    forest._check_index(j)  # a negative j would index from the end
-    x, z = forest.ancestor_mask[j] | 1 << j, forest.parity_mask[j]
-    if flavor == "d":
-        z = z & ~forest.children_mask[j] | 1 << j
-    return PauliString(forest.n_sites, x, z)
-
-
-def _majorana(spec: EncodingSpec, j: int, flavor: str) -> PauliString:
-    """The c_j or d_j string of ``spec``, built at most once per spec."""
-    string = spec._majoranas.get((j, flavor))
-    if string is None:
-        string = spec._majoranas[j, flavor] = _majorana_string(spec.forest, j, flavor)
-    return string
+        c_j: Z on P(j), X on j and U(j).  d_j: Y on j instead, no Z on F(j).
+        """
+        forest, n = self.forest, self.n_modes
+        masks = zip(forest.ancestor_mask, forest.parity_mask, forest.children_mask)
+        table = []
+        for j, (ancestors, parity, children) in enumerate(masks):
+            x, d_z = ancestors | 1 << j, parity & ~children | 1 << j
+            table.append((PauliString(n, x, parity), PauliString(n, x, d_z)))
+        return tuple(table)
 
 
 def majorana_c(spec: EncodingSpec, j: int) -> QubitOperator:
     """c_j = a_j + a^dag_j: Z on the parity set, X on j and its ancestors."""
-    return QubitOperator.from_paulistring(_majorana(spec, j, "c"))
+    spec.forest._check_index(j)  # a negative j would index from the end
+    return QubitOperator.from_paulistring(spec.majoranas[j][0])
 
 
 def majorana_d(spec: EncodingSpec, j: int) -> QubitOperator:
     """d_j = i (a^dag_j - a_j): like c_j but Y on j and no Z on j's children."""
-    return QubitOperator.from_paulistring(_majorana(spec, j, "d"))
+    spec.forest._check_index(j)
+    return QubitOperator.from_paulistring(spec.majoranas[j][1])
 
 
 def _ladder_terms(spec: EncodingSpec, j: int, flavor: str) -> dict:
     """Term map of a_j, a^dag_j or n_j, straight from j's Majorana masks."""
-    c, d = _majorana(spec, j, "c"), _majorana(spec, j, "d")
+    spec.forest._check_index(j)
+    c, d = spec.majoranas[j]
     if flavor == NUMBER:  # (1 - Z on F(j) and j) / 2
         return {(0, 0): 0.5 + 0j, (0, c.z_mask ^ d.z_mask): -0.5 + 0j}
     # (c_j +- i d_j) / 2; a +0.0 real part, as ``QubitOperator(n, {d: -0.5j})`` folds it.

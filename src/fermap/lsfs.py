@@ -7,10 +7,13 @@ endpoints, signed by the antisymmetric tensor eps_jk (+1 for j > k).
 Products of the four edge generators around a unit plaquette are the
 stabilizers whose joint +1 eigenspace carries the encoded fermions.
 
-Vertices are indexed row-major (r * w + c).  Edge qubits enumerate all
-horizontal edges row-major first, then all vertical edges row-major;
-this fixes deterministic operator serialization.  A directional edge
-that would leave the lattice contributes an identity factor.
+Vertices are the row-major site ids (r * w + c) of
+``LatticeSpec.rectangle(w, h)``, and edge qubits number its ``edges()``
+with every horizontal edge first, each kind in the lattice's row-major
+order; this fixes deterministic operator serialization.  Each layout
+builds one incidence table (vertex -> neighbour -> edge qubit) once, and
+every generator reads it.  A directional edge that would leave the
+lattice contributes an identity factor.
 
 Hopping terms are built from the generator sandwich (A B_k +/- B_j A)/2
 with the overall sign fixed so that the horizontal nearest-neighbour
@@ -22,9 +25,11 @@ so the codespace spectrum is insensitive to this global sign choice
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
+from .models import LatticeSpec
 from .pauli import DENSE_CAP_DEFAULT, DenseCapError, PauliString, QubitOperator
 
 
@@ -44,62 +49,39 @@ class EdgeLayout:
         return self.w * self.h
 
     @property
-    def n_horizontal(self) -> int:
-        return self.h * (self.w - 1)
-
-    @property
     def n_edges(self) -> int:
         return self.h * (self.w - 1) + self.w * (self.h - 1)
 
-    def vertex(self, r: int, c: int) -> int:
-        return r * self.w + c
+    def edges(self) -> list[tuple[int, int]]:
+        """All edges (u < v) in qubit-index order: the lattice's, horizontal first."""
+        lattice_edges = LatticeSpec.rectangle(self.w, self.h).edges()
+        ordered = sorted(lattice_edges, key=lambda edge: edge[2] != "horizontal")
+        return [(u, v) for u, v, _ in ordered]
 
-    def coords(self, k: int) -> tuple[int, int]:
-        if not 0 <= k < self.n_vertices:
-            raise IndexError(f"vertex {k} outside {self.w}x{self.h} lattice")
-        return divmod(k, self.w)
-
-    def neighbors(self, k: int) -> tuple[int, ...]:
-        r, c = self.coords(k)
-        out = []
-        if c > 0:
-            out.append(k - 1)
-        if c + 1 < self.w:
-            out.append(k + 1)
-        if r > 0:
-            out.append(k - self.w)
-        if r + 1 < self.h:
-            out.append(k + self.w)
-        return tuple(sorted(out))
+    @functools.cached_property
+    def incidence(self) -> tuple[dict[int, int], ...]:
+        """Per vertex, its neighbours mapped to the qubits of their shared edges."""
+        table: tuple[dict[int, int], ...] = tuple({} for _ in range(self.n_vertices))
+        for qubit, (u, v) in enumerate(self.edges()):
+            table[u][v] = table[v][u] = qubit
+        return table
 
     def edge_index(self, u: int, v: int) -> int:
         """Qubit index of the edge {u, v}; raises on non-edges."""
-        a, b = min(u, v), max(u, v)
-        ra, ca = self.coords(a)
-        rb, cb = self.coords(b)
-        if ra == rb and cb == ca + 1:
-            return ra * (self.w - 1) + ca
-        if ca == cb and rb == ra + 1:
-            return self.n_horizontal + ra * self.w + ca
-        raise ValueError(f"({u}, {v}) is not a lattice edge")
-
-    def edges(self) -> list[tuple[int, int]]:
-        """All edges (u < v) in qubit-index order."""
-        out = []
-        for r in range(self.h):
-            for c in range(self.w - 1):
-                out.append((self.vertex(r, c), self.vertex(r, c + 1)))
-        for r in range(self.h - 1):
-            for c in range(self.w):
-                out.append((self.vertex(r, c), self.vertex(r + 1, c)))
-        return out
+        for k in sorted((u, v)):
+            if not 0 <= k < self.n_vertices:
+                raise IndexError(f"vertex {k} outside {self.w}x{self.h} lattice")
+        qubit = self.incidence[u].get(v)
+        if qubit is None:
+            raise ValueError(f"({u}, {v}) is not a lattice edge")
+        return qubit
 
     def plaquettes(self) -> list[tuple[int, int, int, int]]:
         """Unit plaquettes as cyclically ordered vertex quadruples."""
         out = []
         for r in range(self.h - 1):
             for c in range(self.w - 1):
-                tl = self.vertex(r, c)
+                tl = r * self.w + c
                 out.append((tl, tl + 1, tl + 1 + self.w, tl + self.w))
         return out
 
@@ -110,7 +92,9 @@ def _epsilon(j: int, k: int) -> int:
 
 def b_op(layout: EdgeLayout, k: int) -> QubitOperator:
     """Vertex generator: the cross of Z on all edges incident to k."""
-    z = sum(1 << layout.edge_index(k, nb) for nb in layout.neighbors(k))
+    if not 0 <= k < layout.n_vertices:  # a negative k would index from the end
+        raise IndexError(f"vertex {k} outside {layout.w}x{layout.h} lattice")
+    z = sum(1 << qubit for qubit in layout.incidence[k].values())
     return QubitOperator.from_paulistring(PauliString(layout.n_edges, 0, z))
 
 
@@ -121,27 +105,18 @@ def a_op(layout: EdgeLayout, j: int, k: int) -> QubitOperator:
     n(j), l < k and every edge (s, k) with s in n(k), s < j.
     """
     x = 1 << layout.edge_index(j, k)
-    z = sum(1 << layout.edge_index(l, j) for l in layout.neighbors(j) if l < k)
-    z |= sum(1 << layout.edge_index(s, k) for s in layout.neighbors(k) if s < j)
+    z = sum(1 << qubit for l, qubit in layout.incidence[j].items() if l < k)
+    z |= sum(1 << qubit for s, qubit in layout.incidence[k].items() if s < j)
     string = PauliString(layout.n_edges, x, z)
     return QubitOperator.from_paulistring(string, float(_epsilon(j, k)))
 
 
 def _is_unit_plaquette(layout: EdgeLayout, quad: Sequence[int]) -> bool:
+    # On a square grid every 4-cycle of distinct vertices is a unit plaquette.
     if len(quad) != 4 or len(set(quad)) != 4:
         return False
-    tl = min(quad)
-    r, c = layout.coords(tl)
-    if c + 1 >= layout.w or r + 1 >= layout.h:
-        return False
-    if set(quad) != {tl, tl + 1, tl + layout.w, tl + layout.w + 1}:
-        return False
-    for idx in range(4):
-        try:
-            layout.edge_index(quad[idx], quad[(idx + 1) % 4])
-        except ValueError:
-            return False
-    return True
+    n, table = layout.n_vertices, layout.incidence
+    return all(0 <= quad[i] < n and quad[i - 1] in table[quad[i]] for i in range(4))
 
 
 def stabilizer(layout: EdgeLayout, plaquette: Sequence[int]) -> QubitOperator:

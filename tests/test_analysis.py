@@ -250,6 +250,15 @@ class TestSweep:
         with pytest.raises(ValueError):
             sbk_segment_sweep(1)
 
+    @pytest.mark.parametrize("w,sizes", [(4, [4, 8]), (6, [8]), (8, [9])])
+    def test_segment_wider_than_row_rejected(self, w, sizes):
+        with pytest.raises(ValueError, match="exceeds the row width"):
+            sbk_segment_sweep(w, sizes)
+
+    def test_default_sizes_fit_the_row(self):
+        for w in (2, 5, 12, 33):
+            assert max(size for size, _ in sbk_segment_sweep(w)) == w
+
 
 class TestFig6:
     def test_constant_series(self):

@@ -211,6 +211,28 @@ PINNED_SHA256 = {
                 "0fe6f5d6ef0ad4a4b542759cb765cf4b5b65e4968e8027b180770f9cadf2626f",
         },
     ),
+    # Non-square LSFS lattices, recorded while EdgeLayout still numbered
+    # its edges by closed forms: a w/h swap in the edge table shows here.
+    "lsfs-5x3-eps": (
+        ["--w", "5", "--h", "3", "--eps", "0.3", "--encoding", "lsfs"],
+        {
+            "op.json": "b94851ac508dedc604920fc477ab5c5725716b79dca47a3c83c0dbce90fea1b0",
+            "op.plaquettes.csv":
+                "b6109c3be064d955cecdec47320dc1c51856af7e2164157e16a61cac2d6235bc",
+            "op.stabilizers.json":
+                "f9a168b91f01a51f555e9e9659da777ffa52747199f0480845fc49d3973da498",
+        },
+    ),
+    "lsfs-2x6-single": (
+        ["--w", "2", "--h", "6", "--spin", "single", "--u", "0", "--encoding", "lsfs"],
+        {
+            "op.json": "469697185a1f7ee20bd512ed60869d46221295e06fd9618855d1f2a7dbec4519",
+            "op.plaquettes.csv":
+                "f9247aa42c400381bae6a85f724f9a355fca344b27451aea76f36da81267a229",
+            "op.stabilizers.json":
+                "60fb4b041d3292d9b65bd4c29fda3d6a32a6796712ca4c05c5cf9da88371ccd2",
+        },
+    ),
 }
 
 
@@ -334,6 +356,14 @@ class TestSweepAndFig6:
         assert run(["sweep", "--w", "8", "--segments", "4", "--out", str(out)]) == 0
         assert "8,4,7" in out.read_text()
 
+    @pytest.mark.parametrize("w,sizes", [("4", "4,8"), ("6", "8"), ("2", "1,3")])
+    def test_segment_wider_than_row_rejected(self, w, sizes, capsys):
+        assert run(["sweep", "--w", w, "--segments", sizes]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        size = sizes.split(",")[-1]
+        assert captured.err == f"fermap: segment size {size} exceeds the row width {w}\n"
+
     def test_fig6(self, tmp_path):
         out = tmp_path / "fig6.csv"
         assert run(["fig6", "--w-min", "2", "--w-max", "3", "--out", str(out)]) == 0
@@ -370,6 +400,26 @@ class TestVerify:
     def test_vacuous_trials_rejected(self, trials, capsys):
         assert run(["verify", "--suite", "symbolic", "--trials", trials]) == 2
         assert capsys.readouterr().err.startswith("fermap: --trials")
+
+    @pytest.mark.parametrize("suite", ["desk", "symbolic"])
+    def test_negative_dense_cap_rejected(self, suite, capsys):
+        assert run(["verify", "--suite", suite, "--dense-cap", "-1", "--trials", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "fermap: --dense-cap (FERMAP_DENSE_CAP) must be at least 0, not -1\n"
+        )
+
+    def test_negative_env_dense_cap_rejected(self, monkeypatch, capsys):
+        monkeypatch.setenv("FERMAP_DENSE_CAP", "-1")
+        assert run(["verify", "--trials", "1"]) == 2
+        assert capsys.readouterr().err.startswith("fermap: --dense-cap (FERMAP_DENSE_CAP)")
+
+    def test_zero_dense_cap_runs_symbolic_checks(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert run(["verify", "--dense-cap", "0", "--trials", "1", "--out", str(out)]) == 0
+        statuses = {c["status"] for c in json.loads(out.read_text())["checks"]}
+        assert statuses == {"pass", "skipped"}
 
     def test_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FERMAP_DENSE_CAP", "4")
@@ -412,6 +462,19 @@ class TestParser:
         with pytest.raises(SystemExit) as err:
             run(args)
         assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "command,noun",
+        [("encode", "lattices"), ("analyze", "lattices"), ("tables", "tables"),
+         ("plan-aux", "plans")],
+    )
+    @pytest.mark.parametrize("dim", ["2", "3"])
+    def test_h_beside_dim_rejected(self, command, noun, dim, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run([command, "--dim", dim, "--w", "2", "--h", "9", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == f"fermap: hypercubic {noun} take no --h: every side is --w\n"
 
     def test_env_coupling_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FERMAP_U", "7.5")

@@ -37,9 +37,23 @@ def restricted_spectrum(matrix, projector):
     return np.sort(np.linalg.eigvalsh(basis.conj().T @ matrix @ basis))
 
 
+def closed_form_edge_index(w, h, u, v):
+    """Row-major closed form of the edge numbering, None on non-edges.
+
+    Horizontal edge (r, c)-(r, c+1) is qubit r(w-1) + c; vertical edge
+    (r, c)-(r+1, c) is qubit h(w-1) + rw + c, after every horizontal edge.
+    """
+    (ra, ca), (rb, cb) = divmod(min(u, v), w), divmod(max(u, v), w)
+    if ra == rb and cb == ca + 1:
+        return ra * (w - 1) + ca
+    if ca == cb and rb == ra + 1:
+        return h * (w - 1) + ra * w + ca
+    return None
+
+
 def directional_edge(layout, k, direction):
     """Edge qubit in the given direction from vertex k, None off-lattice."""
-    r, c = layout.coords(k)
+    r, c = divmod(k, layout.w)
     if direction == "left":
         return layout.edge_index(k - 1, k) if c > 0 else None
     if direction == "right":
@@ -84,10 +98,42 @@ class TestLayout:
         lay = EdgeLayout(4, 4)
         assert lay.edge_index(0, 1) == 0
         assert lay.edge_index(5, 6) == 4
-        assert lay.edge_index(0, 4) == lay.n_horizontal
+        assert lay.edge_index(0, 4) == 12  # after the 4 * 3 horizontal edges
         assert [lay.edge_index(u, v) for u, v in lay.edges()] == list(
             range(lay.n_edges)
         )
+
+    @pytest.mark.parametrize(
+        "w,h", [(2, 5), (5, 2), (3, 4), (4, 3), (6, 3), (1, 4), (4, 1), (2, 1)]
+    )
+    def test_edge_table_matches_closed_form(self, w, h):
+        lay = EdgeLayout(w, h)
+        n = lay.n_vertices
+        expected = {}
+        for u in range(n):
+            for v in range(n):
+                index = closed_form_edge_index(w, h, u, v)
+                if index is None:
+                    with pytest.raises(ValueError):
+                        lay.edge_index(u, v)
+                else:
+                    assert lay.edge_index(u, v) == index
+                    expected[index] = (min(u, v), max(u, v))
+        assert lay.edges() == [expected[q] for q in range(lay.n_edges)]
+        assert sum(len(nbrs) for nbrs in lay.incidence) == 2 * lay.n_edges
+
+    @pytest.mark.parametrize("u,v", [(-1, 0), (0, -3), (6, 5), (5, 6), (0, 99)])
+    def test_out_of_range_vertex_raises_index_error(self, u, v):
+        lay = EdgeLayout(3, 2)
+        with pytest.raises(IndexError):
+            lay.edge_index(u, v)
+        with pytest.raises(IndexError):
+            a_op(lay, u, v)
+
+    @pytest.mark.parametrize("k", [-1, -6, 6])
+    def test_b_op_out_of_range_raises_index_error(self, k):
+        with pytest.raises(IndexError):
+            b_op(EdgeLayout(3, 2), k)
 
     def test_non_edge_rejected(self):
         lay = EdgeLayout(3, 3)
@@ -256,6 +302,20 @@ class TestStabilizers:
             stabilizer(lay, (0, 1, 2, 3))
         with pytest.raises(ValueError):
             stabilizer(lay, (0, 1, 3, 4))  # not cyclic order
+        with pytest.raises(ValueError):
+            stabilizer(lay, (2, 3, 6, 5))  # wraps from the end of a row
+        with pytest.raises(ValueError):
+            stabilizer(lay, (7, 8, 11, 10))  # below the last row
+        with pytest.raises(ValueError):
+            stabilizer(lay, (0, 1, 4))
+
+    @pytest.mark.parametrize("w,h", [(2, 5), (5, 2), (4, 3)])
+    def test_every_plaquette_accepted_in_any_cyclic_order(self, w, h):
+        lay = EdgeLayout(w, h)
+        for a, b, c, d in lay.plaquettes():
+            base = stabilizer(lay, (a, b, c, d))
+            assert stabilizer(lay, (d, c, b, a)) == base
+            assert stabilizer(lay, [b, c, d, a]) == base
 
 
 class TestHopping:

@@ -227,13 +227,15 @@ class TestWorkCount:
             monkeypatch.setattr(
                 QubitOperator, name, counting(name, getattr(QubitOperator, name))
             )
-        build = encodings._majorana_string
+        build = EncodingSpec.__dict__["majoranas"].func
 
-        def counted_build(forest, j, flavor):
-            builds[j, flavor] += 1
-            return build(forest, j, flavor)
+        def counted_build(spec):
+            builds[id(spec)] += 1
+            return build(spec)
 
-        monkeypatch.setattr(encodings, "_majorana_string", counted_build)
+        table = functools.cached_property(counted_build)
+        table.__set_name__(EncodingSpec, "majoranas")
+        monkeypatch.setattr(EncodingSpec, "majoranas", table)
         queries = ("parity_set", "ancestors", "children", "lesser_cousins")
         for name in queries:
             monkeypatch.setattr(
@@ -251,9 +253,12 @@ class TestWorkCount:
         # Majorana strings are ORed from the forest's masks, so no set
         # query (a sorted tuple per call) runs on the encode path.
         assert all(calls[name] == 0 for name in queries)
-        assert len(builds) == 2 * lattice.n_modes
-        assert max(builds.values()) == 1
-        # A second pass over the same spec reuses every mask.
+        # One table per spec, with a (c_j, d_j) pair for every mode.
+        assert builds == {id(spec): 1}
+        first = spec.majoranas
+        assert len(first) == lattice.n_modes
+        # A second pass over the same spec reuses the table it built.
         encode_model(spec, model)
-        assert max(builds.values()) == 1
+        assert builds == {id(spec): 1}
+        assert spec.majoranas is first
         assert len(op) > 0
