@@ -69,7 +69,11 @@ def _emit(text: str, out: Optional[str]):
 def _load_model_config(args) -> tuple[LatticeSpec, float, float, float]:
     """Lattice plus couplings from --model JSON or inline flags."""
     t, u, eps = args.t, args.u, args.eps
-    if getattr(args, "model", None):
+    if args.model:
+        flags = ("w", "h", "dim", "ordering")
+        given = [f"--{flag}" for flag in flags if getattr(args, flag) is not None]
+        if given:
+            raise ConfigError(f"--model replaces the lattice flags; drop {', '.join(given)}")
         try:
             data = json.loads(Path(args.model).read_text())
         except (OSError, json.JSONDecodeError) as exc:
@@ -90,9 +94,10 @@ def _load_model_config(args) -> tuple[LatticeSpec, float, float, float]:
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed model config: {exc}") from exc
     dim, w, h = _lattice_flags(args, "lattices")
+    ordering = args.ordering or "snake"
     if dim is not None:
-        return LatticeSpec.hypercube(dim, w, args.ordering), t, u, eps
-    return LatticeSpec.rectangle(w, h, args.ordering), t, u, eps
+        return LatticeSpec.hypercube(dim, w, ordering), t, u, eps
+    return LatticeSpec.rectangle(w, h, ordering), t, u, eps
 
 
 def _lattice_flags(args, noun: str) -> tuple[Optional[int], int, Optional[int]]:
@@ -311,13 +316,11 @@ def _cmd_plan_aux(args) -> int:
 
 
 def _add_lattice_flags(sub):
-    sub.add_argument("--model", help="model description JSON file")
+    sub.add_argument("--model", help="model JSON file; replaces --w, --h, --dim, --ordering")
     sub.add_argument("--w", type=int, help="lattice width")
     sub.add_argument("--h", type=int, help="lattice height")
     sub.add_argument("--dim", type=int, help="hypercube dimension (with --w)")
-    sub.add_argument(
-        "--ordering", choices=("snake", "row_major"), default="snake"
-    )
+    sub.add_argument("--ordering", choices=("snake", "row_major"), help="default: snake")
 
 
 def _add_coupling_flags(sub):

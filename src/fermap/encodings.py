@@ -11,12 +11,14 @@ Majorana convention: c_j = a_j + a^dag_j and d_j = i (a^dag_j - a_j),
 so a_j = (c_j + i d_j) / 2 and number/hopping operators follow from the
 exact Pauli algebra.
 
-Every encoding is a per-mode table of Majorana bitmasks: a spec ORs the
+Every encoding is one per-mode table of Majorana bitmasks: a spec ORs the
 c_j and d_j strings of every mode from the forest's parity, children and
 ancestor masks once, on its first encode, and keeps the table for its
-own lifetime.
-``encode_model`` multiplies each term's factors as mask-keyed term maps
-``{(x_mask, z_mask): coeff}`` and sums the terms into one operator in place.
+own lifetime.  There is one synthesis path: ``encode_model`` multiplies
+each term's factors as mask-keyed term maps ``{(x_mask, z_mask): coeff}``
+read from the table and sums the terms into one operator in place.
+``majorana_c`` and ``majorana_d`` read one table entry, and ``lowering``,
+``raising`` and ``hopping_op`` encode a one-term fermion operator.
 """
 
 from __future__ import annotations
@@ -26,39 +28,40 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .fenwick import FenwickForest
-from .models import LOWER, NUMBER, RAISE, FermionOperator
+from .models import LOWER, NUMBER, RAISE, FermionOperator, hopping_pair
 from .pauli import PauliString, QubitOperator, _add_terms, _mul_terms
-
-KINDS = ("jw", "bk", "forest")
 
 
 @dataclass(frozen=True)
 class EncodingSpec:
-    """An encoding family member: a kind tag plus its Fenwick forest."""
+    """An encoding family member: its Fenwick forest, read as a Majorana table."""
 
-    kind: str
     forest: FenwickForest
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown encoding kind {self.kind!r}")
 
     @classmethod
     def jordan_wigner(cls, n_modes: int) -> "EncodingSpec":
-        return cls("jw", FenwickForest.build(n_modes, [1] * n_modes))
+        return cls(FenwickForest.build(n_modes, [1] * n_modes))
 
     @classmethod
     def bravyi_kitaev(cls, n_modes: int) -> "EncodingSpec":
-        return cls("bk", FenwickForest.build(n_modes))
+        return cls(FenwickForest.build(n_modes))
 
     @classmethod
     def from_segments(cls, segment_sizes: Sequence[int]) -> "EncodingSpec":
-        n = sum(segment_sizes)
-        return cls("forest", FenwickForest.build(n, segment_sizes))
+        return cls(FenwickForest.build(sum(segment_sizes), segment_sizes))
 
     @property
     def n_modes(self) -> int:
         return self.forest.n_sites
+
+    @property
+    def kind(self) -> str:
+        """The forest's shape: "jw" if every tree is a singleton, "bk" if
+        there is one tree, "forest" otherwise."""
+        segments = self.forest.segments
+        if all(stop - start == 1 for start, stop in segments):
+            return "jw"
+        return "bk" if len(segments) == 1 else "forest"
 
     @functools.cached_property
     def majoranas(self) -> tuple[tuple[PauliString, PauliString], ...]:
@@ -89,7 +92,6 @@ def majorana_d(spec: EncodingSpec, j: int) -> QubitOperator:
 
 def _ladder_terms(spec: EncodingSpec, j: int, flavor: str) -> dict:
     """Term map of a_j, a^dag_j or n_j, straight from j's Majorana masks."""
-    spec.forest._check_index(j)
     c, d = spec.majoranas[j]
     if flavor == NUMBER:  # (1 - Z on F(j) and j) / 2
         return {(0, 0): 0.5 + 0j, (0, c.z_mask ^ d.z_mask): -0.5 + 0j}
@@ -98,35 +100,19 @@ def _ladder_terms(spec: EncodingSpec, j: int, flavor: str) -> dict:
     return {(c.x_mask, c.z_mask): 0.5 + 0j, (d.x_mask, d.z_mask): d_coeff}
 
 
-def _ladder_op(spec: EncodingSpec, j: int, flavor: str) -> QubitOperator:
-    op = QubitOperator(spec.n_modes)
-    op._terms = _ladder_terms(spec, j, flavor)
-    return op
-
-
 def lowering(spec: EncodingSpec, j: int) -> QubitOperator:
     """a_j = (c_j + i d_j) / 2."""
-    return _ladder_op(spec, j, LOWER)
+    return encode_model(spec, FermionOperator.term(spec.n_modes, 1.0, ((j, LOWER),)))
 
 
 def raising(spec: EncodingSpec, j: int) -> QubitOperator:
     """a^dag_j = (c_j - i d_j) / 2."""
-    return _ladder_op(spec, j, RAISE)
-
-
-def number_op(spec: EncodingSpec, j: int) -> QubitOperator:
-    """n_j = (1 + i c_j d_j) / 2 = (1 - Z on F(j) and j) / 2."""
-    return _ladder_op(spec, j, NUMBER)
+    return encode_model(spec, FermionOperator.term(spec.n_modes, 1.0, ((j, RAISE),)))
 
 
 def hopping_op(spec: EncodingSpec, j: int, k: int) -> QubitOperator:
-    """a^dag_k a_j + a^dag_j a_k = (i/2)(c_k d_j + c_j d_k)."""
-    if j == k:
-        raise ValueError("hopping needs two distinct modes; j == k is 2 n_j")
-    return 0.5j * (
-        majorana_c(spec, k) * majorana_d(spec, j)
-        + majorana_c(spec, j) * majorana_d(spec, k)
-    )
+    """a^dag_j a_k + a^dag_k a_j = (i/2)(c_k d_j + c_j d_k)."""
+    return encode_model(spec, hopping_pair(spec.n_modes, j, k))
 
 
 def encode_model(spec: EncodingSpec, model: FermionOperator) -> QubitOperator:

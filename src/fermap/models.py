@@ -257,17 +257,13 @@ def hubbard(spec: LatticeSpec, t: float, u: float, eps: float = 0.0) -> FermionO
 # ---------------------------------------------------------------------------
 
 
-def _check_fock_cap(n_modes: int, cap: int):
-    if n_modes > cap:
-        raise DenseCapError(f"{n_modes} modes exceeds dense cap of {cap}")
-
-
 def fock_matrix(
     op: FermionOperator, cap: int = DENSE_CAP_DEFAULT
 ) -> np.ndarray:
     """Dense matrix of a FermionOperator in the occupation-number basis."""
     import numpy as np
-    _check_fock_cap(op.n_modes, cap)
+    if op.n_modes > cap:
+        raise DenseCapError(f"{op.n_modes} modes exceeds dense cap of {cap}")
     dim = 1 << op.n_modes
     src = np.arange(dim, dtype=np.uint64)
     total = np.zeros((dim, dim), dtype=complex)
@@ -284,12 +280,3 @@ def fock_matrix(
                 state ^= bit
         total[state, src] += amp  # one (row, column) pair per source state
     return total
-
-
-def parity_matrix(n_modes: int, cap: int = DENSE_CAP_DEFAULT) -> np.ndarray:
-    """Diagonal (-1)^(particle number) operator."""
-    import numpy as np
-    _check_fock_cap(n_modes, cap)
-    states = np.arange(1 << n_modes, dtype=np.uint64)
-    signs = 1.0 - 2.0 * (np.bitwise_count(states).astype(np.int64) % 2)
-    return np.diag(signs).astype(complex)

@@ -2,14 +2,16 @@
 
 Two kinds of check live here.  Symbolic checks sweep (anti)commutation
 identities in the exact Pauli algebra, where any nonzero residual
-operator is a hard failure.  Dense checks render desk-scale matrices
-from the two dense kernels, ``models.fock_matrix`` and
-``QubitOperator.to_dense``, at fixed tolerances (1e-9 for spectra, 1e-12
-for commutators, 1e-6 for penalty arithmetic): forest encodings match
-the Fock matrix entry by entry through the forest's basis map, the
-loop-stabilized codespace matches the even sector's spectrum, and the
-penalty check renders the penalty ``lsfs.single_spin_hamiltonian``
-ships.  They are skipped, not failed, when they exceed the dense cap.
+operator is a hard failure.  Dense checks compare desk-scale matrices
+at fixed tolerances (1e-9 for spectra, 1e-12 for commutators, 1e-6 for
+penalty arithmetic), and every dense matrix comes from one of two
+kernels: ``models.fock_matrix`` on occupation states or
+``QubitOperator.to_dense`` on qubits.  Forest encodings match the Fock
+matrix entry by entry through the forest's basis map, the
+loop-stabilized codespace matches the spectrum of the Fock matrix read
+on its even occupation states, and the penalty check renders the
+penalty ``lsfs.single_spin_hamiltonian`` ships.  They are skipped, not
+failed, when they exceed the dense cap.
 """
 
 from __future__ import annotations
@@ -24,14 +26,7 @@ import numpy as np
 
 from . import lsfs
 from .encodings import EncodingSpec, encode_model, lowering, raising
-from .models import (
-    FermionOperator,
-    LatticeSpec,
-    fock_matrix,
-    hubbard,
-    hubbard_terms,
-    parity_matrix,
-)
+from .models import FermionOperator, LatticeSpec, fock_matrix, hubbard, hubbard_terms
 from .pauli import DENSE_CAP_DEFAULT, QubitOperator, anticommutator
 
 SPECTRUM_TOL = 1e-9
@@ -274,7 +269,8 @@ def lsfs_sector_match(
 
     The codespace projector and the Hamiltonian are rendered from the
     exact Pauli algebra; the reference is the Fock matrix of the same
-    single-spin lattice model restricted to even particle number.
+    single-spin lattice model read on the occupation states of even
+    particle number.
     """
     label = f"lsfs-sector-{w}x{h}"
     layout = lsfs.EdgeLayout(w, h)
@@ -287,13 +283,12 @@ def lsfs_sector_match(
         commutator_res = float(np.max(np.abs(ham @ projector - projector @ ham)))
         code_spec, code_dim = _restricted_spectrum(ham, projector)
 
-        model = _single_spin_model(w, h, t, eps)
-        reference = fock_matrix(model, cap)
-        even = (np.eye(1 << (w * h)) + parity_matrix(w * h, cap)) / 2
-        even_spec, even_dim = _restricted_spectrum(reference, even)
+        reference = fock_matrix(_single_spin_model(w, h, t, eps), cap)
+        even = [s for s in range(1 << (w * h)) if s.bit_count() % 2 == 0]
+        even_spec = np.linalg.eigvalsh(reference[np.ix_(even, even)])
 
-        if code_dim != even_dim:
-            return False, float("inf"), f"dims {code_dim} vs {even_dim}"
+        if code_dim != len(even):
+            return False, float("inf"), f"dims {code_dim} vs {len(even)}"
         worst = float(np.max(np.abs(code_spec - even_spec)))
         ok = worst <= SPECTRUM_TOL and commutator_res <= COMMUTATOR_TOL
         return ok, max(worst, commutator_res), f"codespace dim {code_dim}"

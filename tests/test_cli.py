@@ -88,6 +88,32 @@ class TestEncode:
                     "--out", str(out)]) == 0
         assert json.loads(out.read_text())["meta"]["U"] == 4.0
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--w", "9", "--dim", "3", "--ordering", "row_major"], "--w, --dim, --ordering"),
+            (["--h", "3"], "--h"),
+            (["--w", "0"], "--w"),
+            (["--ordering", "snake"], "--ordering"),
+        ],
+    )
+    def test_model_file_rejects_lattice_flags(self, flags, named, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"lattice": {"kind": "rectangle", "w": 2, "h": 2}}))
+        out = tmp_path / "op.json"
+        assert run(["encode", "--model", str(model), *flags, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"fermap: --model replaces the lattice flags; drop {named}\n"
+        assert not out.exists()
+
+    def test_explicit_snake_ordering_is_the_default(self, capsys):
+        base = ["encode", "--w", "3", "--h", "2", "--encoding", "bk"]
+        assert run(base) == 0
+        default = capsys.readouterr().out
+        assert run([*base, "--ordering", "snake"]) == 0
+        assert capsys.readouterr().out == default
+        assert json.loads(default)["meta"]["ordering"] == "snake"
+
     def test_corrupted_model_file(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -283,6 +309,20 @@ class TestAnalyze:
         assert run(["analyze", *args]) == 0
         rows = capsys.readouterr().out.splitlines()[2:]
         assert list(dict.fromkeys(r.split(",")[0] for r in rows)) == names
+
+    def test_model_file_rejects_lattice_flags(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"lattice": {"kind": "hypercube", "dim": 2, "w": 2}}))
+        assert run(["analyze", "--model", str(model), "--w", "3", "--h", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "fermap: --model replaces the lattice flags; drop --w, --h\n"
+
+    def test_model_file_alone(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"lattice": {"kind": "rectangle", "w": 3, "h": 3}}))
+        assert run(["analyze", "--model", str(model), "--encoding", "jw"]) == 0
+        assert "jw,vertical,4" in capsys.readouterr().out
 
     def test_explicit_af_on_strip_rejected(self, capsys):
         assert run(["analyze", "--w", "2", "--h", "1", "--encoding", "af"]) == 2

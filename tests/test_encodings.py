@@ -12,11 +12,12 @@ from fermap.encodings import (
     lowering,
     majorana_c,
     majorana_d,
-    number_op,
     raising,
 )
+from fermap.fenwick import FenwickForest
 from fermap.models import (
     LOWER,
+    NUMBER,
     FermionOperator,
     LatticeSpec,
     fock_matrix,
@@ -28,6 +29,31 @@ from fermap.verify import random_forest_spec
 
 def single(n, ops, coeff=1.0):
     return QubitOperator.from_paulistring(PauliString.from_ops(n, ops), coeff)
+
+
+def number_op(spec, j):
+    """n_j through the one synthesis path."""
+    return encode_model(spec, FermionOperator.term(spec.n_modes, 1.0, ((j, NUMBER),)))
+
+
+class TestKind:
+    @pytest.mark.parametrize(
+        "spec,kind",
+        [
+            (EncodingSpec.jordan_wigner(7), "jw"),
+            (EncodingSpec.from_segments([1] * 7), "jw"),
+            (EncodingSpec(FenwickForest.build(1)), "jw"),
+            (EncodingSpec.bravyi_kitaev(7), "bk"),
+            (EncodingSpec.from_segments([7]), "bk"),
+            (EncodingSpec(FenwickForest.build(7, [3, 4])), "forest"),
+            (EncodingSpec.from_segments([1, 5, 1]), "forest"),
+        ],
+    )
+    def test_read_from_forest_shape(self, spec, kind):
+        assert spec.kind == kind
+
+    def test_equal_forests_equal_specs(self):
+        assert EncodingSpec.from_segments([1] * 5) == EncodingSpec.jordan_wigner(5)
 
 
 class TestMajoranas:

@@ -17,7 +17,6 @@ from fermap.models import (
     hopping_pair,
     hubbard,
     hubbard_terms,
-    parity_matrix,
 )
 from fermap.pauli import DenseCapError
 
@@ -158,12 +157,6 @@ class TestFockOracle:
                 FermionOperator.term(n, 1.0, ((j, RAISE), (j, LOWER)))
             )
             assert np.array_equal(nj, pair)
-
-    def test_parity_diag(self):
-        par = parity_matrix(3)
-        states = np.arange(8)
-        expected = np.diag([(-1.0) ** bin(s).count("1") for s in states])
-        assert np.array_equal(par, expected.astype(complex))
 
     def test_vacuum_and_filling(self):
         n = 3

@@ -17,6 +17,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_encodings import number_op
 from test_fenwick import reference_sets
 
 from fermap import encodings, lsfs
@@ -178,9 +179,7 @@ class TestExactness:
                 forms = {
                     encodings.lowering: QubitOperator(n, {c: 0.5, d: 0.5j}),
                     encodings.raising: QubitOperator(n, {c: 0.5, d: -0.5j}),
-                    encodings.number_op: QubitOperator(
-                        n, {PauliString.identity(n): 0.5, z: -0.5}
-                    ),
+                    number_op: QubitOperator(n, {PauliString.identity(n): 0.5, z: -0.5}),
                 }
                 for build, form in forms.items():
                     assert parts(build(spec, j)) == parts(form)

@@ -61,7 +61,7 @@ class TestCar:
             ancestor_mask=(0, 0),
             parity_mask=(0, 0),
         )
-        result = check_car(EncodingSpec("forest", broken))
+        result = check_car(EncodingSpec(broken))
         assert not result.passed
         assert "pair" in result.detail
         assert result.max_residual > 0
