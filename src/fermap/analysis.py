@@ -1,9 +1,10 @@
 """Worst-case operator-locality measurement and the comparison tables.
 
 Every value in the reports is either measured on actually generated
-Pauli strings (JW/BK/SBK through the forest encodings, LSFS through its
-edge generators, with the worst case taken over every summand of every
-Hamiltonian term) or quoted from a closed-form column.  Rows are
+Pauli strings or quoted from a closed-form column.  Every measured
+weight comes from one loop, ``_worst_weights``, over a lazy stream of
+(term class, QubitOperator) pairs; ``measure`` streams a lattice's
+unit-coupling Hubbard terms (AF is read from its plan).  Rows are
 classified ``exact`` when the formula provably equals the measurement,
 ``bound`` when the formula is only an upper bound for nearest-neighbour
 models, and ``info`` for alternative formula variants that are carried
@@ -17,12 +18,14 @@ conjugate pair exactly as in the single-block analysis.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from . import aux_fermion, lsfs
 from .encodings import EncodingSpec, encode_model, hopping_op
 from .models import LatticeSpec, hubbard_terms
+from .pauli import QubitOperator
 
 CSV_SCHEMA_RECT = "encoding,term_class,w,h,measured,formula,exactness"
 CSV_SCHEMA_HYPER = "encoding,term_class,D,w,measured,formula,exactness"
@@ -158,64 +161,44 @@ def model_encoding(
 # ---------------------------------------------------------------------------
 
 
-def measure_encoding(
-    spec: EncodingSpec,
-    lattice: LatticeSpec,
-    t: float = 1.0,
-    u: float = 1.0,
-) -> dict[str, int]:
-    """Worst Pauli weight per term class of the encoded Hubbard model."""
-    if spec.n_modes != lattice.n_modes:
-        raise ValueError("encoding register does not match the lattice modes")
+def _worst_weights(stream: Iterable[tuple[str, QubitOperator]]) -> dict[str, int]:
+    """Worst Pauli weight per term class; a zero operator weighs nothing."""
     worst: dict[str, int] = {}
-    for klass, term in hubbard_terms(lattice, t, u):
-        weight = encode_model(spec, term).max_weight()
-        worst[klass] = max(worst.get(klass, 0), weight)
-    return worst
-
-
-def measure_lsfs(w: int, h: int) -> dict[str, int]:
-    """Worst weights of the loop-stabilized Hubbard terms per class."""
-    layout = lsfs.EdgeLayout(w, h)
-    n_total = 2 * layout.n_edges
-    worst: dict[str, int] = {}
-    # The lattice's site ids are the layout's vertex ids (r * w + c).
-    for vert_u, vert_v, klass in LatticeSpec.rectangle(w, h).edges():
-        hop = lsfs.hopping_term(layout, vert_u, vert_v)
-        if not hop.is_zero():  # the one hop of a two-site strip encodes to zero
-            worst[klass] = max(worst.get(klass, 0), hop.max_weight())
-    for k in range(layout.n_vertices):
-        n_k = lsfs.number_term(layout, k)
-        n_dn, n_up = n_k.embedded(n_total, 0), n_k.embedded(n_total, layout.n_edges)
-        worst["density-density"] = max(
-            worst.get("density-density", 0), (n_dn * n_up).max_weight()
-        )
+    for klass, op in stream:
+        if not op.is_zero():  # the one LSFS hop of a two-site strip encodes to zero
+            worst[klass] = max(worst.get(klass, 0), op.max_weight())
     return worst
 
 
 def measure(
-    encoding: str,
-    lattice: LatticeSpec,
-    segment_size: Optional[int] = None,
-    t: float = 1.0,
-    u: float = 1.0,
+    encoding: str, lattice: LatticeSpec, segment_size: Optional[int] = None
 ) -> dict[str, int]:
-    """Dispatch per-class worst-case localities for one encoding name."""
+    """Worst Pauli weight per term class of one encoding on the lattice.
+
+    One loop over the lattice's unit-coupling Hubbard terms, generated and
+    encoded one at a time; AF values are read from its resource plan.
+    """
     name = encoding.lower()
-    if name in ("jw", "bk", "sbk"):
-        spec = model_encoding(name, lattice, segment_size)
-        return measure_encoding(spec, lattice, t, u)
-    if name == "lsfs":
-        if lattice.kind != "rectangle":
-            raise ValueError("loop-stabilized layout is defined on rectangles")
-        return measure_lsfs(lattice.w, lattice.h)
     if name == "af":
         if lattice.kind == "rectangle":
             return aux_fermion.locality_profile(aux_fermion.plan(lattice.w, lattice.h))
         return aux_fermion.locality_profile(
             aux_fermion.plan_hypercubic(lattice.dim, lattice.w)
         )
-    raise ValueError(f"unknown encoding {encoding!r}")
+    if name == "lsfs":
+        if lattice.kind != "rectangle":
+            raise ValueError("loop-stabilized layout is defined on rectangles")
+        layout = lsfs.EdgeLayout(lattice.w, lattice.h)
+        # The lattice's site ids are the layout's vertex ids (r * w + c).
+        hops = ((klass, lsfs.hopping_term(layout, a, b)) for a, b, klass in lattice.edges())
+        sites = range(layout.n_vertices)
+        density = (("density-density", lsfs.density_term(layout, k)) for k in sites)
+        return _worst_weights(itertools.chain(hops, density))
+    if name not in ("jw", "bk", "sbk"):
+        raise ValueError(f"unknown encoding {encoding!r}")
+    spec = model_encoding(name, lattice, segment_size)
+    terms = hubbard_terms(lattice, 1.0, 1.0)
+    return _worst_weights((klass, encode_model(spec, piece)) for klass, piece in terms)
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +238,7 @@ def table_I(w: int, h: int, measured: bool = True) -> LocalityReport:
     if measured:
         for enc in ("JW", "BK", "SBK"):
             cells[enc] = {**measure(enc.lower(), lattice), "qubits": 2 * sites}
-        lsfs_qubits = 2 * lsfs.EdgeLayout(w, h).n_edges
-        cells["LSFS"] = {**measure_lsfs(w, h), "qubits": lsfs_qubits}
+        cells["LSFS"] = {**measure("lsfs", lattice), "qubits": 2 * lsfs.EdgeLayout(w, h).n_edges}
     plan = aux_fermion.plan(w, h)
     cells["AF"] = {**aux_fermion.locality_profile(plan), "qubits": plan.total_qubits}
 
@@ -326,8 +308,8 @@ def table_II(dim: int, w: int, measured: bool = True) -> LocalityReport:
         for enc in ("JW", "BK", "SBK"):
             cells[enc] = _with_hop(measure(enc.lower(), lattice), 2 * sites)
         if dim == 2:
-            lsfs_qubits = 2 * lsfs.EdgeLayout(w, w).n_edges
-            cells["LSFS"] = _with_hop(measure_lsfs(w, w), lsfs_qubits)
+            square = LatticeSpec.rectangle(w, w)
+            cells["LSFS"] = _with_hop(measure("lsfs", square), 2 * lsfs.EdgeLayout(w, w).n_edges)
     plan = aux_fermion.plan_hypercubic(dim, w)
     af_profile = aux_fermion.locality_profile(plan)
     cells["AF"] = _with_hop(af_profile, plan.total_qubits)
@@ -390,10 +372,8 @@ def sbk_segment_sweep(
         if size > w:  # no row of width w holds a larger tree
             raise ValueError(f"segment size {size} exceeds the row width {w}")
         spec = EncodingSpec.from_segments(sbk_row_segments(w, 2, size))
-        worst = 0
-        for c in range(w):
-            worst = max(worst, hopping_op(spec, c, w + c).max_weight())
-        results.append((int(size), worst))
+        hops = (("vertical", hopping_op(spec, c, w + c)) for c in range(w))
+        results.append((int(size), _worst_weights(hops)["vertical"]))
     return results
 
 

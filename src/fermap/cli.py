@@ -9,8 +9,8 @@ each check's ``wall_time_s``.  ``encode`` splices the operator text of
 ``json.dumps(..., sort_keys=True, indent=1)``.  Numeric defaults can be
 overridden with FERMAP_-prefixed environment variables (FERMAP_T,
 FERMAP_U, FERMAP_EPS, FERMAP_DELTA, FERMAP_DENSE_CAP, FERMAP_SEED);
-FERMAP_EPS sets the default of ``encode --eps`` only, since no other
-subcommand takes an on-site energy.
+FERMAP_T, FERMAP_U and FERMAP_EPS set the ``encode`` coupling defaults
+only: ``analyze`` measures locality at unit couplings.
 
 Exit codes: 0 success (including a partial verify run with skipped
 checks), 1 verification failure, 2 usage or configuration error.
@@ -66,9 +66,8 @@ def _emit(text: str, out: Optional[str]):
         sys.stdout.write(text)
 
 
-def _load_model_config(args) -> tuple[LatticeSpec, float, float, float]:
-    """Lattice plus couplings from --model JSON or inline flags."""
-    t, u, eps = args.t, args.u, args.eps
+def _load_model(args) -> tuple[LatticeSpec, dict]:
+    """The lattice from --model JSON or the lattice flags, and the file's data or {}."""
     if args.model:
         flags = ("w", "h", "dim", "ordering")
         given = [f"--{flag}" for flag in flags if getattr(args, flag) is not None]
@@ -87,17 +86,30 @@ def _load_model_config(args) -> tuple[LatticeSpec, float, float, float]:
                 spec = LatticeSpec.hypercube(int(lat["dim"]), int(lat["w"]), ordering)
             else:
                 raise ConfigError(f"unknown lattice kind {lat['kind']!r}")
-            t = float(data.get("t", t))
-            u = float(data.get("U", data.get("u", u)))
-            eps = float(data.get("eps", eps))
-            return spec, t, u, eps
+            return spec, data
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed model config: {exc}") from exc
     dim, w, h = _lattice_flags(args, "lattices")
     ordering = args.ordering or "snake"
     if dim is not None:
-        return LatticeSpec.hypercube(dim, w, ordering), t, u, eps
-    return LatticeSpec.rectangle(w, h, ordering), t, u, eps
+        return LatticeSpec.hypercube(dim, w, ordering), {}
+    return LatticeSpec.rectangle(w, h, ordering), {}
+
+
+# Each encoding flag and the --encoding values that read it; others exit 2.
+_FLAG_READERS = {
+    "segments": ("forest",),
+    "segment_size": ("sbk", "all"),
+    "spin": ("lsfs",),
+    "ordering": ("jw", "bk", "sbk", "forest", "all"),
+}
+
+
+def _reject_unread_flags(args, kind: str):
+    unread = [flag for flag, readers in _FLAG_READERS.items() if kind not in readers]
+    given = [f"--{f.replace('_', '-')}" for f in unread if getattr(args, f, None) is not None]
+    if given:
+        raise ConfigError(f"--encoding {kind} does not read {', '.join(given)}")
 
 
 def _lattice_flags(args, noun: str) -> tuple[Optional[int], int, Optional[int]]:
@@ -137,8 +149,15 @@ def _meta_json(meta: dict, operator) -> str:
 
 
 def _cmd_encode(args) -> int:
-    lattice, t, u, eps = _load_model_config(args)
     kind = args.encoding.lower()
+    _reject_unread_flags(args, kind)
+    lattice, data = _load_model(args)
+    try:
+        t = float(data.get("t", args.t))
+        u = float(data.get("U", data.get("u", args.u)))
+        eps = float(data.get("eps", args.eps))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed model config: {exc}") from exc
     if kind == "lsfs":
         if lattice.kind != "rectangle":
             raise ConfigError("the loop-stabilized encoding needs a rectangle")
@@ -155,7 +174,7 @@ def _cmd_encode(args) -> int:
             operator = lsfs.hubbard_lsfs(w, h, t, u, eps, delta)
         meta = {
             "encoding": "lsfs",
-            "spin": args.spin,
+            "spin": args.spin or "both",
             "lattice": {"kind": "rectangle", "w": w, "h": h},
             "t": t,
             "U": u,
@@ -211,7 +230,8 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    lattice, t, u, _ = _load_model_config(args)
+    _reject_unread_flags(args, args.encoding.lower())
+    lattice, _ = _load_model(args)
     rectangle = lattice.kind == "rectangle"
     if args.encoding != "all":
         names = [args.encoding.lower()]
@@ -223,7 +243,7 @@ def _cmd_analyze(args) -> int:
             names.append("lsfs")  # an edge layout needs two vertices
     rows = []
     for name in names:
-        per_class = analysis.measure(name, lattice, args.segment_size, t, u)
+        per_class = analysis.measure(name, lattice, args.segment_size)
         rows += [(name, klass, per_class[klass]) for klass in sorted(per_class)]
     header = "encoding,term_class,measured"
     _emit(analysis.versioned_csv("measured-locality", header, rows), args.out)
@@ -323,11 +343,6 @@ def _add_lattice_flags(sub):
     sub.add_argument("--ordering", choices=("snake", "row_major"), help="default: snake")
 
 
-def _add_coupling_flags(sub):
-    sub.add_argument("--t", type=float, default=_env("T", float, 1.0))
-    sub.add_argument("--u", type=float, default=_env("U", float, 1.0))
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fermap",
@@ -337,7 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     enc = subparsers.add_parser("encode", help="encode a lattice model to qubits")
     _add_lattice_flags(enc)
-    _add_coupling_flags(enc)
+    enc.add_argument("--t", type=float, default=_env("T", float, 1.0))
+    enc.add_argument("--u", type=float, default=_env("U", float, 1.0))
     enc.add_argument("--eps", type=float, default=_env("EPS", float, 0.0))
     enc.add_argument(
         "--encoding",
@@ -346,18 +362,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     enc.add_argument("--segments", help="comma-separated forest segment sizes")
     enc.add_argument("--segment-size", type=int, help="sbk row-chunk size")
-    enc.add_argument("--spin", choices=("both", "single"), default="both")
+    enc.add_argument("--spin", choices=("both", "single"), help="lsfs only; default: both")
     enc.add_argument("--delta", type=float, default=_env("DELTA", float, None))
     enc.add_argument("--out")
     enc.set_defaults(func=_cmd_encode)
 
-    ana = subparsers.add_parser("analyze", help="measured per-class localities")
+    ana = subparsers.add_parser("analyze", help="measured localities at unit couplings")
     _add_lattice_flags(ana)
-    _add_coupling_flags(ana)
-    ana.add_argument("--encoding", default="all")
-    ana.add_argument("--segment-size", type=int)
+    ana.add_argument("--encoding", default="all", help="jw | bk | sbk | af | lsfs | all")
+    ana.add_argument("--segment-size", type=int, help="sbk row-chunk size")
     ana.add_argument("--out")
-    ana.set_defaults(func=_cmd_analyze, eps=0.0)
+    ana.set_defaults(func=_cmd_analyze)
 
     tab = subparsers.add_parser("tables", help="locality/qubit comparison tables")
     tab.add_argument("--w", type=int)

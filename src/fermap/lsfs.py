@@ -141,6 +141,12 @@ def number_term(layout: EdgeLayout, k: int) -> QubitOperator:
     return QubitOperator.identity(n, 0.5) + (-0.5) * b_op(layout, k)
 
 
+def density_term(layout: EdgeLayout, k: int) -> QubitOperator:
+    """n_k^down n_k^up on the two-spin register: down on [0, E), up on [E, 2E)."""
+    n_k, n_total = number_term(layout, k), 2 * layout.n_edges
+    return n_k.embedded(n_total, 0) * n_k.embedded(n_total, layout.n_edges)
+
+
 def hopping_term(layout: EdgeLayout, j: int, k: int) -> QubitOperator:
     """Encoded a^dag_k a_j + a^dag_j a_k for lattice edge (j, k).
 
@@ -181,8 +187,8 @@ def hubbard_lsfs(
 
     The spin-down edge lattice occupies qubits [0, E) and spin-up
     occupies [E, 2E).  The on-site repulsion couples matching vertices
-    of the two lattices through (1 - B)(1 - B')/4, and the penalty sums
-    -delta/2 times every stabilizer of both lattices.
+    of the two lattices through (1 - B)(1 - B')/4 (``density_term``), and
+    the penalty sums -delta/2 times every stabilizer of both lattices.
     """
     if w < 2 or h < 2:
         raise ValueError("the two-spin mapping needs w, h >= 2")
@@ -195,9 +201,7 @@ def hubbard_lsfs(
         total._add_in_place(spin_part.embedded(n_total, offset))
     if u != 0.0:
         for k in range(layout.n_vertices):
-            n_k = number_term(layout, k)
-            n_dn, n_up = n_k.embedded(n_total, 0), n_k.embedded(n_total, n_edges)
-            total._add_in_place(u * (n_dn * n_up))
+            total._add_in_place(u * density_term(layout, k))
     return total
 
 

@@ -9,7 +9,6 @@ from fermap.analysis import (
     fig6_series,
     floor_log2,
     measure,
-    measure_lsfs,
     model_encoding,
     sbk_row_segments,
     sbk_segment_sweep,
@@ -81,13 +80,15 @@ class TestMeasure:
         }
 
     def test_lsfs_measured_values(self):
-        assert measure_lsfs(4, 4) == {
+        assert measure("lsfs", LatticeSpec.rectangle(4, 4)) == {
             "horizontal": 5,
             "vertical": 7,
             "density-density": 8,
         }
-        small = measure_lsfs(3, 3)
+        small = measure("lsfs", LatticeSpec.rectangle(3, 3))
         assert small == {"horizontal": 4, "vertical": 6, "density-density": 8}
+        # The one hop of a two-site strip encodes to zero and carries no weight.
+        assert measure("lsfs", LatticeSpec.rectangle(2, 1)) == {"density-density": 2}
 
     def test_unknown_encoding(self):
         with pytest.raises(ValueError):

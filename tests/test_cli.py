@@ -324,6 +324,19 @@ class TestAnalyze:
         assert run(["analyze", "--model", str(model), "--encoding", "jw"]) == 0
         assert "jw,vertical,4" in capsys.readouterr().out
 
+    def test_env_couplings_do_not_reach_the_measurement(self, monkeypatch, capsys):
+        assert run(["analyze", "--w", "3", "--h", "3"]) == 0
+        default = capsys.readouterr().out
+        monkeypatch.setenv("FERMAP_T", "0")
+        monkeypatch.setenv("FERMAP_U", "0")
+        assert run(["analyze", "--w", "3", "--h", "3"]) == 0
+        out = capsys.readouterr().out
+        assert out == default
+        rows = {tuple(row.split(",")[:2]) for row in out.splitlines()[2:]}
+        for name in ("jw", "bk", "sbk", "af", "lsfs"):
+            for klass in ("horizontal", "vertical", "density-density"):
+                assert (name, klass) in rows
+
     def test_explicit_af_on_strip_rejected(self, capsys):
         assert run(["analyze", "--w", "2", "--h", "1", "--encoding", "af"]) == 2
         captured = capsys.readouterr()
@@ -492,10 +505,53 @@ class TestParser:
         assert err.value.code == 2
 
     @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            ("encode", ["--encoding", "jw", "--spin", "single"], "jw does not read --spin"),
+            ("encode", ["--encoding", "bk", "--segments", "4,4"], "bk does not read --segments"),
+            ("encode", ["--encoding", "lsfs", "--segment-size", "1"],
+             "lsfs does not read --segment-size"),
+            ("encode", ["--encoding", "lsfs", "--ordering", "row_major"],
+             "lsfs does not read --ordering"),
+            ("encode", ["--encoding", "sbk", "--segments", "4,4", "--spin", "both"],
+             "sbk does not read --segments, --spin"),
+            ("analyze", ["--encoding", "jw", "--segment-size", "5"],
+             "jw does not read --segment-size"),
+            ("analyze", ["--encoding", "lsfs", "--ordering", "snake"],
+             "lsfs does not read --ordering"),
+            ("analyze", ["--encoding", "af", "--ordering", "snake"],
+             "af does not read --ordering"),
+        ],
+    )
+    def test_flag_the_encoding_does_not_read_rejected(
+        self, command, flags, message, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        assert run([command, "--w", "2", "--h", "2", *flags, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == f"fermap: --encoding {message}\n"
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("encode", ["--encoding", "sbk", "--segment-size", "1", "--ordering", "row_major"]),
+            ("encode", ["--encoding", "forest", "--segments", "4,4", "--ordering", "snake"]),
+            ("encode", ["--encoding", "lsfs", "--spin", "both"]),
+            ("analyze", ["--encoding", "sbk", "--segment-size", "1", "--ordering", "snake"]),
+            ("analyze", ["--segment-size", "1", "--ordering", "row_major"]),
+        ],
+    )
+    def test_flag_the_encoding_reads_accepted(self, command, flags, tmp_path):
+        assert run([command, "--w", "2", "--h", "2", *flags, "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize(
         "args",
         [
             ["tables", "--w", "3", "--h", "4", "--ordering", "row_major"],
             ["analyze", "--w", "3", "--h", "3", "--eps", "0.5"],
+            ["analyze", "--w", "3", "--h", "3", "--t", "0"],
+            ["analyze", "--w", "3", "--h", "3", "--u", "0"],
         ],
     )
     def test_ignored_options_are_gone(self, args):
@@ -922,8 +978,10 @@ class TestBenchTracer:
             ["sweep", "--w", "4"],
             ["encode", "--w", "2", "--h", "2", "--encoding", "lsfs"],
             ["verify", "--suite", "symbolic", "--trials", "2"],
+            ["tables", "--w", "3", "--h", "3"],
+            ["analyze", "--w", "3", "--h", "3"],
         ],
-        ids=["sweep", "encode-lsfs", "verify"],
+        ids=["sweep", "encode-lsfs", "verify", "tables", "analyze"],
     )
     def test_tracer_installs_and_runs(self, job, tmp_path):
         """The tracer looks up every name it wraps, whatever job it runs."""
