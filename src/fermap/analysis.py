@@ -115,6 +115,8 @@ def sbk_row_segments(width: int, n_rows: int, segment_size: int) -> list[int]:
     """Chunk every row of the given width into trees of the given size."""
     if segment_size < 1:
         raise ValueError("segment size must be at least 1")
+    if segment_size > width:  # no row of that width holds a larger tree
+        raise ValueError(f"segment size {segment_size} exceeds the row width {width}")
     per_row = []
     left = width
     while left:
@@ -369,8 +371,6 @@ def sbk_segment_sweep(
         segment_sizes = sorted({min(s, w) for s in segment_sizes} | {w})
     results = []
     for size in segment_sizes:
-        if size > w:  # no row of width w holds a larger tree
-            raise ValueError(f"segment size {size} exceeds the row width {w}")
         spec = EncodingSpec.from_segments(sbk_row_segments(w, 2, size))
         hops = (("vertical", hopping_op(spec, c, w + c)) for c in range(w))
         results.append((int(size), _worst_weights(hops)["vertical"]))

@@ -230,11 +230,12 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    _reject_unread_flags(args, args.encoding.lower())
+    kind = args.encoding.lower()
+    _reject_unread_flags(args, kind)
     lattice, _ = _load_model(args)
     rectangle = lattice.kind == "rectangle"
-    if args.encoding != "all":
-        names = [args.encoding.lower()]
+    if kind != "all":
+        names = [kind]
     else:  # the encodings that exist on this lattice
         names = ["jw", "bk", "sbk"]
         if min((lattice.w, lattice.h) if rectangle else (lattice.w,)) >= 2:

@@ -1,11 +1,12 @@
 """Independent correctness oracles for the encodings.
 
-Two kinds of check live here.  Symbolic checks sweep (anti)commutation
-identities in the exact Pauli algebra, where any nonzero residual
-operator is a hard failure.  Dense checks compare desk-scale matrices
-at fixed tolerances (1e-9 for spectra, 1e-12 for commutators, 1e-6 for
-penalty arithmetic), and every dense matrix comes from one of two
-kernels: ``models.fock_matrix`` on occupation states or
+Two kinds of check live here.  Symbolic checks read the encodings' own
+tables (the forests' Majorana strings, the LSFS edge generators) and
+test their (anti)commutation in the exact Pauli algebra, where any
+violated relation is a hard failure.  Dense checks compare desk-scale
+matrices at fixed tolerances (1e-9 for spectra, 1e-12 for commutators,
+1e-6 for penalty arithmetic), and every dense matrix comes from one of
+two kernels: ``models.fock_matrix`` on occupation states or
 ``QubitOperator.to_dense`` on qubits.  Forest encodings match the Fock
 matrix entry by entry through the forest's basis map, the
 loop-stabilized codespace matches the spectrum of the Fock matrix read
@@ -16,6 +17,7 @@ failed, when they exceed the dense cap.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import time
@@ -27,7 +29,7 @@ import numpy as np
 from . import lsfs
 from .encodings import EncodingSpec, encode_model, lowering, raising
 from .models import FermionOperator, LatticeSpec, fock_matrix, hubbard, hubbard_terms
-from .pauli import DENSE_CAP_DEFAULT, QubitOperator, anticommutator
+from .pauli import DENSE_CAP_DEFAULT, QubitOperator
 
 SPECTRUM_TOL = 1e-9
 COMMUTATOR_TOL = 1e-12
@@ -63,38 +65,35 @@ def _timed(name: str, body: Callable[[], tuple[bool, float, str]]) -> CheckResul
     )
 
 
-def _operator_residual(op: QubitOperator) -> float:
-    return max((abs(c) for _, c in op.terms.items()), default=0.0)
-
-
 # ---------------------------------------------------------------------------
 # Symbolic checks.
 # ---------------------------------------------------------------------------
 
 
 def check_car(spec: EncodingSpec, name: Optional[str] = None) -> CheckResult:
-    """Exact CAR sweep: {a_i, a^dag_j} = delta_ij, {a_i, a_j} = 0."""
-    label = name or f"car-{spec.kind}-n{spec.n_modes}"
+    """Exact CAR check on the spec's Majorana table.
+
+    CAR holds iff the 2n phase-free (Hermitian, squaring to I) strings
+    c_j, d_j anticommute pairwise and a_j, a^dag_j = (c_j +- i d_j) / 2:
+    {g_a, g_b} = 2 delta_ab gives {a_i, a^dag_j} = (2 + 2) delta_ij / 4 and
+    {a_i, a_j} = (2 - 2) delta_ij / 4, and conversely c_j = a_j + a^dag_j,
+    d_j = i (a^dag_j - a_j) obey it under CAR.
+    """
 
     def body():
-        n = spec.n_modes
-        lows = [lowering(spec, j) for j in range(n)]
-        ups = [raising(spec, j) for j in range(n)]
-        ident = QubitOperator.identity(n)
-        worst = 0.0
-        offender = ""
-        for i in range(n):
-            for j in range(n):
-                mixed = anticommutator(lows[i], ups[j])
-                expected = ident if i == j else QubitOperator.zero(n)
-                res = _operator_residual(mixed - expected)
-                same = _operator_residual(anticommutator(lows[i], lows[j]))
-                if max(res, same) > worst:
-                    worst = max(res, same)
-                    offender = f"pair ({i}, {j})"
-        return worst == 0.0, worst, "" if worst == 0.0 else offender
+        strings = enumerate(g for pair in spec.majoranas for g in pair)
+        for (a, g_a), (b, g_b) in itertools.combinations(strings, 2):
+            if g_a.commutes(g_b):  # {g_a, g_b} = 2 g_a g_b
+                return False, 2.0, f"pair ({a // 2}, {b // 2})"
+        for j, (c, d) in enumerate(spec.majoranas):
+            for ladder, sign in ((lowering, 1), (raising, -1)):
+                expected = QubitOperator(spec.n_modes, {c: 0.5, d: sign * 0.5j})
+                diff = ladder(spec, j) - expected
+                if not diff.is_zero():
+                    return False, max(map(abs, diff.terms.values())), f"mode {j}"
+        return True, 0.0, ""
 
-    return _timed(label, body)
+    return _timed(name or f"car-{spec.kind}-n{spec.n_modes}", body)
 
 
 def random_forest_spec(n_modes: int, rng: random.Random) -> EncodingSpec:
@@ -110,7 +109,7 @@ def random_forest_spec(n_modes: int, rng: random.Random) -> EncodingSpec:
 def check_car_random_forests(
     trials: int = 100, max_modes: int = 12, seed: int = 0
 ) -> CheckResult:
-    """CAR sweep over randomly segmented forests (seeded)."""
+    """The CAR check on randomly segmented forests (seeded)."""
 
     def body():
         rng = random.Random(seed)

@@ -289,6 +289,30 @@ class TestAnalyze:
         lines = out.read_text().splitlines()
         assert all(line.startswith(("#", "encoding", "bk,")) for line in lines)
 
+    @pytest.mark.parametrize("name", ["ALL", "All"])
+    def test_encoding_all_is_case_insensitive(self, name, capsys):
+        assert run(["analyze", "--w", "2", "--h", "2", "--encoding", "all"]) == 0
+        expected = capsys.readouterr()
+        assert run(["analyze", "--w", "2", "--h", "2", "--encoding", name]) == 0
+        assert capsys.readouterr() == expected
+
+    @pytest.mark.parametrize(
+        "command, args, w",
+        [
+            ("encode", ["--w", "3", "--h", "4", "--encoding", "sbk", "--segment-size", "99"], 3),
+            ("analyze", ["--w", "3", "--h", "4", "--encoding", "sbk", "--segment-size", "4"], 3),
+            ("analyze", ["--w", "5", "--h", "3", "--segment-size", "4"], 3),
+            ("analyze", ["--dim", "3", "--w", "2", "--encoding", "all", "--segment-size", "5"], 4),
+        ],
+    )
+    def test_segment_wider_than_row_rejected(self, command, args, w, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run([command, *args, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        size = args[-1]
+        assert captured.err == f"fermap: segment size {size} exceeds the row width {w}\n"
+
     @pytest.mark.parametrize("args", [["--dim", "3", "--w", "2"], ["--dim", "2", "--w", "3"]])
     def test_all_on_hypercube_skips_lsfs(self, args, tmp_path):
         out = tmp_path / "measured.csv"
@@ -473,6 +497,32 @@ class TestVerify:
         assert run(["verify", "--dense-cap", "0", "--trials", "1", "--out", str(out)]) == 0
         statuses = {c["status"] for c in json.loads(out.read_text())["checks"]}
         assert statuses == {"pass", "skipped"}
+
+    # sha256 of `verify --out` with each wall_time_s dropped and the
+    # rounding-level residuals of the four eigensolver checks (which vary
+    # with LAPACK) masked, recorded while the CAR check still swept operator
+    # anticommutators over every mode pair.
+    PINNED_SHA256 = {
+        ("400", "0"): "227292e4bc0fdc85935c43dd8fd4fcac7057643a8a03dd9f36e7e057909b17e3",
+        ("37", "5"): "484959c722fcba2075fba8df925b0b08db92ddeca2ddf58e7b6bcc2a7207a482",
+    }
+
+    @pytest.mark.parametrize("trials, seed", sorted(PINNED_SHA256))
+    def test_report_matches_pinned_sha256(self, trials, seed, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("FERMAP_DENSE_CAP", raising=False)
+        out = tmp_path / "verify.json"
+        assert run(["verify", "--trials", trials, "--seed", seed, "--out", str(out)]) == 0
+        text = out.read_text()
+        report = json.loads(text)
+        assert text == json.dumps(report, indent=2) + "\n"
+        for check in report["checks"]:
+            del check["wall_time_s"]
+            if check["name"].startswith(("lsfs-sector-", "penalty-")):
+                check["max_residual"] = None
+        digest = hashlib.sha256(json.dumps(report).encode()).hexdigest()
+        assert digest == self.PINNED_SHA256[trials, seed]
+        summary = "".join(f"{c['name']}: pass\n" for c in report["checks"])
+        assert capsys.readouterr() == (summary + "status: pass\n", "")
 
     def test_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FERMAP_DENSE_CAP", "4")

@@ -7,7 +7,8 @@ import pytest
 from fermap import encodings
 from fermap.encodings import EncodingSpec
 from fermap.lsfs import EdgeLayout
-from fermap.models import LatticeSpec
+from fermap.models import LOWER, RAISE, LatticeSpec
+from fermap.pauli import PauliString
 from fermap.verify import (
     check_car,
     check_car_random_forests,
@@ -27,8 +28,11 @@ class TestCar:
             EncodingSpec.jordan_wigner(7),
             EncodingSpec.bravyi_kitaev(7),
             EncodingSpec.from_segments([4, 3]),
+            EncodingSpec.jordan_wigner(200),
+            EncodingSpec.bravyi_kitaev(200),
+            EncodingSpec.from_segments([37, 50, 13, 100]),
         ],
-        ids=["jw", "bk", "forest"],
+        ids=["jw", "bk", "forest", "jw-200", "bk-200", "forest-200"],
     )
     def test_passes(self, spec):
         result = check_car(spec)
@@ -65,6 +69,35 @@ class TestCar:
         assert not result.passed
         assert "pair" in result.detail
         assert result.max_residual > 0
+
+    @pytest.mark.parametrize(
+        "mutation", ["d-keeps-z-on-children", "c-without-parity", "x-without-ancestors",
+                     "d-without-own-z"],
+    )
+    def test_broken_majorana_table_names_a_pair(self, mutation, monkeypatch):
+        def mutated(spec):
+            forest, n = spec.forest, spec.n_modes
+            masks = zip(forest.ancestor_mask, forest.parity_mask, forest.children_mask)
+            table = []
+            for j, (ancestors, parity, children) in enumerate(masks):
+                x, c_z, d_z = ancestors | 1 << j, parity, parity & ~children | 1 << j
+                if mutation == "d-keeps-z-on-children":
+                    d_z = parity | 1 << j
+                elif mutation == "c-without-parity":
+                    c_z = 0
+                elif mutation == "x-without-ancestors":
+                    x = 1 << j
+                else:
+                    d_z = parity & ~children
+                table.append((PauliString(n, x, c_z), PauliString(n, x, d_z)))
+            return tuple(table)
+
+        monkeypatch.setattr(EncodingSpec, "majoranas", property(mutated))
+        for spec in (EncodingSpec.bravyi_kitaev(8), EncodingSpec.from_segments([5, 3])):
+            result = check_car(spec)
+            assert not result.passed
+            assert result.detail.startswith("pair (")
+            assert result.max_residual == 2.0
 
 
 class TestLsfsAlgebra:
@@ -190,6 +223,29 @@ class TestSuite:
         assert len(report.checks) == 11
         failed = [c.name for c in report.checks if c.status == "fail"]
         assert failed == ["spectra-2x2-jw-vs-bk", "spectra-2x2-jw-vs-sbk"]
+
+    def test_swapped_ladder_operators_fail_car_and_spectra(self, monkeypatch):
+        # a <-> a^dag keeps CAR, so only the table's ladder equality and the
+        # entrywise spectra see it.
+        ladder_terms = encodings._ladder_terms
+        swap = {LOWER: RAISE, RAISE: LOWER}
+
+        def swapped(spec, j, flavor):
+            return ladder_terms(spec, j, swap.get(flavor, flavor))
+
+        monkeypatch.setattr(encodings, "_ladder_terms", swapped)
+        report = run_suite(forest_trials=5)
+        assert len(report.checks) == 11
+        failed = {c.name: c for c in report.checks if c.status == "fail"}
+        assert list(failed) == [
+            "car-jw-n7",
+            "car-bk-n7",
+            "car-random-forests-x5",
+            "spectra-2x2-jw-vs-bk",
+            "spectra-2x2-jw-vs-sbk",
+        ]
+        assert failed["car-jw-n7"].detail == "mode 0"
+        assert failed["car-jw-n7"].max_residual == 1.0
 
     def test_to_dict_keys(self):
         (check, *_) = run_suite(symbolic_only=True, forest_trials=2).checks
