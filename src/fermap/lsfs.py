@@ -11,9 +11,12 @@ Vertices are the row-major site ids (r * w + c) of
 ``LatticeSpec.rectangle(w, h)``, and edge qubits number its ``edges()``
 with every horizontal edge first, each kind in the lattice's row-major
 order; this fixes deterministic operator serialization.  Each layout
-builds one incidence table (vertex -> neighbour -> edge qubit) once, and
-every generator reads it.  A directional edge that would leave the
-lattice contributes an identity factor.
+builds one incidence table (vertex -> neighbour -> edge qubit) once and
+from it one table of phase-free generator strings (``generators``): an A
+string per edge qubit and a B cross per vertex.  Every generator, hopping
+term and plaquette loop multiplies its entries, and so does the algebra
+oracle in fermap.verify.  A directional edge that would leave the lattice
+contributes an identity factor.
 
 Hopping terms are built from the generator sandwich (A B_k +/- B_j A)/2
 with the overall sign fixed so that the horizontal nearest-neighbour
@@ -26,6 +29,7 @@ so the codespace spectrum is insensitive to this global sign choice
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -66,6 +70,21 @@ class EdgeLayout:
             table[u][v] = table[v][u] = qubit
         return table
 
+    @functools.cached_property
+    def generators(self) -> tuple[tuple[PauliString, ...], tuple[PauliString, ...]]:
+        """Phase-free A strings per edge qubit and B crosses per vertex.
+
+        A(u, v) has X on its edge and Z on every edge (l, u) with l < v and
+        (s, v) with s < u; B_k has Z on every edge incident to k.
+        """
+        n, table, a = self.n_edges, self.incidence, []
+        for qubit, (u, v) in enumerate(self.edges()):
+            z = sum(1 << e for l, e in table[u].items() if l < v)
+            z |= sum(1 << e for s, e in table[v].items() if s < u)
+            a.append(PauliString(n, 1 << qubit, z))
+        b = (PauliString(n, 0, sum(1 << e for e in row.values())) for row in table)
+        return tuple(a), tuple(b)
+
     def edge_index(self, u: int, v: int) -> int:
         """Qubit index of the edge {u, v}; raises on non-edges."""
         for k in sorted((u, v)):
@@ -94,20 +113,12 @@ def b_op(layout: EdgeLayout, k: int) -> QubitOperator:
     """Vertex generator: the cross of Z on all edges incident to k."""
     if not 0 <= k < layout.n_vertices:  # a negative k would index from the end
         raise IndexError(f"vertex {k} outside {layout.w}x{layout.h} lattice")
-    z = sum(1 << qubit for qubit in layout.incidence[k].values())
-    return QubitOperator.from_paulistring(PauliString(layout.n_edges, 0, z))
+    return QubitOperator.from_paulistring(layout.generators[1][k])
 
 
 def a_op(layout: EdgeLayout, j: int, k: int) -> QubitOperator:
-    """Edge generator on (j, k): antisymmetric, squares to identity.
-
-    X acts on the (j, k) edge; Z acts on every edge (l, j) with l in
-    n(j), l < k and every edge (s, k) with s in n(k), s < j.
-    """
-    x = 1 << layout.edge_index(j, k)
-    z = sum(1 << qubit for l, qubit in layout.incidence[j].items() if l < k)
-    z |= sum(1 << qubit for s, qubit in layout.incidence[k].items() if s < j)
-    string = PauliString(layout.n_edges, x, z)
+    """Edge generator eps_jk A(j, k): antisymmetric, squares to identity."""
+    string = layout.generators[0][layout.edge_index(j, k)]
     return QubitOperator.from_paulistring(string, float(_epsilon(j, k)))
 
 
@@ -123,12 +134,12 @@ def stabilizer(layout: EdgeLayout, plaquette: Sequence[int]) -> QubitOperator:
     """The loop operator A(ab) A(bc) A(cd) A(da) of a unit plaquette."""
     if not _is_unit_plaquette(layout, plaquette):
         raise ValueError(f"{tuple(plaquette)} is not a unit plaquette in cyclic order")
-    a, b, c, d = plaquette
-    out = a_op(layout, a, b) * a_op(layout, b, c) * a_op(layout, c, d) * a_op(layout, d, a)
-    ((string, coeff),) = out.sorted_terms()
-    if coeff.imag != 0:
+    # The eps_jk signs cancel: two steps around a unit plaquette ascend, two descend.
+    a_strings, cycle = layout.generators[0], zip(plaquette, [*plaquette[1:], plaquette[0]])
+    loop = functools.reduce(operator.mul, (a_strings[layout.edge_index(j, k)] for j, k in cycle))
+    if loop.phase_exp % 2:
         raise AssertionError("plaquette loop produced a non-Hermitian phase")
-    return out
+    return QubitOperator.from_paulistring(loop)
 
 
 def stabilizers(layout: EdgeLayout) -> list[QubitOperator]:
@@ -154,8 +165,9 @@ def hopping_term(layout: EdgeLayout, j: int, k: int) -> QubitOperator:
     cancels against the argument order, so (j, k) and (k, j) build the
     identical operator.
     """
-    gen = a_op(layout, j, k)
-    return 0.5j * (gen * b_op(layout, k) + b_op(layout, j) * gen)
+    (a_strings, b_strings), coeff = layout.generators, 0.5j * _epsilon(j, k)
+    gen = a_strings[layout.edge_index(j, k)]
+    return QubitOperator(layout.n_edges, {gen * b_strings[k]: coeff, b_strings[j] * gen: coeff})
 
 
 def single_spin_hamiltonian(

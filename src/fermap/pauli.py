@@ -28,7 +28,6 @@ in ``models`` and ``lsfs``: importing it costs more than the rest of
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -175,10 +174,6 @@ class PauliString:
             self.z_mask & other.x_mask
         ).bit_count()
         return overlap % 2 == 0
-
-    def to_dense(self, cap: int = DENSE_CAP_DEFAULT):
-        """Exact dense matrix of the string, qubit 0 least significant."""
-        return QubitOperator.from_paulistring(self).to_dense(cap)
 
     def __str__(self) -> str:
         prefix = {0: "", 1: "i*", 2: "-", 3: "-i*"}[self.phase_exp]
@@ -372,13 +367,6 @@ class QubitOperator:
         out._prune()
         return out
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_json_dict(), **kwargs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "QubitOperator":
-        return cls.from_json_dict(json.loads(text))
-
     def __str__(self) -> str:
         if not self._terms:
             return "0"
@@ -386,7 +374,3 @@ class QubitOperator:
         return " + ".join(parts)
 
     __repr__ = __str__
-
-
-def anticommutator(a: QubitOperator, b: QubitOperator) -> QubitOperator:
-    return a * b + b * a

@@ -17,8 +17,10 @@ failed, when they exceed the dense cap.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import operator
 import random
 import time
 from dataclasses import asdict, dataclass, field
@@ -29,7 +31,7 @@ import numpy as np
 from . import lsfs
 from .encodings import EncodingSpec, encode_model, lowering, raising
 from .models import FermionOperator, LatticeSpec, fock_matrix, hubbard, hubbard_terms
-from .pauli import DENSE_CAP_DEFAULT, QubitOperator
+from .pauli import DENSE_CAP_DEFAULT, PauliString, QubitOperator
 
 SPECTRUM_TOL = 1e-9
 COMMUTATOR_TOL = 1e-12
@@ -126,62 +128,57 @@ def check_car_random_forests(
 
 
 def check_lsfs_algebra(layout: lsfs.EdgeLayout) -> CheckResult:
-    """All pairwise generator rules, loop operators, and stabilizer algebra."""
+    """Exact LSFS algebra check on the layout's generator table.
+
+    The table's strings are phase-free, hence Hermitian with square 1, so
+    A^2 = B^2 = 1 holds for any table and is not tested, and the real
+    eps_jk signs of ``lsfs.a_op`` change no relation.  What can fail is
+    whether two strings commute, tested once per pair.  Fermionic edge
+    and vertex operators obey: A(e), A(e') anticommute iff e and e' share
+    one vertex; A(e), B_k anticommute iff k is on e; the B_k commute and
+    multiply to 1 (each edge qubit takes Z from both ends).  The strings
+    cannot obey the last fermionic relation, that A multiplied around a
+    closed loop is +-1.  So each of the P = (w - 1)(h - 1) plaquette loops
+    must be a real-phase string commuting with every generator and every
+    other loop: the generators then keep the loops' joint eigenspace, and
+    the relations above hold on it.  The pairwise relations imply these
+    loop properties; the loops are checked so a failure names its plaquettes.
+    """
     label = f"lsfs-algebra-{layout.w}x{layout.h}"
 
     def body():
-        failures: list[str] = []
-        ident = QubitOperator.identity(layout.n_edges)
+        failures: dict[str, list[str]] = {}  # relation -> every instance it breaks
+        a_strings, b_strings = layout.generators
         edges = layout.edges()
-        a_strings = {}
-        for u, v in edges:
-            gen = lsfs.a_op(layout, u, v)
-            if gen * gen != ident:
-                failures.append(f"A{(u, v)}^2 != 1")
-            if gen != -1.0 * lsfs.a_op(layout, v, u):
-                failures.append(f"A{(u, v)} not antisymmetric")
-            ((string, _),) = gen.sorted_terms()
-            a_strings[(u, v)] = string
-        b_strings = {}
-        prod = ident
-        for k in range(layout.n_vertices):
-            gen = lsfs.b_op(layout, k)
-            if gen * gen != ident:
-                failures.append(f"B{k}^2 != 1")
-            ((string, _),) = gen.sorted_terms()
-            b_strings[k] = string
-            prod = prod * gen
-        if prod != ident:
-            failures.append("product of all B != 1")
-        for e1, s1 in a_strings.items():
-            for e2, s2 in a_strings.items():
-                expected = len(set(e1) & set(e2)) != 1
-                if s1.commutes(s2) != expected:
-                    failures.append(f"A{e1} vs A{e2} rule broken")
-            for k, bs in b_strings.items():
-                if s1.commutes(bs) != (k not in e1):
-                    failures.append(f"A{e1} vs B{k} rule broken")
-        for k1, b1 in b_strings.items():
-            for k2, b2 in b_strings.items():
-                if not b1.commutes(b2):
-                    failures.append(f"B{k1} vs B{k2} do not commute")
-        stabs = lsfs.stabilizers(layout)
-        expected_count = (layout.w - 1) * (layout.h - 1)
-        if len(stabs) != expected_count:
-            failures.append(f"{len(stabs)} stabilizers, expected {expected_count}")
-        for plq, stab in zip(layout.plaquettes(), stabs):
-            ((string, coeff),) = stab.sorted_terms()
-            if coeff not in (1.0, -1.0) or stab * stab != ident:
-                failures.append(f"stabilizer {plq} not a +/-1 involution")
-            for s in list(a_strings.values()) + list(b_strings.values()):
-                if not string.commutes(s):
-                    failures.append(f"stabilizer {plq} fails to commute")
-            for other in stabs:
-                if not string.commutes(other.sorted_terms()[0][0]):
-                    failures.append(f"stabilizers {plq} do not commute")
-        detail = "; ".join(failures[:4])
-        if len(failures) > 4:
-            detail += f"; +{len(failures) - 4} more"
+        for (e1, s1), (e2, s2) in itertools.combinations(zip(edges, a_strings), 2):
+            if s1.commutes(s2) != (len(set(e1) & set(e2)) != 1):
+                failures.setdefault("A-A", []).append(f"A{e1} vs A{e2} rule broken")
+        for (e, s), (k, b) in itertools.product(zip(edges, a_strings), enumerate(b_strings)):
+            if s.commutes(b) != (k not in e):
+                failures.setdefault("A-B", []).append(f"A{e} vs B{k} rule broken")
+        for (k1, b1), (k2, b2) in itertools.combinations(enumerate(b_strings), 2):
+            if not b1.commutes(b2):
+                failures.setdefault("B-B", []).append(f"B{k1} vs B{k2} do not commute")
+        if functools.reduce(operator.mul, b_strings) != PauliString.identity(layout.n_edges):
+            failures["B product"] = ["product of all B != 1"]
+        loops = []
+        for plq in layout.plaquettes():
+            cycle = zip(plq, plq[1:] + plq[:1])
+            loop = functools.reduce(operator.mul, (a_strings[layout.edge_index(*e)] for e in cycle))
+            if loop.phase_exp % 2:
+                failures.setdefault("loop phase", []).append(f"loop {plq} not a +/-1 string")
+            if not all(loop.commutes(g) for g in a_strings + b_strings):
+                failures.setdefault("loop-gen", []).append(f"loop {plq} fails to commute")
+            loops.append((plq, loop))
+        if len(loops) != (layout.w - 1) * (layout.h - 1):
+            failures["loop count"] = [f"{len(loops)} loops on {layout.w}x{layout.h}"]
+        for (p1, l1), (p2, l2) in itertools.combinations(loops, 2):
+            if not l1.commutes(l2):
+                failures.setdefault("loop-loop", []).append(f"loops {p1} and {p2} do not commute")
+        # The first instance of each broken relation, so a broken loop is named too.
+        firsts = [instances[0] for instances in failures.values()]
+        more = sum(map(len, failures.values())) - len(firsts)
+        detail = "; ".join(firsts) + (f"; +{more} more" if more else "")
         return not failures, 0.0 if not failures else 1.0, detail
 
     return _timed(label, body)

@@ -213,6 +213,19 @@ class TestGenerators:
         ps, _ = string_of(a_op(lay, 1, 2))
         assert ps.weight < string_of(a_op(lay, 9, 10))[0].weight
 
+    @pytest.mark.parametrize("w,h", [(2, 1), (3, 3), (5, 2)])
+    def test_generator_table_is_built_once_and_read(self, w, h):
+        lay = EdgeLayout(w, h)
+        a_strings, b_strings = lay.generators
+        assert lay.generators is lay.generators
+        assert len(a_strings) == lay.n_edges and len(b_strings) == lay.n_vertices
+        for qubit, (u, v) in enumerate(lay.edges()):
+            assert a_strings[qubit].phase_exp == 0
+            assert a_op(lay, u, v) == QubitOperator.from_paulistring(a_strings[qubit], -1.0)
+            assert a_op(lay, v, u) == QubitOperator.from_paulistring(a_strings[qubit], 1.0)
+        for k, cross in enumerate(b_strings):
+            assert b_op(lay, k) == QubitOperator.from_paulistring(cross)
+
     def test_non_edge_pair_rejected(self):
         with pytest.raises(ValueError):
             a_op(EdgeLayout(3, 3), 0, 4)

@@ -119,7 +119,7 @@ def naive_hubbard_lsfs(w, h, t, u, eps, delta):
 def assert_identical(op, ref):
     assert op.n_qubits == ref.n_qubits
     assert list(op.terms.items()) == list(ref.terms.items())
-    assert op.to_json() == ref.to_json()
+    assert op.to_json_text() == ref.to_json_text()
 
 
 def specs(lattice):

@@ -6,7 +6,7 @@ import pytest
 
 from fermap import encodings
 from fermap.encodings import EncodingSpec
-from fermap.lsfs import EdgeLayout
+from fermap.lsfs import EdgeLayout, stabilizer
 from fermap.models import LOWER, RAISE, LatticeSpec
 from fermap.pauli import PauliString
 from fermap.verify import (
@@ -112,6 +112,58 @@ class TestLsfsAlgebra:
 
     def test_counts_stabilizers(self):
         assert check_lsfs_algebra(EdgeLayout(4, 4)).passed
+
+    @pytest.mark.parametrize(
+        "mutation,w,first",
+        [
+            ("interior-a-drops-a-z", 3, "A(4, 5) vs A(2, 5) rule broken; loop (1, 2, 5, 4) not"),
+            ("interior-a-drops-a-z", 4, "A(5, 6) vs A(2, 6) rule broken; loop (1, 2, 6, 5) not"),
+            ("b0-drops-a-qubit", 3, "A(0, 1) vs B0 rule broken; product of all B != 1; loop"),
+            ("b0-drops-a-qubit", 4, "A(0, 1) vs B0 rule broken; product of all B != 1; loop"),
+            ("swap-a-of-edges-0-1", 3, "A(0, 1) vs A(0, 3) rule broken; A(0, 1) vs B0 rule"),
+            ("swap-a-of-edges-0-1", 4, "A(0, 1) vs A(2, 3) rule broken; A(0, 1) vs B0 rule"),
+        ],
+    )
+    def test_broken_generator_table_names_a_relation(self, mutation, w, first, monkeypatch):
+        original = EdgeLayout.__dict__["generators"].func
+
+        def mutated(layout):
+            a_strings, b_strings = map(list, original(layout))
+            if mutation == "interior-a-drops-a-z":
+                q = layout.edge_index(w + 1, w + 2)
+                x, z = a_strings[q].x_mask, a_strings[q].z_mask
+                a_strings[q] = PauliString(layout.n_edges, x, z & ~(1 << z.bit_length() - 1))
+            elif mutation == "b0-drops-a-qubit":
+                z = b_strings[0].z_mask
+                b_strings[0] = PauliString(layout.n_edges, 0, z & (z - 1))
+            else:
+                a_strings[0], a_strings[1] = a_strings[1], a_strings[0]
+            return tuple(a_strings), tuple(b_strings)
+
+        monkeypatch.setattr(EdgeLayout, "generators", property(mutated))
+        result = check_lsfs_algebra(EdgeLayout(w, w))
+        assert result.status == "fail"
+        assert result.max_residual == 1.0
+        assert result.detail.startswith(first), result.detail
+
+    @pytest.mark.parametrize("w,h", [(3, 3), (4, 4)])
+    def test_loop_with_an_imaginary_phase_fails_and_names_it(self, w, h, monkeypatch):
+        # Swapping two A strings makes the corner loop anti-Hermitian; the
+        # synthesis path refuses it, and the check reports it as a failure.
+        original = EdgeLayout.__dict__["generators"].func
+
+        def swapped(layout):
+            a_strings, b_strings = original(layout)
+            return (a_strings[1], a_strings[0], *a_strings[2:]), b_strings
+
+        monkeypatch.setattr(EdgeLayout, "generators", property(swapped))
+        layout = EdgeLayout(w, h)
+        corner = layout.plaquettes()[0]
+        with pytest.raises(AssertionError, match="non-Hermitian"):
+            stabilizer(layout, corner)
+        result = check_lsfs_algebra(layout)
+        assert result.status == "fail"
+        assert f"loop {corner} not a +/-1 string" in result.detail
 
 
 class TestSpectraMatch:
