@@ -18,7 +18,6 @@ conjugate pair exactly as in the single-block analysis.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -190,15 +189,13 @@ def measure(
     if name == "lsfs":
         if lattice.kind != "rectangle":
             raise ValueError("loop-stabilized layout is defined on rectangles")
-        layout = lsfs.EdgeLayout(lattice.w, lattice.h)
-        # The lattice's site ids are the layout's vertex ids (r * w + c).
-        hops = ((klass, lsfs.hopping_term(layout, a, b)) for a, b, klass in lattice.edges())
-        sites = range(layout.n_vertices)
-        density = (("density-density", lsfs.density_term(layout, k)) for k in sites)
-        return _worst_weights(itertools.chain(hops, density))
-    if name not in ("jw", "bk", "sbk"):
+        # LSFS qubits follow the geometry: its modes are the row-major sites.
+        spec = lsfs.LsfsSpec(lsfs.EdgeLayout(lattice.w, lattice.h), 2)
+        lattice = LatticeSpec.rectangle(lattice.w, lattice.h, "row_major")
+    elif name in ("jw", "bk", "sbk"):
+        spec = model_encoding(name, lattice, segment_size)
+    else:
         raise ValueError(f"unknown encoding {encoding!r}")
-    spec = model_encoding(name, lattice, segment_size)
     terms = hubbard_terms(lattice, 1.0, 1.0)
     return _worst_weights((klass, encode_model(spec, piece)) for klass, piece in terms)
 

@@ -1,4 +1,4 @@
-"""Tree-based fermion-to-qubit encodings: JW, BK, and Fenwick forests.
+"""Tree-based fermion-to-qubit encodings (JW, BK, Fenwick forests), and the encoder.
 
 All three are instances of one family: a Fenwick forest over the modes
 fixes, for every mode j, the parity set P(j) (Z support), the update set
@@ -11,14 +11,15 @@ Majorana convention: c_j = a_j + a^dag_j and d_j = i (a^dag_j - a_j),
 so a_j = (c_j + i d_j) / 2 and number/hopping operators follow from the
 exact Pauli algebra.
 
-Every encoding is one per-mode table of Majorana bitmasks: a spec ORs the
-c_j and d_j strings of every mode from the forest's parity, children and
-ancestor masks once, on its first encode, and keeps the table for its
-own lifetime.  There is one synthesis path: ``encode_model`` multiplies
-each term's factors as mask-keyed term maps ``{(x_mask, z_mask): coeff}``
-read from the table and sums the terms into one operator in place.
-``majorana_c`` and ``majorana_d`` read one table entry, and ``lowering``,
-``raising`` and ``hopping_op`` encode a one-term fermion operator.
+Every encoding is a table: a forest spec ORs the c_j and d_j strings of
+every mode from the forest's masks once and keeps them; ``lsfs.LsfsSpec``
+reads Majorana pairs from its layout's edge generators.  One synthesis
+path serves every spec: ``encode_model`` multiplies each term's factors as
+mask-keyed term maps ``{(x_mask, z_mask): coeff}`` that the spec reads
+from its table, and sums the terms into one operator in place.  A hop is
+two Majorana pairs, (i/2)(c_j d_k + c_k d_j): two table products.
+``majorana_c``/``majorana_d`` read one entry; ``lowering``, ``raising``
+and ``hopping_op`` encode one ladder factor or one hop.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .fenwick import FenwickForest
-from .models import LOWER, NUMBER, RAISE, FermionOperator, hopping_pair
+from .models import LOWER, MAJORANA_C, MAJORANA_D, NUMBER, RAISE, FermionOperator, hopping_pair
 from .pauli import PauliString, QubitOperator, _add_terms, _mul_terms
 
 
@@ -53,6 +54,13 @@ class EncodingSpec:
     @property
     def n_modes(self) -> int:
         return self.forest.n_sites
+
+    @property
+    def n_qubits(self) -> int:
+        return self.n_modes
+
+    def factor_maps(self, factors) -> list[dict]:
+        return [_ladder_terms(self, mode, flavor) for mode, flavor in factors]
 
     @property
     def kind(self) -> str:
@@ -91,8 +99,11 @@ def majorana_d(spec: EncodingSpec, j: int) -> QubitOperator:
 
 
 def _ladder_terms(spec: EncodingSpec, j: int, flavor: str) -> dict:
-    """Term map of a_j, a^dag_j or n_j, straight from j's Majorana masks."""
+    """Term map of a_j, a^dag_j, n_j, c_j or d_j, straight from j's Majorana masks."""
     c, d = spec.majoranas[j]
+    if flavor in (MAJORANA_C, MAJORANA_D):
+        string = c if flavor == MAJORANA_C else d
+        return {(string.x_mask, string.z_mask): 1 + 0j}
     if flavor == NUMBER:  # (1 - Z on F(j) and j) / 2
         return {(0, 0): 0.5 + 0j, (0, c.z_mask ^ d.z_mask): -0.5 + 0j}
     # (c_j +- i d_j) / 2; a +0.0 real part, as ``QubitOperator(n, {d: -0.5j})`` folds it.
@@ -115,19 +126,19 @@ def hopping_op(spec: EncodingSpec, j: int, k: int) -> QubitOperator:
     return encode_model(spec, hopping_pair(spec.n_modes, j, k))
 
 
-def encode_model(spec: EncodingSpec, model: FermionOperator) -> QubitOperator:
-    """Map a FermionOperator to qubits factor by factor.
+def encode_model(spec, model: FermionOperator) -> QubitOperator:
+    """Map a FermionOperator to qubits under any spec, factor by factor.
 
-    Factors are encoded in the order written; no reordering or normal
-    ordering is performed, so the caller is expected to supply physical
-    (conjugate-paired) operators.
+    The spec sets the register (``n_qubits``) and maps each term's factors
+    (``factor_maps``) in the order written, with no normal ordering, so the
+    caller is expected to supply physical (conjugate-paired) operators.
     """
     n = spec.n_modes
     if model.n_modes > n:
         raise IndexError(f"model has {model.n_modes} modes, encoding only {n}")
-    total = QubitOperator.zero(n)
+    total = QubitOperator.zero(spec.n_qubits)
     for coeff, factors in model.terms:
-        maps = [_ladder_terms(spec, mode, flavor) for mode, flavor in factors]
+        maps = spec.factor_maps(factors)
         acc = functools.reduce(_mul_terms, maps or [{(0, 0): 1 + 0j}])
         _add_terms(total._terms, ((key, coeff * c) for key, c in acc.items()))
     return total

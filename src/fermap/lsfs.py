@@ -13,17 +13,19 @@ with every horizontal edge first, each kind in the lattice's row-major
 order; this fixes deterministic operator serialization.  Each layout
 builds one incidence table (vertex -> neighbour -> edge qubit) once and
 from it one table of phase-free generator strings (``generators``): an A
-string per edge qubit and a B cross per vertex.  Every generator, hopping
-term and plaquette loop multiplies its entries, and so does the algebra
-oracle in fermap.verify.  A directional edge that would leave the lattice
+string per edge qubit and a B cross per vertex.  Every generator and
+plaquette loop multiplies its entries, and so does the algebra oracle in
+fermap.verify.  A directional edge that would leave the lattice
 contributes an identity factor.
 
-Hopping terms are built from the generator sandwich (A B_k +/- B_j A)/2
-with the overall sign fixed so that the horizontal nearest-neighbour
-coupling expands to  (1/2) Y_k^right (Z_k^down Z_{k+1}^up
-- Z_k^up Z_k^left Z_{k+1}^right Z_{k+1}^down); the lattice is bipartite,
-so the codespace spectrum is insensitive to this global sign choice
-(the dense oracle in fermap.verify pins the equivalence).
+Fermion terms are encoded by ``encodings.encode_model`` under an
+``LsfsSpec``, whose factor maps are a pair table: the Majorana pair
+c_j d_k on an edge is eps_jk A(jk) B_k, with the phase of that string
+product, and n_k is (1 - B_k) / 2.  A hop (i/2)(c_j d_k + c_k d_j) then
+expands, on a horizontal edge, to (1/2) Y_k^right (Z_k^down Z_{k+1}^up -
+Z_k^up Z_k^left Z_{k+1}^right Z_{k+1}^down); the lattice is bipartite,
+so the codespace spectrum is insensitive to the global sign of eps (the
+dense oracle in fermap.verify pins the equivalence).
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ import operator
 from dataclasses import dataclass
 from typing import Sequence
 
-from .models import LatticeSpec
+from .encodings import encode_model
+from .models import MAJORANA_C, MAJORANA_D, NUMBER, FermionOperator, LatticeSpec, hopping_pair
 from .pauli import DENSE_CAP_DEFAULT, DenseCapError, PauliString, QubitOperator
 
 
@@ -146,41 +149,71 @@ def stabilizers(layout: EdgeLayout) -> list[QubitOperator]:
     return [stabilizer(layout, plq) for plq in layout.plaquettes()]
 
 
+@dataclass(frozen=True)
+class LsfsSpec:
+    """The layout's pair table for ``encode_model`` over ``n_spins`` blocks:
+    mode v + s V is vertex v of block s, on edge qubits [s E, (s + 1) E)."""
+
+    layout: EdgeLayout
+    n_spins: int = 1
+
+    @property
+    def n_modes(self) -> int:
+        return self.n_spins * self.layout.n_vertices
+
+    @property
+    def n_qubits(self) -> int:
+        return self.n_spins * self.layout.n_edges
+
+    def factor_maps(self, factors) -> list[dict]:
+        """n_k is (1 - B_k) / 2 and c_j d_k on an edge is eps_jk A(jk) B_k."""
+        layout, maps, rest = self.layout, [], list(factors)
+        (a_strings, b_strings), n_v = layout.generators, layout.n_vertices
+        while rest:
+            mode, flavor = rest.pop(0)
+            block, j = divmod(mode, n_v)
+            shift = block * layout.n_edges
+            if flavor == NUMBER:
+                maps.append({(0, 0): 0.5 + 0j, (0, b_strings[j].z_mask << shift): -0.5 + 0j})
+                continue
+            k_mode, partner = rest.pop(0) if rest else (None, None)
+            k = k_mode - block * n_v if (flavor, partner) == (MAJORANA_C, MAJORANA_D) else None
+            qubit = layout.incidence[j].get(k)  # also None for a k in another block
+            if qubit is None:
+                raise ValueError(f"LSFS encodes n_k and c_j d_k on an edge, not {factors}")
+            pair = a_strings[qubit] * b_strings[k]
+            key = (pair.x_mask << shift, pair.z_mask << shift)
+            maps.append({key: _epsilon(j, k) * pair.phase})
+        return maps
+
+
 def number_term(layout: EdgeLayout, k: int) -> QubitOperator:
     """Occupation of vertex k: (1 - B_k) / 2."""
-    n = layout.n_edges
-    return QubitOperator.identity(n, 0.5) + (-0.5) * b_op(layout, k)
-
-
-def density_term(layout: EdgeLayout, k: int) -> QubitOperator:
-    """n_k^down n_k^up on the two-spin register: down on [0, E), up on [E, 2E)."""
-    n_k, n_total = number_term(layout, k), 2 * layout.n_edges
-    return n_k.embedded(n_total, 0) * n_k.embedded(n_total, layout.n_edges)
+    model = FermionOperator.term(layout.n_vertices, 1.0, ((k, NUMBER),))
+    return encode_model(LsfsSpec(layout), model)
 
 
 def hopping_term(layout: EdgeLayout, j: int, k: int) -> QubitOperator:
-    """Encoded a^dag_k a_j + a^dag_j a_k for lattice edge (j, k).
+    """Encoded a^dag_k a_j + a^dag_j a_k for lattice edge (j, k); symmetric in j, k."""
+    return encode_model(LsfsSpec(layout), hopping_pair(layout.n_vertices, j, k))
 
-    Symmetric in its arguments: the epsilon sign of the generator
-    cancels against the argument order, so (j, k) and (k, j) build the
-    identical operator.
-    """
-    (a_strings, b_strings), coeff = layout.generators, 0.5j * _epsilon(j, k)
-    gen = a_strings[layout.edge_index(j, k)]
-    return QubitOperator(layout.n_edges, {gen * b_strings[k]: coeff, b_strings[j] * gen: coeff})
+
+def single_spin_model(layout: EdgeLayout, t: float, eps: float = 0.0) -> FermionOperator:
+    """-t sum_edges hop + eps sum_k n_k on the vertices, hops in edge-qubit order."""
+    n, terms = layout.n_vertices, []
+    if t != 0.0:
+        for u, v in layout.edges():
+            terms += hopping_pair(n, u, v, -t).terms
+    if eps != 0.0:
+        terms += [(complex(eps), ((k, NUMBER),)) for k in range(n)]
+    return FermionOperator(n, tuple(terms))
 
 
 def single_spin_hamiltonian(
     layout: EdgeLayout, t: float, eps: float = 0.0, delta: float = 0.0
 ) -> QubitOperator:
-    """-t sum_edges hop + eps sum_k n_k, with optional stabilizer penalty."""
-    total = QubitOperator.zero(layout.n_edges)
-    if t != 0.0:
-        for u, v in layout.edges():
-            total._add_in_place((-t) * hopping_term(layout, u, v))
-    if eps != 0.0:
-        for k in range(layout.n_vertices):
-            total._add_in_place(eps * number_term(layout, k))
+    """The encoded ``single_spin_model``, with optional stabilizer penalty."""
+    total = encode_model(LsfsSpec(layout), single_spin_model(layout, t, eps))
     if delta != 0.0:
         for stab in stabilizers(layout):
             total._add_in_place((-delta / 2.0) * stab)
@@ -199,21 +232,21 @@ def hubbard_lsfs(
 
     The spin-down edge lattice occupies qubits [0, E) and spin-up
     occupies [E, 2E).  The on-site repulsion couples matching vertices
-    of the two lattices through (1 - B)(1 - B')/4 (``density_term``), and
-    the penalty sums -delta/2 times every stabilizer of both lattices.
+    of the two lattices through n_k n_k' = (1 - B)(1 - B')/4, and the
+    penalty sums -delta/2 times every stabilizer of both lattices.
     """
     if w < 2 or h < 2:
         raise ValueError("the two-spin mapping needs w, h >= 2")
     layout = EdgeLayout(w, h)
-    n_edges = layout.n_edges
-    n_total = 2 * n_edges
-    total = QubitOperator.zero(n_total)
+    spec, n_v = LsfsSpec(layout, 2), layout.n_vertices
+    total = QubitOperator.zero(spec.n_qubits)
     spin_part = single_spin_hamiltonian(layout, t, eps, delta)
-    for offset in (0, n_edges):
-        total._add_in_place(spin_part.embedded(n_total, offset))
+    for offset in (0, layout.n_edges):
+        total._add_in_place(spin_part.embedded(spec.n_qubits, offset))
     if u != 0.0:
-        for k in range(layout.n_vertices):
-            total._add_in_place(u * density_term(layout, k))
+        for k in range(n_v):  # one term at a time: the identity is a running sum
+            model = FermionOperator.term(spec.n_modes, u, ((k, NUMBER), (k + n_v, NUMBER)))
+            total._add_in_place(encode_model(spec, model))
     return total
 
 

@@ -1,10 +1,12 @@
 """Fermionic lattice Hamiltonians and the combinatorics shared by encoders.
 
-Models are plain sums of ladder-operator products over spin-orbital
-modes.  A rectangular w x h lattice (w columns, h rows, row-major site
-ids) or a hypercubic lattice of dimension D and side w carries 2 * sites
-modes: the spin-down block occupies mode indices [0, sites) and spin-up
-occupies [sites, 2*sites).
+Models are plain sums of factor products over spin-orbital modes: ladder
+(``+``, ``-``), number (``n``) and Majorana factors c_j = a_j + a^dag_j
+(``c``) and d_j = i (a^dag_j - a_j) (``d``); a hop is two Majorana pairs.
+A rectangular w x h lattice (w columns, h rows, row-major site ids) or a
+hypercubic lattice of dimension D and side w carries 2 * sites modes: the
+spin-down block occupies mode indices [0, sites) and spin-up occupies
+[sites, 2*sites).
 
 The module also hosts the dense Fock-space oracle: each term acts on
 every occupation-basis state at once, with explicit antisymmetric sign
@@ -27,7 +29,9 @@ if TYPE_CHECKING:
 RAISE = "+"
 LOWER = "-"
 NUMBER = "n"
-_FLAVORS = (RAISE, LOWER, NUMBER)
+MAJORANA_C = "c"
+MAJORANA_D = "d"
+_FLAVORS = (RAISE, LOWER, NUMBER, MAJORANA_C, MAJORANA_D)
 
 Factor = tuple[int, str]
 Term = tuple[complex, tuple[Factor, ...]]
@@ -35,7 +39,7 @@ Term = tuple[complex, tuple[Factor, ...]]
 
 @dataclass(frozen=True)
 class FermionOperator:
-    """A sum of products of site-indexed raising/lowering/number factors."""
+    """A sum of products of site-indexed ladder, number and Majorana factors."""
 
     n_modes: int
     terms: tuple[Term, ...]
@@ -175,16 +179,12 @@ class LatticeSpec:
 
 
 def hopping_pair(n_modes: int, i: int, j: int, coeff: complex = 1.0) -> FermionOperator:
-    """coeff * (a^dag_i a_j + a^dag_j a_i)."""
+    """coeff * (a^dag_i a_j + a^dag_j a_i) = (i coeff / 2)(c_i d_j + c_j d_i)."""
     if i == j:
         raise ValueError("hopping needs two distinct modes")
-    return FermionOperator(
-        n_modes,
-        (
-            (complex(coeff), ((i, RAISE), (j, LOWER))),
-            (complex(coeff), ((j, RAISE), (i, LOWER))),
-        ),
-    )
+    pair = 0.5j * coeff
+    c, d = MAJORANA_C, MAJORANA_D
+    return FermionOperator(n_modes, ((pair, ((i, c), (j, d))), (pair, ((j, c), (i, d)))))
 
 
 def hubbard_terms(
@@ -251,8 +251,9 @@ def hubbard(spec: LatticeSpec, t: float, u: float, eps: float = 0.0) -> FermionO
 # Basis state s has occupancy n_j = bit j of s.  A term acts on all basis
 # states at once, its rightmost factor first: a factor zeroes the states
 # it annihilates (a_j needs n_j = 1, a^dag_j needs n_j = 0, n_j keeps the
-# occupied ones), and a ladder factor then multiplies by (-1)^(number of
-# occupied modes below j) and flips bit j.  This is a direct occupation-
+# occupied ones, c_j and d_j keep all; d_j multiplies by i if n_j = 0 and
+# by -i if n_j = 1), and every factor but n_j then multiplies by (-1)^(number
+# of occupied modes below j) and flips bit j.  This is a direct occupation-
 # number construction and shares no code with the Pauli-string pathway.
 # ---------------------------------------------------------------------------
 
@@ -272,8 +273,11 @@ def fock_matrix(
         amp = np.full(dim, coeff, dtype=complex)
         for mode, flavor in reversed(factors):
             bit = np.uint64(1 << mode)
-            # a^dag_j kills the occupied states, a_j and n_j the empty ones
-            amp[((state & bit) != 0) == (flavor == RAISE)] = 0
+            occupied = (state & bit) != 0
+            if flavor == MAJORANA_D:
+                amp *= np.where(occupied, -1j, 1j)
+            elif flavor != MAJORANA_C:  # a^dag_j kills occupied states, a_j and n_j empty ones
+                amp[occupied == (flavor == RAISE)] = 0
             if flavor != NUMBER:
                 odd = np.bitwise_count(state & np.uint64((1 << mode) - 1)) % 2 == 1
                 amp[odd] = -amp[odd]

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import lsfs
 from .encodings import EncodingSpec, encode_model, lowering, raising
-from .models import FermionOperator, LatticeSpec, fock_matrix, hubbard, hubbard_terms
+from .models import LatticeSpec, fock_matrix, hubbard
 from .pauli import DENSE_CAP_DEFAULT, PauliString, QubitOperator
 
 SPECTRUM_TOL = 1e-9
@@ -234,19 +234,6 @@ def spectra_match(
     return _timed(label, body)
 
 
-def _single_spin_model(w: int, h: int, t: float, eps: float) -> FermionOperator:
-    """The spin-down block of the row-major Hubbard model, with U = 0."""
-    lattice = LatticeSpec.rectangle(w, h, "row_major")
-    n = lattice.n_sites
-    down = [
-        term
-        for _, op in hubbard_terms(lattice, t, 0.0, eps)
-        for term in op.terms
-        if all(mode < n for mode, _ in term[1])
-    ]
-    return FermionOperator(n, tuple(down))
-
-
 def _restricted_spectrum(matrix: np.ndarray, projector: np.ndarray):
     evals, evecs = np.linalg.eigh(projector)
     basis = evecs[:, evals > 0.5]
@@ -264,9 +251,9 @@ def lsfs_sector_match(
     """Loop-stabilized codespace spectrum equals the even-parity sector.
 
     The codespace projector and the Hamiltonian are rendered from the
-    exact Pauli algebra; the reference is the Fock matrix of the same
-    single-spin lattice model read on the occupation states of even
-    particle number.
+    exact Pauli algebra; the reference is the Fock matrix of the fermion
+    model it encodes (``lsfs.single_spin_model``), read on the occupation
+    states of even particle number.
     """
     label = f"lsfs-sector-{w}x{h}"
     layout = lsfs.EdgeLayout(w, h)
@@ -279,7 +266,7 @@ def lsfs_sector_match(
         commutator_res = float(np.max(np.abs(ham @ projector - projector @ ham)))
         code_spec, code_dim = _restricted_spectrum(ham, projector)
 
-        reference = fock_matrix(_single_spin_model(w, h, t, eps), cap)
+        reference = fock_matrix(lsfs.single_spin_model(layout, t, eps), cap)
         even = [s for s in range(1 << (w * h)) if s.bit_count() % 2 == 0]
         even_spec = np.linalg.eigvalsh(reference[np.ix_(even, even)])
 

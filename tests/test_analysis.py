@@ -90,6 +90,15 @@ class TestMeasure:
         # The one hop of a two-site strip encodes to zero and carries no weight.
         assert measure("lsfs", LatticeSpec.rectangle(2, 1)) == {"density-density": 2}
 
+    def test_lsfs_reads_the_geometry_not_the_mode_order(self):
+        # Snake order transposes a wide rectangle; LSFS qubits follow the
+        # row-major vertices either way.
+        expected = {"horizontal": 5, "vertical": 6, "density-density": 8}
+        for ordering in ("snake", "row_major"):
+            assert measure("lsfs", LatticeSpec.rectangle(6, 3, ordering)) == expected
+        tall = {"horizontal": 4, "vertical": 7, "density-density": 8}
+        assert measure("lsfs", LatticeSpec.rectangle(3, 6, "snake")) == tall
+
     def test_unknown_encoding(self):
         with pytest.raises(ValueError):
             measure("parity", LatticeSpec.rectangle(2, 2))

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from fermap import lsfs
 from fermap.encodings import (
     EncodingSpec,
     encode_model,
@@ -21,6 +22,7 @@ from fermap.models import (
     FermionOperator,
     LatticeSpec,
     fock_matrix,
+    hopping_pair,
     hubbard,
 )
 from fermap.pauli import PauliString, QubitOperator
@@ -265,6 +267,26 @@ class TestHoppingOp:
                     got = np.sort(np.linalg.eigvalsh(hop.to_dense()))
                     want = np.sort(np.linalg.eigvalsh(oracle))
                     assert np.max(np.abs(got - want)) < 1e-12
+
+    # Every subnormal k * 2^-1074 with k = 1..64, both signs: the ladder form
+    # rounded t/4 and doubled it, which missed t/2 on a quarter of these.
+    SUBNORMALS = [sign * k * 5e-324 for k in range(1, 65) for sign in (1, -1)]
+
+    def test_subnormal_coupling_is_exactly_half_per_string(self):
+        trees = (
+            EncodingSpec.jordan_wigner(6),
+            EncodingSpec.bravyi_kitaev(6),
+            EncodingSpec.from_segments([3, 3]),
+        )
+        layout = lsfs.EdgeLayout(3, 2)
+        cases = [(spec, (i, j)) for spec in trees for i, j in [(0, 1), (0, 5), (2, 4)]]
+        cases += [(lsfs.LsfsSpec(layout), edge) for edge in layout.edges()]
+        for t in self.SUBNORMALS:
+            for spec, (i, j) in cases:
+                op = encode_model(spec, hopping_pair(spec.n_modes, i, j, t))
+                assert len(op) == (2 if t / 2 else 0)
+                for coeff in op.terms.values():
+                    assert sorted(map(abs, (coeff.real, coeff.imag))) == [0.0, abs(t / 2)]
 
 
 class TestEncodeModel:

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from fermap.encodings import encode_model
 from fermap.lsfs import (
     EdgeLayout,
+    LsfsSpec,
     a_op,
     b_op,
     codespace_projector,
@@ -16,7 +18,7 @@ from fermap.lsfs import (
     stabilizer,
     stabilizers,
 )
-from fermap.models import LatticeSpec, fock_matrix, hubbard
+from fermap.models import FermionOperator, LatticeSpec, fock_matrix, hubbard
 from fermap.pauli import DenseCapError, PauliString, QubitOperator
 
 
@@ -387,6 +389,49 @@ class TestHopping:
                 vert = max(vert, w_max)
         assert horiz == 5
         assert vert == 7
+
+
+class TestPairTable:
+    @pytest.mark.parametrize(
+        "factors",
+        [
+            ((0, "-"),),  # a lone ladder factor
+            ((0, "+"), (1, "-")),  # a ladder hop
+            ((0, "c"),),  # c without d
+            ((0, "c"), (1, "c")),  # c followed by another c
+            ((1, "d"), (0, "c")),  # d before c
+            ((0, "c"), (4, "d")),  # c_j d_k off an edge (0 and 4 are diagonal)
+            ((0, "c"), (0, "d")),  # one vertex
+            ((0, "c"), (10, "d")),  # across spin blocks: vertex 0 down, vertex 1 up
+            ((9, "c"), (1, "d")),  # across spin blocks: vertex 0 up, vertex 1 down
+        ],
+    )
+    def test_refuses_what_it_cannot_encode(self, factors):
+        spec = LsfsSpec(EdgeLayout(3, 3), 2)
+        with pytest.raises(ValueError):
+            encode_model(spec, FermionOperator.term(spec.n_modes, 1.0, factors))
+
+    def test_pair_is_signed_edge_times_vertex_generator(self):
+        lay = EdgeLayout(3, 3)
+        spec = LsfsSpec(lay)
+        for u, v in lay.edges():
+            for j, k in ((u, v), (v, u)):
+                pair = encode_model(spec, FermionOperator.term(9, 1.0, ((j, "c"), (k, "d"))))
+                assert pair == a_op(lay, j, k) * b_op(lay, k)
+
+    def test_spin_blocks_are_shifted_copies(self):
+        lay = EdgeLayout(3, 2)
+        spec, n_v, n_e = LsfsSpec(lay, 2), lay.n_vertices, lay.n_edges
+        assert (spec.n_modes, spec.n_qubits) == (2 * n_v, 2 * n_e)
+        for offset, block in ((0, 0), (n_e, n_v)):
+            for u, v in lay.edges():
+                hop = FermionOperator(2 * n_v, ((1.0, ((u + block, "c"), (v + block, "d"))),))
+                single = FermionOperator(n_v, ((1.0, ((u, "c"), (v, "d"))),))
+                expected = encode_model(LsfsSpec(lay), single).embedded(2 * n_e, offset)
+                assert encode_model(spec, hop) == expected
+            for k in range(n_v):
+                n_k = FermionOperator.term(2 * n_v, 1.0, ((k + block, "n"),))
+                assert encode_model(spec, n_k) == number_term(lay, k).embedded(2 * n_e, offset)
 
 
 class TestHamiltonians:

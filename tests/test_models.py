@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from fermap.models import (
     LOWER,
+    MAJORANA_C,
+    MAJORANA_D,
     NUMBER,
     RAISE,
     FermionOperator,
@@ -28,9 +30,9 @@ def total_number_matrix(n_modes):
 
 def hermitian_conjugate(op):
     """The adjoint term by term: conjugated coefficient, reversed flipped factors."""
-    flip = {RAISE: LOWER, LOWER: RAISE, NUMBER: NUMBER}
+    flip = {RAISE: LOWER, LOWER: RAISE}  # n, c and d are Hermitian
     terms = tuple(
-        (coeff.conjugate(), tuple((m, flip[fl]) for m, fl in reversed(factors)))
+        (coeff.conjugate(), tuple((m, flip.get(fl, fl)) for m, fl in reversed(factors)))
         for coeff, factors in op.terms
     )
     return FermionOperator(op.n_modes, terms)
@@ -131,6 +133,17 @@ class TestFermionOperator:
         with pytest.raises(ValueError):
             hopping_pair(4, 1, 1)
 
+    @pytest.mark.parametrize("t", [1.0, -1.0, 0.73, -2.5e-3, 3.0e5])
+    def test_majorana_hop_equals_ladder_hop(self, t):
+        # hubbard() builds both sides of spectra_match, so this pins the
+        # sign of hopping_pair against a^dag_i a_j + a^dag_j a_i directly.
+        for n in range(2, 7):
+            for i, j in itertools.permutations(range(n), 2):
+                terms = ((i, RAISE), (j, LOWER)), ((j, RAISE), (i, LOWER))
+                ladder = FermionOperator(n, tuple((complex(t), f) for f in terms))
+                diff = fock_matrix(hopping_pair(n, i, j, t)) - fock_matrix(ladder)
+                assert np.max(np.abs(diff)) == 0
+
     def test_conjugate_reverses(self):
         op = FermionOperator.term(3, 2j, ((0, RAISE), (1, LOWER)))
         assert hermitian_conjugate(op).terms == ((-2j, ((1, RAISE), (0, LOWER))),)
@@ -185,7 +198,15 @@ class TestOrderingLocality:
 
 
 def ladder_matrix(n_modes, mode, flavor):
-    """Dense 2^n x 2^n matrix of one ladder or number factor."""
+    """Dense 2^n x 2^n matrix of one ladder, number or Majorana factor.
+
+    c = a + a^dag and d = i (a^dag - a), from the ladder matrices.
+    """
+    if flavor == MAJORANA_C:
+        return ladder_matrix(n_modes, mode, LOWER) + ladder_matrix(n_modes, mode, RAISE)
+    if flavor == MAJORANA_D:
+        lower, raise_ = (ladder_matrix(n_modes, mode, f) for f in (LOWER, RAISE))
+        return 1j * (raise_ - lower)
     dim = 1 << n_modes
     states = np.arange(dim, dtype=np.uint64)
     bit = np.uint64(1 << mode)
@@ -223,7 +244,8 @@ COEFFICIENTS = st.one_of(
 @st.composite
 def fermion_operators(draw):
     n = draw(st.integers(1, 6))
-    factor = st.tuples(st.integers(0, n - 1), st.sampled_from([RAISE, LOWER, NUMBER]))
+    flavors = st.sampled_from([RAISE, LOWER, NUMBER, MAJORANA_C, MAJORANA_D])
+    factor = st.tuples(st.integers(0, n - 1), flavors)
     term = st.tuples(COEFFICIENTS.map(complex), st.lists(factor, max_size=4).map(tuple))
     return FermionOperator(n, tuple(draw(st.lists(term, max_size=5))))
 

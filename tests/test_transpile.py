@@ -20,11 +20,11 @@ from hypothesis import strategies as st
 from test_encodings import number_op
 from test_fenwick import reference_sets
 
-from fermap import encodings, lsfs
+from fermap import encodings, lsfs, pauli
 from fermap.analysis import model_encoding
 from fermap.encodings import EncodingSpec, encode_model
 from fermap.fenwick import FenwickForest
-from fermap.models import FermionOperator, LatticeSpec, hubbard, hubbard_terms
+from fermap.models import FermionOperator, LatticeSpec, hopping_pair, hubbard, hubbard_terms
 from fermap.pauli import PauliString, QubitOperator
 from fermap.verify import random_forest_spec
 
@@ -70,6 +70,8 @@ def naive_majorana(spec, j, flavor):
 
 def naive_factor(spec, mode, flavor):
     n = spec.n_modes
+    if flavor in ("c", "d"):
+        return naive_majorana(spec, mode, flavor)
     if flavor == "n":
         children = reference(spec.forest)[0]
         zs = [(q, "Z") for q in children[mode]] + [(mode, "Z")]
@@ -187,12 +189,12 @@ class TestExactness:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_encode_model_edge_terms(self, data):
-        """Terms of 0-3 factors: lone n_j, repeated modes, signed-zero coefficients."""
+        """Terms of 0-3 factors: lone n_j or c_j, repeated modes, signed-zero coefficients."""
         n = data.draw(st.integers(1, 5))
         spec = random_forest_spec(n, random.Random(data.draw(st.integers(0, 99))))
         parts = st.sampled_from([0.0, -0.0, 0.5, -1.25]) | st.floats(-4, 4)
         coeffs = st.builds(complex, parts, parts) | parts
-        factors = st.tuples(st.integers(0, n - 1), st.sampled_from(["+", "-", "n"]))
+        factors = st.tuples(st.integers(0, n - 1), st.sampled_from(["+", "-", "n", "c", "d"]))
         terms = st.tuples(coeffs, st.lists(factors, max_size=3).map(tuple))
         model = FermionOperator(n, tuple(data.draw(st.lists(terms, max_size=6))))
         assert_identical(encode_model(spec, model), naive_encode(spec, model))
@@ -261,3 +263,24 @@ class TestWorkCount:
         assert builds == {id(spec): 1}
         assert spec.majoranas is first
         assert len(op) > 0
+
+    def test_hop_is_two_string_products(self, monkeypatch):
+        # A hop is two Majorana pairs, each one table product; the ladder
+        # form took 8, and 4 of them cancelled.
+        products = Counter()
+        mul_masks = pauli._mul_masks
+
+        def counted(*args):
+            products["n"] += 1
+            return mul_masks(*args)
+
+        monkeypatch.setattr(pauli, "_mul_masks", counted)
+        layout = lsfs.EdgeLayout(4, 3)
+        specs = [EncodingSpec.jordan_wigner(12), EncodingSpec.bravyi_kitaev(12)]
+        specs += [random_forest_spec(12, random.Random(7)), lsfs.LsfsSpec(layout)]
+        for spec in specs:
+            hops = layout.edges() if isinstance(spec, lsfs.LsfsSpec) else [(0, 11), (3, 4), (5, 9)]
+            for i, j in hops:
+                products.clear()
+                encode_model(spec, hopping_pair(12, i, j, 0.7))
+                assert products["n"] == 2

@@ -278,12 +278,14 @@ class TestSuite:
 
     def test_swapped_ladder_operators_fail_car_and_spectra(self, monkeypatch):
         # a <-> a^dag keeps CAR, so only the table's ladder equality and the
-        # entrywise spectra see it.
+        # entrywise spectra see it.  Hops are Majorana pairs, and a <-> a^dag
+        # is d -> -d on them.
         ladder_terms = encodings._ladder_terms
         swap = {LOWER: RAISE, RAISE: LOWER}
 
         def swapped(spec, j, flavor):
-            return ladder_terms(spec, j, swap.get(flavor, flavor))
+            terms = ladder_terms(spec, j, swap.get(flavor, flavor))
+            return {key: -c for key, c in terms.items()} if flavor == "d" else terms
 
         monkeypatch.setattr(encodings, "_ladder_terms", swapped)
         report = run_suite(forest_trials=5)
