@@ -190,9 +190,8 @@ def _cmd_encode(args) -> int:
         text = _json_with_last(head, "stabilizers", f"[\n  {items}\n ]" if stabs else "[]")
         _write_atomic(Path(out).with_suffix(".stabilizers.json"), text)
         rows = []
-        for plq, stab in zip(layout.plaquettes(), stabs):
-            ((string, coeff),) = stab.sorted_terms()
-            rows.append((" ".join(str(v) for v in plq), string.weight, int(coeff.real)))
+        for plq, loop in zip(layout.plaquettes(), layout.loops):
+            rows.append((" ".join(str(v) for v in plq), loop.weight, int(loop.phase.real)))
         text = analysis.versioned_csv("plaquette-report", "plaquette,weight,sign", rows)
         _write_atomic(Path(out).with_suffix(".plaquettes.csv"), text)
         return 0

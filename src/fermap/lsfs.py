@@ -12,11 +12,11 @@ Vertices are the row-major site ids (r * w + c) of
 with every horizontal edge first, each kind in the lattice's row-major
 order; this fixes deterministic operator serialization.  Each layout
 builds one incidence table (vertex -> neighbour -> edge qubit) once and
-from it one table of phase-free generator strings (``generators``): an A
-string per edge qubit and a B cross per vertex.  Every generator and
-plaquette loop multiplies its entries, and so does the algebra oracle in
-fermap.verify.  A directional edge that would leave the lattice
-contributes an identity factor.
+from it one table: the phase-free A strings per edge qubit and B crosses
+per vertex (``generators``), and one loop per plaquette (``loops``).
+Every generator, the stabilizers, the plaquette report and the algebra
+oracle in fermap.verify read it.  A directional edge that would leave
+the lattice contributes an identity factor.
 
 Fermion terms are encoded by ``encodings.encode_model`` under an
 ``LsfsSpec``, whose factor maps are a pair table: the Majorana pair
@@ -33,7 +33,6 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
-from typing import Sequence
 
 from .encodings import encode_model
 from .models import MAJORANA_C, MAJORANA_D, NUMBER, FermionOperator, LatticeSpec, hopping_pair
@@ -107,6 +106,16 @@ class EdgeLayout:
                 out.append((tl, tl + 1, tl + 1 + self.w, tl + self.w))
         return out
 
+    @functools.cached_property
+    def loops(self) -> tuple[PauliString, ...]:
+        """A(ab) A(bc) A(cd) A(da) per plaquette, phase kept and unchecked, so the
+        oracle can name a bad loop; the eps_jk cancel (two steps ascend, two descend)."""
+        a_strings, table, loops = self.generators[0], self.incidence, []
+        for plq in self.plaquettes():
+            cycle = zip(plq, plq[1:] + plq[:1])
+            loops.append(functools.reduce(operator.mul, (a_strings[table[j][k]] for j, k in cycle)))
+        return tuple(loops)
+
 
 def _epsilon(j: int, k: int) -> int:
     return 1 if j > k else -1
@@ -125,28 +134,11 @@ def a_op(layout: EdgeLayout, j: int, k: int) -> QubitOperator:
     return QubitOperator.from_paulistring(string, float(_epsilon(j, k)))
 
 
-def _is_unit_plaquette(layout: EdgeLayout, quad: Sequence[int]) -> bool:
-    # On a square grid every 4-cycle of distinct vertices is a unit plaquette.
-    if len(quad) != 4 or len(set(quad)) != 4:
-        return False
-    n, table = layout.n_vertices, layout.incidence
-    return all(0 <= quad[i] < n and quad[i - 1] in table[quad[i]] for i in range(4))
-
-
-def stabilizer(layout: EdgeLayout, plaquette: Sequence[int]) -> QubitOperator:
-    """The loop operator A(ab) A(bc) A(cd) A(da) of a unit plaquette."""
-    if not _is_unit_plaquette(layout, plaquette):
-        raise ValueError(f"{tuple(plaquette)} is not a unit plaquette in cyclic order")
-    # The eps_jk signs cancel: two steps around a unit plaquette ascend, two descend.
-    a_strings, cycle = layout.generators[0], zip(plaquette, [*plaquette[1:], plaquette[0]])
-    loop = functools.reduce(operator.mul, (a_strings[layout.edge_index(j, k)] for j, k in cycle))
-    if loop.phase_exp % 2:
-        raise AssertionError("plaquette loop produced a non-Hermitian phase")
-    return QubitOperator.from_paulistring(loop)
-
-
 def stabilizers(layout: EdgeLayout) -> list[QubitOperator]:
-    return [stabilizer(layout, plq) for plq in layout.plaquettes()]
+    """The layout's plaquette loops as operators; each must be a +-1 string."""
+    if any(loop.phase_exp % 2 for loop in layout.loops):
+        raise AssertionError("plaquette loop produced a non-Hermitian phase")
+    return [QubitOperator.from_paulistring(loop) for loop in layout.loops]
 
 
 @dataclass(frozen=True)

@@ -128,21 +128,21 @@ def check_car_random_forests(
 
 
 def check_lsfs_algebra(layout: lsfs.EdgeLayout) -> CheckResult:
-    """Exact LSFS algebra check on the layout's generator table.
+    """Exact LSFS algebra check on the layout's generator and loop tables.
 
-    The table's strings are phase-free, hence Hermitian with square 1, so
-    A^2 = B^2 = 1 holds for any table and is not tested, and the real
-    eps_jk signs of ``lsfs.a_op`` change no relation.  What can fail is
-    whether two strings commute, tested once per pair.  Fermionic edge
-    and vertex operators obey: A(e), A(e') anticommute iff e and e' share
-    one vertex; A(e), B_k anticommute iff k is on e; the B_k commute and
+    The strings are phase-free, hence Hermitian with square 1, and the real
+    eps_jk signs of ``lsfs.a_op`` change no relation, so what can fail is
+    whether two strings commute, tested once per pair.  Fermionic edge and
+    vertex operators obey: A(e), A(e') anticommute iff e and e' share one
+    vertex; A(e), B_k anticommute iff k is on e; the B_k commute and
     multiply to 1 (each edge qubit takes Z from both ends).  The strings
-    cannot obey the last fermionic relation, that A multiplied around a
-    closed loop is +-1.  So each of the P = (w - 1)(h - 1) plaquette loops
-    must be a real-phase string commuting with every generator and every
-    other loop: the generators then keep the loops' joint eigenspace, and
-    the relations above hold on it.  The pairwise relations imply these
-    loop properties; the loops are checked so a failure names its plaquettes.
+    cannot obey the last relation, that A multiplied around a closed loop
+    is +-1; so each loop in ``layout.loops`` must be a real-phase string
+    commuting with every generator and loop (implied by the pairs, checked
+    to name a bad plaquette), and the loops must fix every closed loop.
+    A loop's X mask is its edge cycle, so the masks need GF(2) rank E - V + 1,
+    the cycle-space dimension: each edge outside a spanning tree closes one
+    independent cycle.  On the loops' joint eigenspace the relations hold.
     """
     label = f"lsfs-algebra-{layout.w}x{layout.h}"
 
@@ -161,20 +161,18 @@ def check_lsfs_algebra(layout: lsfs.EdgeLayout) -> CheckResult:
                 failures.setdefault("B-B", []).append(f"B{k1} vs B{k2} do not commute")
         if functools.reduce(operator.mul, b_strings) != PauliString.identity(layout.n_edges):
             failures["B product"] = ["product of all B != 1"]
-        loops = []
-        for plq in layout.plaquettes():
-            cycle = zip(plq, plq[1:] + plq[:1])
-            loop = functools.reduce(operator.mul, (a_strings[layout.edge_index(*e)] for e in cycle))
+        basis: list[int] = []  # X masks, each reduced by those before it (GF(2) elimination)
+        for plq, loop in zip(layout.plaquettes(), layout.loops):
             if loop.phase_exp % 2:
                 failures.setdefault("loop phase", []).append(f"loop {plq} not a +/-1 string")
-            if not all(loop.commutes(g) for g in a_strings + b_strings):
-                failures.setdefault("loop-gen", []).append(f"loop {plq} fails to commute")
-            loops.append((plq, loop))
-        if len(loops) != (layout.w - 1) * (layout.h - 1):
-            failures["loop count"] = [f"{len(loops)} loops on {layout.w}x{layout.h}"]
-        for (p1, l1), (p2, l2) in itertools.combinations(loops, 2):
-            if not l1.commutes(l2):
-                failures.setdefault("loop-loop", []).append(f"loops {p1} and {p2} do not commute")
+            if not all(loop.commutes(g) for g in a_strings + b_strings + layout.loops):
+                failures.setdefault("loop-table", []).append(f"loop {plq} fails to commute")
+            x = functools.reduce(lambda x, b: min(x, x ^ b), basis, loop.x_mask)
+            if x:
+                basis.append(x)
+        cycle_rank = layout.n_edges - layout.n_vertices + 1
+        if len(basis) != cycle_rank:
+            failures["loop rank"] = [f"loop rank {len(basis)}, cycle space {cycle_rank}"]
         # The first instance of each broken relation, so a broken loop is named too.
         firsts = [instances[0] for instances in failures.values()]
         more = sum(map(len, failures.values())) - len(firsts)

@@ -6,7 +6,7 @@ import pytest
 
 from fermap import encodings
 from fermap.encodings import EncodingSpec
-from fermap.lsfs import EdgeLayout, stabilizer
+from fermap.lsfs import EdgeLayout, stabilizers
 from fermap.models import LOWER, RAISE, LatticeSpec
 from fermap.pauli import PauliString
 from fermap.verify import (
@@ -160,10 +160,20 @@ class TestLsfsAlgebra:
         layout = EdgeLayout(w, h)
         corner = layout.plaquettes()[0]
         with pytest.raises(AssertionError, match="non-Hermitian"):
-            stabilizer(layout, corner)
+            stabilizers(layout)
         result = check_lsfs_algebra(layout)
         assert result.status == "fail"
         assert f"loop {corner} not a +/-1 string" in result.detail
+
+    def test_dependent_loops_fail_the_rank_clause(self, monkeypatch):
+        # One loop repeated: every phase and commutation rule holds, but the
+        # loops fix one cycle of four, so the codespace would be too large.
+        original = EdgeLayout.__dict__["loops"].func
+        repeated = property(lambda layout: original(layout)[:1] * len(layout.plaquettes()))
+        monkeypatch.setattr(EdgeLayout, "loops", repeated)
+        result = check_lsfs_algebra(EdgeLayout(3, 3))
+        assert result.status == "fail"
+        assert result.detail == "loop rank 1, cycle space 4", result.detail
 
 
 class TestSpectraMatch:
