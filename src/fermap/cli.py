@@ -284,7 +284,7 @@ def _cmd_fig6(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .verify import run_suite  # dense checks: the only command that loads numpy
+    from .verify import run_suite  # numpy-free; loaded here, as no other command needs it
     if args.trials < 1:
         raise ConfigError("--trials must be at least 1")
     if args.dense_cap < 0:

@@ -25,7 +25,7 @@ product, and n_k is (1 - B_k) / 2.  A hop (i/2)(c_j d_k + c_k d_j) then
 expands, on a horizontal edge, to (1/2) Y_k^right (Z_k^down Z_{k+1}^up -
 Z_k^up Z_k^left Z_{k+1}^right Z_{k+1}^down); the lattice is bipartite,
 so the codespace spectrum is insensitive to the global sign of eps (the
-dense oracle in fermap.verify pins the equivalence).
+Fock oracle in fermap.verify pins the equivalence).
 """
 
 from __future__ import annotations
@@ -247,6 +247,8 @@ def codespace_projector(layout: EdgeLayout, cap: int = DENSE_CAP_DEFAULT):
 
     Multiplies (1 + S_p)/2 in the exact Pauli algebra after the cap check
     (the product has up to 2^P terms) and renders it once with ``to_dense``.
+    No ``src/`` code calls it: it stays because bench/tracer.py wraps it
+    and the tests use it as a dense reference.
     """
     n = layout.n_edges
     if n > cap:

@@ -8,10 +8,11 @@ hypercubic lattice of dimension D and side w carries 2 * sites modes: the
 spin-down block occupies mode indices [0, sites) and spin-up occupies
 [sites, 2*sites).
 
-The module also hosts the dense Fock-space oracle: each term acts on
-every occupation-basis state at once, with explicit antisymmetric sign
+The module also hosts the Fock-space oracle: ``fock_column`` applies a
+model to one occupation-basis state with explicit antisymmetric sign
 bookkeeping, and the verification suite uses it as the reference
-representation independent of any Pauli-string pathway.
+representation independent of any Pauli-string pathway; ``fock_matrix``
+writes its columns into a dense matrix for the tests.
 """
 
 from __future__ import annotations
@@ -19,12 +20,9 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .pauli import DENSE_CAP_DEFAULT, DenseCapError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 RAISE = "+"
 LOWER = "-"
@@ -246,41 +244,45 @@ def hubbard(spec: LatticeSpec, t: float, u: float, eps: float = 0.0) -> FermionO
 
 
 # ---------------------------------------------------------------------------
-# Dense Fock-space oracle.
+# Fock-space oracle.
 #
-# Basis state s has occupancy n_j = bit j of s.  A term acts on all basis
-# states at once, its rightmost factor first: a factor zeroes the states
-# it annihilates (a_j needs n_j = 1, a^dag_j needs n_j = 0, n_j keeps the
-# occupied ones, c_j and d_j keep all; d_j multiplies by i if n_j = 0 and
-# by -i if n_j = 1), and every factor but n_j then multiplies by (-1)^(number
-# of occupied modes below j) and flips bit j.  This is a direct occupation-
+# Basis state s has occupancy n_j = bit j of s.  A term acts on one basis
+# state at a time, its rightmost factor first: a factor kills the state
+# (a_j needs n_j = 1, a^dag_j needs n_j = 0, n_j keeps an occupied one,
+# c_j and d_j keep all; d_j multiplies by i if n_j = 0 and by -i if
+# n_j = 1), and every factor but n_j then multiplies by (-1)^(number of
+# occupied modes below j) and flips bit j.  This is a direct occupation-
 # number construction and shares no code with the Pauli-string pathway.
 # ---------------------------------------------------------------------------
 
 
-def fock_matrix(
-    op: FermionOperator, cap: int = DENSE_CAP_DEFAULT
-) -> np.ndarray:
-    """Dense matrix of a FermionOperator in the occupation-number basis."""
+def fock_column(op: FermionOperator, state: int) -> dict[int, complex]:
+    """Column ``state`` of the Fock matrix of ``op``, as {row state: amplitude}."""
+    column: dict[int, complex] = {}
+    for coeff, factors in op.terms:
+        s, amp = state, coeff
+        for mode, flavor in reversed(factors):
+            occupied = s >> mode & 1 == 1
+            if flavor == MAJORANA_D:
+                amp *= -1j if occupied else 1j
+            elif flavor != MAJORANA_C and occupied == (flavor == RAISE):
+                break  # a^dag_j kills an occupied mode, a_j and n_j an empty one
+            if flavor != NUMBER:
+                amp = -amp if (s & ((1 << mode) - 1)).bit_count() % 2 else amp
+                s ^= 1 << mode
+        else:
+            column[s] = column.get(s, 0j) + amp
+    return column
+
+
+def fock_matrix(op: FermionOperator, cap: int = DENSE_CAP_DEFAULT):
+    """Dense numpy matrix of a FermionOperator in the occupation-number basis."""
     import numpy as np
     if op.n_modes > cap:
         raise DenseCapError(f"{op.n_modes} modes exceeds dense cap of {cap}")
     dim = 1 << op.n_modes
-    src = np.arange(dim, dtype=np.uint64)
     total = np.zeros((dim, dim), dtype=complex)
-    for coeff, factors in op.terms:
-        state = src.copy()
-        amp = np.full(dim, coeff, dtype=complex)
-        for mode, flavor in reversed(factors):
-            bit = np.uint64(1 << mode)
-            occupied = (state & bit) != 0
-            if flavor == MAJORANA_D:
-                amp *= np.where(occupied, -1j, 1j)
-            elif flavor != MAJORANA_C:  # a^dag_j kills occupied states, a_j and n_j empty ones
-                amp[occupied == (flavor == RAISE)] = 0
-            if flavor != NUMBER:
-                odd = np.bitwise_count(state & np.uint64((1 << mode) - 1)) % 2 == 1
-                amp[odd] = -amp[odd]
-                state ^= bit
-        total[state, src] += amp  # one (row, column) pair per source state
+    for src in range(dim):
+        for row, amp in fock_column(op, src).items():
+            total[row, src] = amp
     return total

@@ -19,11 +19,11 @@ growing sum at every step.  One writer, ``QubitOperator.to_json_text``,
 serializes straight from the masks; tests pin its text byte for byte to
 ``json.dumps(to_json_dict(), sort_keys=True, indent=1)`` at any depth.
 
-Dense matrices are rendered only at desk scale (``DENSE_CAP_DEFAULT``
-qubits by default) and are meant for verification oracles, not
-simulation.  numpy is imported inside the dense kernels alone, here and
-in ``models`` and ``lsfs``: importing it costs more than the rest of
-``fermap``, and encoding, measuring and tabulating never need it.
+The oracles apply operators to sparse states ``{basis state: amplitude}``
+(``QubitOperator.apply``); ``to_dense`` writes its columns into a matrix
+of at most ``DENSE_CAP_DEFAULT`` qubits by default, for the tests.  numpy
+is imported there and in ``models.fock_matrix`` alone, and no command
+reaches either: importing it costs more than the rest of ``fermap``.
 """
 
 from __future__ import annotations
@@ -310,8 +310,19 @@ class QubitOperator:
             return NotImplemented
         return self.n_qubits == other.n_qubits and self._terms == other._terms
 
+    def apply(self, vector: Mapping[int, complex]) -> dict[int, complex]:
+        """The sum applied to a sparse state ``{basis state: amplitude}``; zeros drop out."""
+        out: dict[int, complex] = {}
+        for (x, z), coeff in self._terms.items():
+            # X^x Z^z sends |s> to (-1)^{|s & z|} |s ^ x>; Y letters add i each.
+            coeff *= _PHASES[(x & z).bit_count() % 4]
+            for s, amp in vector.items():
+                term = coeff * amp
+                out[s ^ x] = out.get(s ^ x, 0j) + (-term if (s & z).bit_count() % 2 else term)
+        return {s: amp for s, amp in out.items() if amp}
+
     def to_dense(self, cap: int = DENSE_CAP_DEFAULT):
-        """Exact dense matrix of the sum, qubit 0 least significant."""
+        """Exact dense matrix of the sum, column s the image of basis state s."""
         import numpy as np
         if self.n_qubits > cap:
             raise DenseCapError(
@@ -319,15 +330,9 @@ class QubitOperator:
             )
         dim = 1 << self.n_qubits
         mat = np.zeros((dim, dim), dtype=complex)
-        cols = np.arange(dim, dtype=np.uint64)
-        for (x, z), coeff in self._terms.items():
-            rows = cols ^ np.uint64(x)
-            # X^x Z^z sends |s> to (-1)^{|s & z|} |s ^ x>; Y letters add i each.
-            ny = (x & z).bit_count()
-            signs = 1.0 - 2.0 * (
-                np.bitwise_count(cols & np.uint64(z)).astype(np.int64) % 2
-            )
-            mat[rows, cols] += coeff * _PHASES[ny % 4] * signs
+        for col in range(dim):
+            for row, amp in self.apply({col: 1}).items():
+                mat[row, col] = amp
         return mat
 
     def to_json_dict(self) -> dict:

@@ -3,16 +3,12 @@
 Two kinds of check live here.  Symbolic checks read the encodings' own
 tables (the forests' Majorana strings, the LSFS edge generators) and
 test their (anti)commutation in the exact Pauli algebra, where any
-violated relation is a hard failure.  Dense checks compare desk-scale
-matrices at fixed tolerances (1e-9 for spectra, 1e-12 for commutators,
-1e-6 for penalty arithmetic), and every dense matrix comes from one of
-two kernels: ``models.fock_matrix`` on occupation states or
-``QubitOperator.to_dense`` on qubits.  Forest encodings match the Fock
-matrix entry by entry through the forest's basis map, the
-loop-stabilized codespace matches the spectrum of the Fock matrix read
-on its even occupation states, and the penalty check renders the
-penalty ``lsfs.single_spin_hamiltonian`` ships.  They are skipped, not
-failed, when they exceed the dense cap.
+violated relation is a hard failure.  Fock checks compare encoded
+operators with their fermion models state by state, through one sparse
+action per side (``models.fock_column`` on occupation states,
+``QubitOperator.apply`` on qubits), at fixed tolerances: 1e-9 for
+amplitudes, 1e-12 for penalty coefficients.  They are skipped, not
+failed, past the dense cap, which bounds the states they enumerate.
 """
 
 from __future__ import annotations
@@ -20,22 +16,21 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import operator
 import random
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Optional, Sequence
-
-import numpy as np
+from typing import Callable, Optional
 
 from . import lsfs
-from .encodings import EncodingSpec, encode_model, lowering, raising
-from .models import LatticeSpec, fock_matrix, hubbard
+from .encodings import EncodingSpec, encode_model
+from .models import LOWER, MAJORANA_C, MAJORANA_D, RAISE, FermionOperator, LatticeSpec
+from .models import fock_column, hubbard
 from .pauli import DENSE_CAP_DEFAULT, PauliString, QubitOperator
 
 SPECTRUM_TOL = 1e-9
-COMMUTATOR_TOL = 1e-12
-PENALTY_TOL = 1e-6
+PENALTY_TOL = 1e-12
 
 
 @dataclass
@@ -79,20 +74,29 @@ def check_car(spec: EncodingSpec, name: Optional[str] = None) -> CheckResult:
     c_j, d_j anticommute pairwise and a_j, a^dag_j = (c_j +- i d_j) / 2:
     {g_a, g_b} = 2 delta_ab gives {a_i, a^dag_j} = (2 + 2) delta_ij / 4 and
     {a_i, a_j} = (2 - 2) delta_ij / 4, and conversely c_j = a_j + a^dag_j,
-    d_j = i (a^dag_j - a_j) obey it under CAR.
+    d_j = i (a^dag_j - a_j) obey it under CAR.  Strings anticommute iff
+    |x_a & z_b| + |z_a & x_b| is odd; then they are distinct, so a ladder
+    identity holds for every j iff its sum over j does.
     """
 
     def body():
-        strings = enumerate(g for pair in spec.majoranas for g in pair)
-        for (a, g_a), (b, g_b) in itertools.combinations(strings, 2):
-            if g_a.commutes(g_b):  # {g_a, g_b} = 2 g_a g_b
+        n, table = spec.n_modes, spec.majoranas
+        masks = [(g.x_mask, g.z_mask) for pair in table for g in pair]
+        for (a, (xa, za)), (b, (xb, zb)) in itertools.combinations(enumerate(masks), 2):
+            if not ((xa & zb).bit_count() + (za & xb).bit_count()) % 2:  # {g_a, g_b} = 2 g_a g_b
                 return False, 2.0, f"pair ({a // 2}, {b // 2})"
-        for j, (c, d) in enumerate(spec.majoranas):
-            for ladder, sign in ((lowering, 1), (raising, -1)):
-                expected = QubitOperator(spec.n_modes, {c: 0.5, d: sign * 0.5j})
-                diff = ladder(spec, j) - expected
-                if not diff.is_zero():
-                    return False, max(map(abs, diff.terms.values())), f"mode {j}"
+
+        def residual(modes, flavor, sign):  # sum of a_j or a^dag_j vs (c_j +- i d_j) / 2
+            model = FermionOperator(n, tuple((1 + 0j, ((j, flavor),)) for j in modes))
+            forms = {g: w for j in modes for g, w in zip(table[j], (0.5, sign * 0.5j))}
+            got, want = encode_model(spec, model), QubitOperator(n, forms)
+            return 0.0 if got == want else max(map(abs, (got - want).terms.values()))
+
+        ladders = ((LOWER, 1), (RAISE, -1))
+        named = range(n) if any(residual(range(n), *ladder) for ladder in ladders) else ()
+        for j, ladder in itertools.product(named, ladders):
+            if worst := residual([j], *ladder):
+                return False, worst, f"mode {j}"
         return True, 0.0, ""
 
     return _timed(name or f"car-{spec.kind}-n{spec.n_modes}", body)
@@ -183,7 +187,7 @@ def check_lsfs_algebra(layout: lsfs.EdgeLayout) -> CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# Dense checks.
+# Fock checks.
 # ---------------------------------------------------------------------------
 
 
@@ -195,6 +199,11 @@ def _skipped(name: str, needed: int, cap: int) -> CheckResult:
         wall_time_s=0.0,
         detail=f"needs {needed} qubits, dense cap {cap}",
     )
+
+
+def _distance(u: dict, v: dict) -> float:
+    """Largest entrywise difference of two sparse vectors."""
+    return max((abs(u.get(k, 0) - v.get(k, 0)) for k in u.keys() | v.keys()), default=0.0)
 
 
 def spectra_match(
@@ -210,7 +219,8 @@ def spectra_match(
 
     Fock state s (n_j = bit j of s) maps to the qubit basis state
     ``code[s]``, whose bit j is bit j of ``spec.forest.encode(n)``, so the
-    encoded matrix restricted to ``code`` must equal the Fock matrix.
+    encoded operator applied to ``code[s]`` must be Fock column s with
+    every row r read at ``code[r]``.
     """
     label = name or f"spectra-{spec_a.kind}-vs-{spec_b.kind}"
     if lattice.n_modes > cap:
@@ -218,25 +228,20 @@ def spectra_match(
 
     def body():
         model = hubbard(lattice, t, u)
-        reference = fock_matrix(model, cap)
         n = lattice.n_modes
+        columns = [fock_column(model, s) for s in range(1 << n)]
         worst = 0.0
         for spec in (spec_a, spec_b):
             occupancies = ([s >> j & 1 for j in range(n)] for s in range(1 << n))
             codes = map(spec.forest.encode, occupancies)
             code = [sum(bit << j for j, bit in enumerate(x)) for x in codes]
-            encoded = encode_model(spec, model).to_dense(cap)[np.ix_(code, code)]
-            worst = max(worst, float(np.max(np.abs(encoded - reference))))
+            encoded = encode_model(spec, model)
+            for s, column in enumerate(columns):
+                fock = {code[r]: amp for r, amp in column.items()}
+                worst = max(worst, _distance(encoded.apply({code[s]: 1}), fock))
         return worst <= SPECTRUM_TOL, worst, ""
 
     return _timed(label, body)
-
-
-def _restricted_spectrum(matrix: np.ndarray, projector: np.ndarray):
-    evals, evecs = np.linalg.eigh(projector)
-    basis = evecs[:, evals > 0.5]
-    block = basis.conj().T @ matrix @ basis
-    return np.sort(np.linalg.eigvalsh(block)), basis.shape[1]
 
 
 def lsfs_sector_match(
@@ -246,12 +251,14 @@ def lsfs_sector_match(
     eps: float = 0.0,
     cap: int = DENSE_CAP_DEFAULT,
 ) -> CheckResult:
-    """Loop-stabilized codespace spectrum equals the even-parity sector.
+    """Loop-stabilized codespace equals the even-parity sector, state by state.
 
-    The codespace projector and the Hamiltonian are rendered from the
-    exact Pauli algebra; the reference is the Fock matrix of the fermion
-    model it encodes (``lsfs.single_spin_model``), read on the occupation
-    states of even particle number.
+    psi_0 is the vacuum (every B_k = +1) projected onto the loops' +1 space.
+    A directed edge pair c_j d_k sends Fock state s to alpha |s'>, and the
+    first visit of s' in a breadth-first search sets psi_s' = P psi_s / alpha,
+    P the encoded pair.  The psi_s must fill the codespace (dimension: the
+    projector's trace), be orthonormal and loop-fixed, and carry the encoded
+    Hamiltonian as the Fock matrix of ``lsfs.single_spin_model`` does.
     """
     label = f"lsfs-sector-{w}x{h}"
     layout = lsfs.EdgeLayout(w, h)
@@ -259,20 +266,38 @@ def lsfs_sector_match(
         return _skipped(label, max(layout.n_edges, w * h), cap)
 
     def body():
-        ham = lsfs.single_spin_hamiltonian(layout, t, eps).to_dense(cap)
-        projector = lsfs.codespace_projector(layout, cap)
-        commutator_res = float(np.max(np.abs(ham @ projector - projector @ ham)))
-        code_spec, code_dim = _restricted_spectrum(ham, projector)
+        n_e, loops = layout.n_edges, lsfs.stabilizers(layout)
+        one = QubitOperator.identity(n_e)
+        projector = functools.reduce(operator.mul, (0.5 * (one + s) for s in loops), one)
+        code_dim = round(projector.terms.get(PauliString.identity(n_e), 0).real * 2**n_e)
+        vacuum = projector.apply({0: 1})
+        norm = math.sqrt(sum(abs(amp) ** 2 for amp in vacuum.values()))
+        psi, queue = {0: {q: amp / norm for q, amp in vacuum.items()}}, [0]
+        pairs = [FermionOperator.term(layout.n_vertices, 1.0, ((j, MAJORANA_C), (k, MAJORANA_D)))
+                 for u, v in layout.edges() for j, k in ((u, v), (v, u))]
+        encoded = [encode_model(lsfs.LsfsSpec(layout), pair) for pair in pairs]
+        for s in queue:
+            for pair, qubit_pair in zip(pairs, encoded):
+                ((target, alpha),) = fock_column(pair, s).items()
+                if target not in psi:
+                    psi[target] = {q: amp / alpha for q, amp in qubit_pair.apply(psi[s]).items()}
+                    queue.append(target)
+        if code_dim != len(psi):
+            return False, float("inf"), f"dims {code_dim} vs {len(psi)}"
 
-        reference = fock_matrix(lsfs.single_spin_model(layout, t, eps), cap)
-        even = [s for s in range(1 << (w * h)) if s.bit_count() % 2 == 0]
-        even_spec = np.linalg.eigvalsh(reference[np.ix_(even, even)])
-
-        if code_dim != len(even):
-            return False, float("inf"), f"dims {code_dim} vs {len(even)}"
-        worst = float(np.max(np.abs(code_spec - even_spec)))
-        ok = worst <= SPECTRUM_TOL and commutator_res <= COMMUTATOR_TOL
-        return ok, max(worst, commutator_res), f"codespace dim {code_dim}"
+        ham = lsfs.single_spin_hamiltonian(layout, t, eps)
+        model, worst = lsfs.single_spin_model(layout, t, eps), 0.0
+        for s, vec in psi.items():
+            for r, other in psi.items():
+                dot = sum(amp.conjugate() * other.get(q, 0) for q, amp in vec.items())
+                worst = max(worst, abs(dot - (r == s)))
+            worst = max([worst] + [_distance(loop.apply(vec), vec) for loop in loops])
+            image: dict[int, complex] = {}
+            for r, amp in fock_column(model, s).items():
+                for q, x in psi[r].items():
+                    image[q] = image.get(q, 0j) + amp * x
+            worst = max(worst, _distance(ham.apply(vec), image))
+        return worst <= SPECTRUM_TOL, worst, f"codespace dim {code_dim}"
 
     return _timed(label, body)
 
@@ -287,11 +312,10 @@ def penalty_gap_check(
 ) -> CheckResult:
     """Penalty arithmetic: one violated stabilizer costs exactly delta.
 
-    Renders the penalized Hamiltonian that ``single_spin_hamiltonian``
-    ships and checks that its low-lying spectrum reproduces the
-    codespace spectrum (shifted by the penalty ground contribution), and
-    that the penalty-induced part of the code/violation gap is linear:
-    it equals delta and doubles when delta does.
+    Every loop S_p must be a +-1 string commuting with every term, and the
+    Hamiltonian ``single_spin_hamiltonian`` ships with the penalty minus
+    the one without must be -delta/2 sum_p S_p key by key, at delta and at
+    2 delta; so flipping one conserved S_p to -1 costs exactly delta.
     """
     label = f"penalty-{w}x{h}-delta{delta:g}"
     layout = lsfs.EdgeLayout(w, h)
@@ -299,32 +323,19 @@ def penalty_gap_check(
         return _skipped(label, layout.n_edges, cap)
 
     def body():
-        n_stabs = len(layout.plaquettes())
-        if not n_stabs:
+        if not layout.plaquettes():
             return False, float("inf"), "no plaquettes to penalize"
-        ham = lsfs.single_spin_hamiltonian(layout, t, eps).to_dense(cap)
-        projector = lsfs.codespace_projector(layout, cap)
-        dim = projector.shape[0]
-        code_spec, code_dim = _restricted_spectrum(ham, projector)
-        viol_spec, _ = _restricted_spectrum(ham, np.eye(dim) - projector)
-        # Delta-independent offset between the sector ground levels; the
-        # penalty adds exactly delta per violated stabilizer on top.
-        sector_offset = float(viol_spec[0] - code_spec[0])
-
-        def gap(delta_value: float) -> tuple[np.ndarray, float]:
-            penalized = lsfs.single_spin_hamiltonian(layout, t, eps, delta_value)
-            evals = np.sort(np.linalg.eigvalsh(penalized.to_dense(cap)))
-            return evals, float(evals[code_dim] - evals[0])
-
-        evals_1, gap_1 = gap(delta)
-        _, gap_2 = gap(2.0 * delta)
-
-        shift = n_stabs * delta / 2.0
-        low_res = float(np.max(np.abs(evals_1[:code_dim] + shift - code_spec)))
-        linear_res = abs(gap_1 - (delta + sector_offset))
-        double_res = abs(gap_2 - (2.0 * delta + sector_offset))
-        worst = max(low_res, linear_res, double_res)
-        return worst <= PENALTY_TOL, worst, f"gap at delta: {gap_1:.6f}"
+        ham = lsfs.single_spin_hamiltonian(layout, t, eps)
+        for plq, loop in zip(layout.plaquettes(), layout.loops):
+            if loop.phase_exp % 2 or not all(loop.commutes(term) for term in ham.terms):
+                return False, 1.0, f"loop {plq} is not a conserved +/-1 string"
+        worst = 0.0
+        for value in (delta, 2.0 * delta):
+            terms = (QubitOperator.from_paulistring(loop, -value / 2.0) for loop in layout.loops)
+            penalty = functools.reduce(operator.add, terms)
+            diff = lsfs.single_spin_hamiltonian(layout, t, eps, value) - ham - penalty
+            worst = max([worst, *map(abs, diff.terms.values())])
+        return worst <= PENALTY_TOL, worst, f"each violated loop costs {delta:g}"
 
     return _timed(label, body)
 

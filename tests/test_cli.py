@@ -499,12 +499,12 @@ class TestVerify:
         assert statuses == {"pass", "skipped"}
 
     # sha256 of `verify --out` with each wall_time_s dropped and the
-    # rounding-level residuals of the four eigensolver checks (which vary
-    # with LAPACK) masked, recorded while the CAR check still swept operator
-    # anticommutators over every mode pair.
+    # rounding-level residuals of the four codespace checks masked (they
+    # varied with LAPACK while those checks called an eigensolver), recorded
+    # once the penalty checks became exact algebra with a fixed detail.
     PINNED_SHA256 = {
-        ("400", "0"): "227292e4bc0fdc85935c43dd8fd4fcac7057643a8a03dd9f36e7e057909b17e3",
-        ("37", "5"): "484959c722fcba2075fba8df925b0b08db92ddeca2ddf58e7b6bcc2a7207a482",
+        ("400", "0"): "f4bed7487b19d358c5e775f418ba03fcd1c4c9c0ee9db8fb6d808aaa32bdaeac",
+        ("37", "5"): "ea69d8ae72035c68fdde9ca8f1b321229add243371a3746c724d96010d2d6a97",
     }
 
     @pytest.mark.parametrize("trials, seed", sorted(PINNED_SHA256))
@@ -1007,12 +1007,13 @@ class TestColdStart:
             ["fig6", "--w-min", "2", "--w-max", "3"],
             ["analyze", "--w", "3", "--h", "2"],
             ["plan-aux", "--w", "3", "--h", "3"],
+            ["verify", "--trials", "20"],
         ],
         ids=["help", "encode-jw", "encode-lsfs", "tables", "sweep", "fig6", "analyze",
-             "plan-aux"],
+             "plan-aux", "verify"],
     )
     def test_no_numpy_outside_dense_kernels(self, job, tmp_path):
-        """Only dense matrices need numpy; every other command runs without loading it."""
+        """Only dense matrices need numpy, and no command renders one."""
         root = Path(__file__).resolve().parents[1]
         out = [] if job == ["--help"] else ["--out", str(tmp_path / "out")]
         argv = [sys.executable, "-c", COLD_START, *job, *out]

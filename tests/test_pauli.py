@@ -235,6 +235,28 @@ class TestDense:
             QubitOperator.identity(13).to_dense()
         QubitOperator.identity(13).to_dense(cap=13)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_apply_matches_dense_product(self, data):
+        n = data.draw(st.integers(1, 5))
+        strings = data.draw(st.lists(pauli_strings(n), max_size=5))
+        amps = st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False)
+        op = QubitOperator.zero(n)
+        for string in strings:
+            op = op + QubitOperator.from_paulistring(string, data.draw(amps))
+        vector = data.draw(st.dictionaries(st.integers(0, (1 << n) - 1), amps, max_size=6))
+        dense_vector = np.zeros(1 << n, dtype=complex)
+        dense_vector[list(vector)] = list(vector.values())
+        image = op.apply(vector)
+        assert all(image.values())  # exact zeros drop out
+        got = np.zeros(1 << n, dtype=complex)
+        got[list(image)] = list(image.values())
+        assert np.allclose(got, op.to_dense() @ dense_vector, rtol=1e-12, atol=1e-12)
+
+    def test_apply_drops_cancelled_amplitudes(self):
+        x = QubitOperator.from_paulistring(ps(1, [(0, "X")]))
+        assert (x - QubitOperator.identity(1)).apply({0: 1, 1: 1}) == {}
+
 
 class TestSerialization:
     def test_round_trip_bit_exact(self):

@@ -1,14 +1,14 @@
-"""The verification suite: symbolic sweeps and dense spectral oracles."""
+"""The verification suite: symbolic sweeps and sparse Fock oracles."""
 
 import json
 
 import pytest
 
-from fermap import encodings
-from fermap.encodings import EncodingSpec
-from fermap.lsfs import EdgeLayout, stabilizers
-from fermap.models import LOWER, RAISE, LatticeSpec
-from fermap.pauli import PauliString
+from fermap import encodings, lsfs
+from fermap.encodings import EncodingSpec, lowering, raising
+from fermap.lsfs import EdgeLayout, LsfsSpec, stabilizers
+from fermap.models import LOWER, MAJORANA_C, MAJORANA_D, NUMBER, RAISE, LatticeSpec
+from fermap.pauli import PauliString, QubitOperator
 from fermap.verify import (
     check_car,
     check_car_random_forests,
@@ -98,6 +98,30 @@ class TestCar:
             assert not result.passed
             assert result.detail.startswith("pair (")
             assert result.max_residual == 2.0
+
+    @pytest.mark.parametrize("flavor", [LOWER, RAISE])
+    @pytest.mark.parametrize(
+        "spec", [EncodingSpec.jordan_wigner(7), EncodingSpec.bravyi_kitaev(7),
+                 EncodingSpec.from_segments([2, 3, 4])], ids=["jw", "bk", "forest"],
+    )
+    def test_broken_ladder_map_names_its_mode(self, spec, flavor, monkeypatch):
+        # Only mode 3's a_3 (or a^dag_3) map is wrong: its d_j weight doubles.
+        ladder_terms = encodings._ladder_terms
+
+        def broken(spec, j, flavor_j):
+            terms = ladder_terms(spec, j, flavor_j)
+            if (j, flavor_j) != (3, flavor):
+                return terms
+            d = spec.majoranas[j][1]
+            return {**terms, (d.x_mask, d.z_mask): 2 * terms[d.x_mask, d.z_mask]}
+
+        monkeypatch.setattr(encodings, "_ladder_terms", broken)
+        c, d = spec.majoranas[3]
+        sign, ladder = (1, lowering) if flavor == LOWER else (-1, raising)
+        diff = ladder(spec, 3) - QubitOperator(spec.n_modes, {c: 0.5, d: sign * 0.5j})
+        result = check_car(spec)
+        assert (result.status, result.detail) == ("fail", "mode 3")
+        assert result.max_residual == max(map(abs, diff.terms.values())) == 0.5
 
 
 class TestLsfsAlgebra:
@@ -231,6 +255,35 @@ class TestSectorMatch:
     def test_cap_skip(self):
         assert lsfs_sector_match(4, 4, cap=12).status == "skipped"
 
+    @pytest.mark.parametrize(
+        "mutation, eps, residual",
+        [("identity-pairs", 0.0, 1.0), ("pairs-leave-the-codespace", 1.0, 2**0.5)],
+    )
+    def test_pair_maps_unseen_by_the_hamiltonian(self, mutation, eps, residual, monkeypatch):
+        # At t = 0 no term reads the pair maps.  Identity pairs make every
+        # psi_s the vacuum (not orthonormal); a Z on edge qubit 0 with each
+        # pair keeps the occupations but anticommutes with the loop.
+        factor_maps = LsfsSpec.factor_maps
+
+        def broken(spec, factors):
+            maps = factor_maps(spec, factors)
+            if factors[0][1] == NUMBER:
+                return maps
+            (((x, z), c),) = maps[0].items()
+            return [{(0, 0) if mutation == "identity-pairs" else (x, z ^ 1): c}]
+
+        monkeypatch.setattr(LsfsSpec, "factor_maps", broken)
+        result = lsfs_sector_match(2, 2, t=0.0, eps=eps)
+        assert result.status == "fail"
+        assert result.max_residual == pytest.approx(residual)
+
+    def test_missing_loop_fails_the_dimension(self, monkeypatch):
+        # Without its second loop the 2x3 codespace is twice the even sector.
+        original = lsfs.stabilizers
+        monkeypatch.setattr(lsfs, "stabilizers", lambda layout: original(layout)[:1])
+        result = lsfs_sector_match(2, 3, t=1.0, eps=0.5)
+        assert (result.status, result.detail) == ("fail", "dims 64 vs 32")
+
 
 class TestPenalty:
     @pytest.mark.parametrize("delta", [10.0, 100.0])
@@ -246,6 +299,23 @@ class TestPenalty:
 
     def test_cap_skip(self):
         assert penalty_gap_check(4, 4, cap=12).status == "skipped"
+
+    @pytest.mark.parametrize("mutation", ["single-x", "imaginary-phase"])
+    def test_loop_that_is_not_conserved_fails_and_names_it(self, mutation, monkeypatch):
+        # X on edge qubit 0 anticommutes with the Y of the (0, 1) hop; i S_p
+        # commutes with every term but is not a +-1 string.
+        original = EdgeLayout.__dict__["loops"].func
+
+        def broken(layout):
+            (loop,) = original(layout)
+            if mutation == "single-x":
+                return (PauliString(layout.n_edges, 1, 0),)
+            return (PauliString(layout.n_edges, loop.x_mask, loop.z_mask, loop.phase_exp + 1),)
+
+        monkeypatch.setattr(EdgeLayout, "loops", property(broken))
+        result = penalty_gap_check(2, 2, delta=10.0)
+        assert (result.status, result.max_residual) == ("fail", 1.0)
+        assert result.detail == "loop (0, 1, 3, 2) is not a conserved +/-1 string"
 
 
 class TestSuite:
@@ -310,6 +380,52 @@ class TestSuite:
         ]
         assert failed["car-jw-n7"].detail == "mode 0"
         assert failed["car-jw-n7"].max_residual == 1.0
+
+    def test_negated_edge_pair_fails_both_sectors(self, monkeypatch):
+        # -A(0, 1) on edge (0, 1), both directions: pi flux through its plaquette.
+        factor_maps = LsfsSpec.factor_maps
+
+        def negated(spec, factors):
+            maps = factor_maps(spec, factors)
+            modes = [mode for mode, _ in factors]
+            if [flavor for _, flavor in factors] == [MAJORANA_C, MAJORANA_D] and {*modes} == {0, 1}:
+                return [{key: -c for key, c in maps[0].items()}]
+            return maps
+
+        monkeypatch.setattr(LsfsSpec, "factor_maps", negated)
+        report = run_suite(forest_trials=5)
+        failed = [c.name for c in report.checks if c.status == "fail"]
+        assert failed == ["lsfs-sector-2x2", "lsfs-sector-2x3"]
+
+    def test_flipped_lsfs_number_sign_fails_the_onsite_sector(self, monkeypatch):
+        # n_k -> (1 + B_k) / 2; only lsfs-sector-2x3 has an onsite energy (eps 0.5).
+        factor_maps = LsfsSpec.factor_maps
+
+        def flipped(spec, factors):
+            maps = factor_maps(spec, factors)
+            if factors[0][1] != NUMBER:
+                return maps
+            return [{key: c if key == (0, 0) else -c for key, c in maps[0].items()}]
+
+        monkeypatch.setattr(LsfsSpec, "factor_maps", flipped)
+        report = run_suite(forest_trials=5)
+        failed = [c.name for c in report.checks if c.status == "fail"]
+        assert failed == ["lsfs-sector-2x3"]
+
+    def test_scaled_loop_penalty_fails_both_penalty_checks(self, monkeypatch):
+        # The first loop's penalty weighs -delta/2 (1 + 1e-9) instead of -delta/2.
+        shipped = lsfs.single_spin_hamiltonian
+
+        def scaled(layout, t, eps=0.0, delta=0.0):
+            extra = QubitOperator.from_paulistring(layout.loops[0], -delta / 2.0 * 1e-9)
+            return shipped(layout, t, eps, delta) + extra if delta else shipped(layout, t, eps)
+
+        monkeypatch.setattr(lsfs, "single_spin_hamiltonian", scaled)
+        report = run_suite(forest_trials=5)
+        failed = {c.name: c for c in report.checks if c.status == "fail"}
+        assert list(failed) == ["penalty-2x2-delta10", "penalty-2x2-delta100"]
+        # The worst key is the scaled loop at 2 delta: 20 / 2 * 1e-9.
+        assert failed["penalty-2x2-delta10"].max_residual == pytest.approx(1e-8, rel=1e-3)
 
     def test_to_dict_keys(self):
         (check, *_) = run_suite(symbolic_only=True, forest_trials=2).checks
