@@ -67,6 +67,11 @@ def _timed(name: str, body: Callable[[], tuple[bool, float, str]]) -> CheckResul
 # ---------------------------------------------------------------------------
 
 
+def _distance(u: dict, v: dict) -> float:
+    """Largest entrywise difference of two sparse vectors or term maps."""
+    return max((abs(u.get(k, 0) - v.get(k, 0)) for k in u.keys() | v.keys()), default=0.0)
+
+
 def check_car(spec: EncodingSpec, name: Optional[str] = None) -> CheckResult:
     """Exact CAR check on the spec's Majorana table.
 
@@ -74,29 +79,22 @@ def check_car(spec: EncodingSpec, name: Optional[str] = None) -> CheckResult:
     c_j, d_j anticommute pairwise and a_j, a^dag_j = (c_j +- i d_j) / 2:
     {g_a, g_b} = 2 delta_ab gives {a_i, a^dag_j} = (2 + 2) delta_ij / 4 and
     {a_i, a_j} = (2 - 2) delta_ij / 4, and conversely c_j = a_j + a^dag_j,
-    d_j = i (a^dag_j - a_j) obey it under CAR.  Strings anticommute iff
-    |x_a & z_b| + |z_a & x_b| is odd; then they are distinct, so a ladder
-    identity holds for every j iff its sum over j does.
+    d_j = i (a^dag_j - a_j) obey it under CAR.  The ladder identities are
+    read mode by mode off ``spec.factor_maps``, the term maps every
+    ``encode_model`` call multiplies.
     """
 
     def body():
-        n, table = spec.n_modes, spec.majoranas
-        masks = [(g.x_mask, g.z_mask) for pair in table for g in pair]
-        for (a, (xa, za)), (b, (xb, zb)) in itertools.combinations(enumerate(masks), 2):
-            if not ((xa & zb).bit_count() + (za & xb).bit_count()) % 2:  # {g_a, g_b} = 2 g_a g_b
+        strings = enumerate(g for pair in spec.majoranas for g in pair)
+        for (a, g_a), (b, g_b) in itertools.combinations(strings, 2):
+            if g_a.commutes(g_b):  # {g_a, g_b} = 2 g_a g_b
                 return False, 2.0, f"pair ({a // 2}, {b // 2})"
-
-        def residual(modes, flavor, sign):  # sum of a_j or a^dag_j vs (c_j +- i d_j) / 2
-            model = FermionOperator(n, tuple((1 + 0j, ((j, flavor),)) for j in modes))
-            forms = {g: w for j in modes for g, w in zip(table[j], (0.5, sign * 0.5j))}
-            got, want = encode_model(spec, model), QubitOperator(n, forms)
-            return 0.0 if got == want else max(map(abs, (got - want).terms.values()))
-
-        ladders = ((LOWER, 1), (RAISE, -1))
-        named = range(n) if any(residual(range(n), *ladder) for ladder in ladders) else ()
-        for j, ladder in itertools.product(named, ladders):
-            if worst := residual([j], *ladder):
-                return False, worst, f"mode {j}"
+        for j, (c, d) in enumerate(spec.majoranas):
+            ladders = spec.factor_maps(((j, LOWER), (j, RAISE)))
+            for terms, sign in zip(ladders, (1, -1)):
+                expected = {(c.x_mask, c.z_mask): 0.5, (d.x_mask, d.z_mask): sign * 0.5j}
+                if worst := _distance(terms, expected):
+                    return False, worst, f"mode {j}"
         return True, 0.0, ""
 
     return _timed(name or f"car-{spec.kind}-n{spec.n_modes}", body)
@@ -199,11 +197,6 @@ def _skipped(name: str, needed: int, cap: int) -> CheckResult:
         wall_time_s=0.0,
         detail=f"needs {needed} qubits, dense cap {cap}",
     )
-
-
-def _distance(u: dict, v: dict) -> float:
-    """Largest entrywise difference of two sparse vectors."""
-    return max((abs(u.get(k, 0) - v.get(k, 0)) for k in u.keys() | v.keys()), default=0.0)
 
 
 def spectra_match(

@@ -123,6 +123,23 @@ class TestCar:
         assert (result.status, result.detail) == ("fail", "mode 3")
         assert result.max_residual == max(map(abs, diff.terms.values())) == 0.5
 
+    @pytest.mark.parametrize(
+        "spec", [EncodingSpec.jordan_wigner(7), EncodingSpec.bravyi_kitaev(7),
+                 EncodingSpec.from_segments([2, 3, 4])], ids=["jw", "bk", "forest"],
+    )
+    def test_mode_permuted_ladder_maps_fail(self, spec, monkeypatch):
+        # a_j is mapped to a_{j+1}: the sum over j is unchanged, each mode is not.
+        ladder_terms = encodings._ladder_terms
+
+        def permuted(spec, j, flavor):
+            if flavor in (LOWER, RAISE):
+                j = (j + 1) % spec.n_modes
+            return ladder_terms(spec, j, flavor)
+
+        monkeypatch.setattr(encodings, "_ladder_terms", permuted)
+        result = check_car(spec)
+        assert (result.status, result.detail, result.max_residual) == ("fail", "mode 0", 0.5)
+
 
 class TestLsfsAlgebra:
     @pytest.mark.parametrize("w,h", [(2, 2), (3, 3), (4, 4), (2, 5)])
