@@ -10,10 +10,10 @@ classified ``exact`` when the formula provably equals the measurement,
 models, and ``info`` for alternative formula variants that are carried
 for comparison.
 
-Spin handling: the tree encodings place one Fenwick forest across both
-spin blocks with one sub-forest per block, so density terms stay inside
-a block and the shared earlier-root Z factors cancel inside every
-conjugate pair exactly as in the single-block analysis.
+Spin handling: every spec ``measure`` builds repeats spin block 0 in
+block 1, so a block-1 hop weighs what its block-0 copy does and only
+block 0's hops are encoded (the proof sketch is in ``measure``); the
+density-density terms couple the blocks and are all encoded.
 """
 
 from __future__ import annotations
@@ -134,9 +134,10 @@ def model_encoding(
 
     ``jw`` uses singleton trees, ``bk`` one tree per spin block, and
     ``sbk`` one tree per row chunk of ``segment_size`` (default: half
-    rows, the sweep optimum).  Rows are rows of the *ordered* modes,
-    i.e. runs of the short lattice side for rectangles and slabs of
-    w**(D-1) sites for hypercubes.
+    rows, the sweep optimum).  Rows are rows of the *ordered* modes:
+    runs of the short side for snake rectangles, of ``w`` for row-major
+    rectangles, and slabs of w**(D-1) sites for hypercubes (which order
+    their sites row-major under either ordering).
     """
     sites = lattice.n_sites
     if kind == "jw":
@@ -145,15 +146,13 @@ def model_encoding(
         return EncodingSpec.from_segments([sites, sites])
     if kind != "sbk":
         raise ValueError(f"unknown model encoding {kind!r}")
-    if lattice.kind == "rectangle":
-        width = min(lattice.w, lattice.h)
-        n_rows = max(lattice.w, lattice.h)
-    else:
+    if lattice.kind == "hypercube":
         width = lattice.w ** (lattice.dim - 1)
-        n_rows = lattice.w
+    else:  # the snake raster runs along the short side
+        width = lattice.w if lattice.ordering == "row_major" else min(lattice.w, lattice.h)
     if segment_size is None:
         segment_size = max(1, (width + 1) // 2)
-    per_spin = sbk_row_segments(width, n_rows, segment_size)
+    per_spin = sbk_row_segments(width, sites // width, segment_size)
     return EncodingSpec.from_segments(per_spin * 2)
 
 
@@ -176,8 +175,13 @@ def measure(
 ) -> dict[str, int]:
     """Worst Pauli weight per term class of one encoding on the lattice.
 
-    One loop over the lattice's unit-coupling Hubbard terms, generated and
-    encoded one at a time; AF values are read from its resource plan.
+    One loop over the lattice's unit-coupling Hubbard terms, encoded one
+    at a time, but for spin block 1's hops; AF is read from its plan.
+    Every spec built here repeats block 0 in block 1 (``model_encoding``'s
+    forests repeat the per-block segment list, ``LsfsSpec(layout, 2)`` the
+    edge table on qubits [E, 2E)), so a block-1 hop's c_i and d_j are its
+    block-0 copy's shifted by one block, times earlier-root Z factors that
+    both share and that cancel in c_i d_j: the same strings, shifted.
     """
     name = encoding.lower()
     if name == "af":
@@ -197,7 +201,11 @@ def measure(
     else:
         raise ValueError(f"unknown encoding {encoding!r}")
     terms = hubbard_terms(lattice, 1.0, 1.0)
-    return _worst_weights((klass, encode_model(spec, piece)) for klass, piece in terms)
+    return _worst_weights(
+        (klass, encode_model(spec, piece))
+        for klass, piece in terms
+        if min(mode for mode, _ in piece.terms[0][1]) < lattice.n_sites  # not a block-1 hop
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 import pytest
 
+from fermap import analysis, lsfs
 from fermap.analysis import (
     LocalityReport,
+    _worst_weights,
     ceil_log2,
     fig6_csv,
     fig6_series,
@@ -17,7 +19,8 @@ from fermap.analysis import (
     table_I,
     table_II,
 )
-from fermap.models import LatticeSpec
+from fermap.encodings import encode_model
+from fermap.models import LatticeSpec, hubbard_terms
 
 
 def rows_by(report, encoding, term_class):
@@ -109,12 +112,83 @@ class TestMeasure:
         with pytest.raises(ValueError):
             sbk_row_segments(4, 1, 0)
 
+    @pytest.mark.parametrize("w,h", [(5, 3), (6, 3)])
+    def test_row_major_sbk_trees_stay_in_their_row(self, w, h):
+        lat = LatticeSpec.rectangle(w, h, "row_major")
+        for size in (None, *range(1, w + 1)):
+            segments = model_encoding("sbk", lat, size).forest.segments
+            assert len(segments) % (2 * h) == 0  # one chunk list per row and spin
+            for start, stop in segments:
+                assert (start % (w * h)) // w == ((stop - 1) % (w * h)) // w
+        with pytest.raises(ValueError, match=f"exceeds the row width {w}$"):
+            model_encoding("sbk", lat, w + 1)
+
     def test_model_encoding_registers(self):
         lat = LatticeSpec.rectangle(3, 4, "snake")
         assert model_encoding("jw", lat).n_modes == 24
         assert model_encoding("bk", lat).forest.segments == ((0, 12), (12, 24))
         sbk = model_encoding("sbk", lat)  # half rows of width 3 -> 2,1
         assert [b - a for a, b in sbk.forest.segments][:4] == [2, 1, 2, 1]
+
+
+def _row_width(lattice):
+    if lattice.kind == "hypercube":
+        return lattice.w ** (lattice.dim - 1)
+    return lattice.w if lattice.ordering == "row_major" else min(lattice.w, lattice.h)
+
+
+def _block_cases():
+    """(encoding, lattice, segment size) over small rectangles and hypercubes."""
+    lattices = [
+        LatticeSpec.rectangle(w, h, ordering)
+        for w in range(1, 7)
+        for h in range(1, 7)
+        for ordering in ("snake", "row_major")
+    ]
+    lattices += [LatticeSpec.hypercube(1, w) for w in range(2, 7)]
+    lattices += [LatticeSpec.hypercube(2, w) for w in range(2, 5)]
+    lattices += [LatticeSpec.hypercube(3, w) for w in (2, 3)]
+    for lat in lattices:
+        yield "jw", lat, None
+        yield "bk", lat, None
+        for size in range(1, _row_width(lat) + 1):
+            yield "sbk", lat, size
+        if lat.kind == "rectangle" and lat.n_sites >= 2:
+            yield "lsfs", lat, None
+
+
+class TestOneSpinBlock:
+    """``measure`` encodes only block 0's hops; the blocks must stay identical."""
+
+    def test_equals_both_blocks(self):
+        cases = 0
+        for name, lat, size in _block_cases():
+            if name == "lsfs":
+                spec = lsfs.LsfsSpec(lsfs.EdgeLayout(lat.w, lat.h), 2)
+                terms_lat = LatticeSpec.rectangle(lat.w, lat.h, "row_major")
+            else:
+                spec, terms_lat = model_encoding(name, lat, size), lat
+            full = _worst_weights(
+                (klass, encode_model(spec, piece))
+                for klass, piece in hubbard_terms(terms_lat, 1.0, 1.0)
+            )
+            assert measure(name, lat, size) == full, (name, lat, size)
+            cases += 1
+        assert cases == 478
+
+    @pytest.mark.parametrize("name", ["jw", "bk", "sbk", "lsfs"])
+    @pytest.mark.parametrize("w,h", [(2, 2), (4, 3), (3, 5), (6, 2)])
+    def test_encodes_each_edge_and_site_once(self, name, w, h, monkeypatch):
+        calls = []
+
+        def counting(spec, model):
+            calls.append(model)
+            return encode_model(spec, model)
+
+        monkeypatch.setattr(analysis, "encode_model", counting)
+        lat = LatticeSpec.rectangle(w, h)
+        measure(name, lat)
+        assert len(calls) == len(lat.edges()) + lat.n_sites
 
 
 class TestTableI:

@@ -313,6 +313,14 @@ class TestAnalyze:
         size = args[-1]
         assert captured.err == f"fermap: segment size {size} exceeds the row width {w}\n"
 
+    def test_row_major_row_is_the_long_side(self, capsys):
+        # A row-major 6x3 rectangle holds 6 sites per row, so size 4 fits.
+        args = ["--w", "6", "--h", "3", "--ordering", "row_major", "--encoding", "sbk"]
+        assert run(["analyze", *args, "--segment-size", "4"]) == 0
+        assert capsys.readouterr().out.splitlines()[2:] == [
+            "sbk,density-density,6", "sbk,horizontal,5", "sbk,vertical,7"
+        ]
+
     @pytest.mark.parametrize("args", [["--dim", "3", "--w", "2"], ["--dim", "2", "--w", "3"]])
     def test_all_on_hypercube_skips_lsfs(self, args, tmp_path):
         out = tmp_path / "measured.csv"
