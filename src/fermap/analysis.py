@@ -3,17 +3,20 @@
 Every value in the reports is either measured on actually generated
 Pauli strings or quoted from a closed-form column.  Every measured
 weight comes from one loop, ``_worst_weights``, over a lazy stream of
-(term class, QubitOperator) pairs; ``measure`` streams a lattice's
-unit-coupling Hubbard terms (AF is read from its plan).  Rows are
-classified ``exact`` when the formula provably equals the measurement,
-``bound`` when the formula is only an upper bound for nearest-neighbour
-models, and ``info`` for alternative formula variants that are carried
-for comparison.
+(term class, QubitOperator) pairs; ``measure`` encodes a lattice's
+unit-coupling Hubbard terms one at a time (AF is read from its plan).
+Rows are classified ``exact`` when the formula provably equals the
+measurement, ``bound`` when the formula is only an upper bound for
+nearest-neighbour models, and ``info`` for alternative formula variants
+that are carried for comparison.
 
 Spin handling: every spec ``measure`` builds repeats spin block 0 in
-block 1, so a block-1 hop weighs what its block-0 copy does and only
-block 0's hops are encoded (the proof sketch is in ``measure``); the
-density-density terms couple the blocks and are all encoded.
+block 1, so a block-1 hop weighs what its block-0 copy does (the proof
+sketch is in ``measure``).  The terms are therefore the block-0 stream,
+``hubbard_terms(lattice, 1.0, 1.0, spins=(0,))``: block 0's hops and
+every density-density term, which couples the blocks.  No block-1 hop
+is built.  The tables build that stream once per lattice and hand it to
+each encoding's ``measure``.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import aux_fermion, lsfs
 from .encodings import EncodingSpec, encode_model, hopping_op
-from .models import LatticeSpec, hubbard_terms
+from .models import FermionOperator, LatticeSpec, hubbard_terms
 from .pauli import QubitOperator
 
 CSV_SCHEMA_RECT = "encoding,term_class,w,h,measured,formula,exactness"
@@ -134,10 +137,10 @@ def model_encoding(
 
     ``jw`` uses singleton trees, ``bk`` one tree per spin block, and
     ``sbk`` one tree per row chunk of ``segment_size`` (default: half
-    rows, the sweep optimum).  Rows are rows of the *ordered* modes:
-    runs of the short side for snake rectangles, of ``w`` for row-major
-    rectangles, and slabs of w**(D-1) sites for hypercubes (which order
-    their sites row-major under either ordering).
+    rows, ``(width + 1) // 2``; the sweep finds that optimal only at
+    power-of-two widths).  Rows are rows of the *ordered* modes: runs of
+    the short side for snake rectangles, of ``w`` for row-major
+    rectangles, and slabs of w**(D-1) sites for (row-major) hypercubes.
     """
     sites = lattice.n_sites
     if kind == "jw":
@@ -171,12 +174,17 @@ def _worst_weights(stream: Iterable[tuple[str, QubitOperator]]) -> dict[str, int
 
 
 def measure(
-    encoding: str, lattice: LatticeSpec, segment_size: Optional[int] = None
+    encoding: str,
+    lattice: LatticeSpec,
+    segment_size: Optional[int] = None,
+    terms: Optional[Sequence[tuple[str, FermionOperator]]] = None,
 ) -> dict[str, int]:
     """Worst Pauli weight per term class of one encoding on the lattice.
 
-    One loop over the lattice's unit-coupling Hubbard terms, encoded one
-    at a time, but for spin block 1's hops; AF is read from its plan.
+    One loop over the lattice's block-0 stream of unit-coupling Hubbard
+    terms, each encoded alone; AF is read from its plan.  ``terms`` is
+    that stream when the caller has built it for another encoding; LSFS
+    reads it only if the lattice's modes are its row-major sites.
     Every spec built here repeats block 0 in block 1 (``model_encoding``'s
     forests repeat the per-block segment list, ``LsfsSpec(layout, 2)`` the
     edge table on qubits [E, 2E)), so a block-1 hop's c_i and d_j are its
@@ -193,19 +201,17 @@ def measure(
     if name == "lsfs":
         if lattice.kind != "rectangle":
             raise ValueError("loop-stabilized layout is defined on rectangles")
-        # LSFS qubits follow the geometry: its modes are the row-major sites.
         spec = lsfs.LsfsSpec(lsfs.EdgeLayout(lattice.w, lattice.h), 2)
-        lattice = LatticeSpec.rectangle(lattice.w, lattice.h, "row_major")
+        if lattice.site_order != tuple(range(lattice.n_sites)):
+            # LSFS qubits follow the geometry: its modes are the row-major sites.
+            lattice, terms = LatticeSpec.rectangle(lattice.w, lattice.h, "row_major"), None
     elif name in ("jw", "bk", "sbk"):
         spec = model_encoding(name, lattice, segment_size)
     else:
         raise ValueError(f"unknown encoding {encoding!r}")
-    terms = hubbard_terms(lattice, 1.0, 1.0)
-    return _worst_weights(
-        (klass, encode_model(spec, piece))
-        for klass, piece in terms
-        if min(mode for mode, _ in piece.terms[0][1]) < lattice.n_sites  # not a block-1 hop
-    )
+    if terms is None:
+        terms = hubbard_terms(lattice, 1.0, 1.0, spins=(0,))
+    return _worst_weights((klass, encode_model(spec, piece)) for klass, piece in terms)
 
 
 # ---------------------------------------------------------------------------
@@ -242,10 +248,12 @@ def table_I(w: int, h: int, measured: bool = True) -> LocalityReport:
     lattice = LatticeSpec.rectangle(w, h, "snake")
     sites = w * h
     cells = {}
-    if measured:
+    if measured:  # w <= h, so the snake order is row-major and LSFS shares the terms
+        terms = hubbard_terms(lattice, 1.0, 1.0, spins=(0,))
         for enc in ("JW", "BK", "SBK"):
-            cells[enc] = {**measure(enc.lower(), lattice), "qubits": 2 * sites}
-        cells["LSFS"] = {**measure("lsfs", lattice), "qubits": 2 * lsfs.EdgeLayout(w, h).n_edges}
+            cells[enc] = {**measure(enc.lower(), lattice, terms=terms), "qubits": 2 * sites}
+        lsfs_qubits = 2 * lsfs.EdgeLayout(w, h).n_edges
+        cells["LSFS"] = {**measure("lsfs", lattice, terms=terms), "qubits": lsfs_qubits}
     plan = aux_fermion.plan(w, h)
     cells["AF"] = {**aux_fermion.locality_profile(plan), "qubits": plan.total_qubits}
 
@@ -312,8 +320,9 @@ def table_II(dim: int, w: int, measured: bool = True) -> LocalityReport:
     lattice = LatticeSpec.hypercube(dim, w)
     cells = {}
     if measured:
+        terms = hubbard_terms(lattice, 1.0, 1.0, spins=(0,))
         for enc in ("JW", "BK", "SBK"):
-            cells[enc] = _with_hop(measure(enc.lower(), lattice), 2 * sites)
+            cells[enc] = _with_hop(measure(enc.lower(), lattice, terms=terms), 2 * sites)
         if dim == 2:
             square = LatticeSpec.rectangle(w, w)
             cells["LSFS"] = _with_hop(measure("lsfs", square), 2 * lsfs.EdgeLayout(w, w).n_edges)

@@ -79,21 +79,22 @@ def _load_model(args) -> tuple[LatticeSpec, dict]:
             raise ConfigError(f"cannot read model file: {exc}") from exc
         try:
             lat = data["lattice"]
-            ordering = data.get("ordering", "snake")
             if lat["kind"] == "rectangle":
+                ordering = data.get("ordering", "snake")
                 spec = LatticeSpec.rectangle(int(lat["w"]), int(lat["h"]), ordering)
             elif lat["kind"] == "hypercube":
-                spec = LatticeSpec.hypercube(int(lat["dim"]), int(lat["w"]), ordering)
+                if "ordering" in data:
+                    raise ConfigError("hypercube models take no ordering: sites are row-major")
+                spec = LatticeSpec.hypercube(int(lat["dim"]), int(lat["w"]))
             else:
                 raise ConfigError(f"unknown lattice kind {lat['kind']!r}")
             return spec, data
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed model config: {exc}") from exc
     dim, w, h = _lattice_flags(args, "lattices")
-    ordering = args.ordering or "snake"
     if dim is not None:
-        return LatticeSpec.hypercube(dim, w, ordering), {}
-    return LatticeSpec.rectangle(w, h, ordering), {}
+        return LatticeSpec.hypercube(dim, w), {}
+    return LatticeSpec.rectangle(w, h, args.ordering or "snake"), {}
 
 
 # Each encoding flag and the --encoding values that read it; others exit 2.
@@ -122,6 +123,8 @@ def _lattice_flags(args, noun: str) -> tuple[Optional[int], int, Optional[int]]:
         raise ConfigError(f"hypercubic {noun} need --w")
     if args.h is not None:
         raise ConfigError(f"hypercubic {noun} take no --h: every side is --w")
+    if getattr(args, "ordering", None) is not None:
+        raise ConfigError(f"hypercubic {noun} take no --ordering: their sites are row-major")
     return args.dim, args.w, None
 
 

@@ -11,15 +11,16 @@ Majorana convention: c_j = a_j + a^dag_j and d_j = i (a^dag_j - a_j),
 so a_j = (c_j + i d_j) / 2 and number/hopping operators follow from the
 exact Pauli algebra.
 
-Every encoding is a table: a forest spec ORs the c_j and d_j strings of
-every mode from the forest's masks once and keeps them; ``lsfs.LsfsSpec``
-reads Majorana pairs from its layout's edge generators.  One synthesis
-path serves every spec: ``encode_model`` multiplies each term's factors as
-mask-keyed term maps ``{(x_mask, z_mask): coeff}`` that the spec reads
-from its table, and sums the terms into one operator in place.  A hop is
-two Majorana pairs, (i/2)(c_j d_k + c_k d_j): two table products.
-``majorana_c``/``majorana_d`` read one entry; ``lowering``, ``raising``
-and ``hopping_op`` encode one ladder factor or one hop.
+Every encoding is a table of raw masks: a forest spec ORs, once, the
+masks (x, z_c, z_d) of every mode's c_j and d_j from the forest's masks
+(``EncodingSpec.majoranas``); ``lsfs.LsfsSpec`` keeps one (x, z, coeff)
+per directed edge for its Majorana pairs.  One synthesis path serves
+every spec: ``encode_model`` multiplies each term's factors as mask-keyed
+term maps ``{(x_mask, z_mask): coeff}`` that the spec reads from its
+table, and sums the terms into one operator in place.  A hop is two
+Majorana pairs, (i/2)(c_j d_k + c_k d_j): two table products.
+``majorana_c``/``majorana_d`` build one entry's string, and
+``hopping_op`` encodes one hop.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .fenwick import FenwickForest
-from .models import LOWER, MAJORANA_C, MAJORANA_D, NUMBER, RAISE, FermionOperator, hopping_pair
+from .models import LOWER, MAJORANA_C, MAJORANA_D, NUMBER, FermionOperator, hopping_pair
 from .pauli import PauliString, QubitOperator, _add_terms, _mul_terms
 
 
@@ -72,53 +73,44 @@ class EncodingSpec:
         return "bk" if len(segments) == 1 else "forest"
 
     @functools.cached_property
-    def majoranas(self) -> tuple[tuple[PauliString, PauliString], ...]:
-        """Per mode j, its (c_j, d_j) strings, ORed once from the forest's masks.
+    def majoranas(self) -> tuple[tuple[int, int, int], ...]:
+        """Per mode j, the masks (x, z_c, z_d) of c_j and d_j, ORed once from the forest's.
 
         c_j: Z on P(j), X on j and U(j).  d_j: Y on j instead, no Z on F(j).
         """
-        forest, n = self.forest, self.n_modes
-        masks = zip(forest.ancestor_mask, forest.parity_mask, forest.children_mask)
-        table = []
-        for j, (ancestors, parity, children) in enumerate(masks):
-            x, d_z = ancestors | 1 << j, parity & ~children | 1 << j
-            table.append((PauliString(n, x, parity), PauliString(n, x, d_z)))
-        return tuple(table)
+        masks = zip(self.forest.ancestor_mask, self.forest.parity_mask, self.forest.children_mask)
+        return tuple(
+            (ancestors | 1 << j, parity, parity & ~children | 1 << j)
+            for j, (ancestors, parity, children) in enumerate(masks)
+        )
 
 
 def majorana_c(spec: EncodingSpec, j: int) -> QubitOperator:
     """c_j = a_j + a^dag_j: Z on the parity set, X on j and its ancestors."""
     spec.forest._check_index(j)  # a negative j would index from the end
-    return QubitOperator.from_paulistring(spec.majoranas[j][0])
+    x, z_c, _ = spec.majoranas[j]
+    return QubitOperator.from_paulistring(PauliString(spec.n_qubits, x, z_c))
 
 
 def majorana_d(spec: EncodingSpec, j: int) -> QubitOperator:
     """d_j = i (a^dag_j - a_j): like c_j but Y on j and no Z on j's children."""
     spec.forest._check_index(j)
-    return QubitOperator.from_paulistring(spec.majoranas[j][1])
+    x, _, z_d = spec.majoranas[j]
+    return QubitOperator.from_paulistring(PauliString(spec.n_qubits, x, z_d))
 
 
 def _ladder_terms(spec: EncodingSpec, j: int, flavor: str) -> dict:
     """Term map of a_j, a^dag_j, n_j, c_j or d_j, straight from j's Majorana masks."""
-    c, d = spec.majoranas[j]
-    if flavor in (MAJORANA_C, MAJORANA_D):
-        string = c if flavor == MAJORANA_C else d
-        return {(string.x_mask, string.z_mask): 1 + 0j}
+    x, z_c, z_d = spec.majoranas[j]
+    if flavor == MAJORANA_C:
+        return {(x, z_c): 1 + 0j}
+    if flavor == MAJORANA_D:
+        return {(x, z_d): 1 + 0j}
     if flavor == NUMBER:  # (1 - Z on F(j) and j) / 2
-        return {(0, 0): 0.5 + 0j, (0, c.z_mask ^ d.z_mask): -0.5 + 0j}
+        return {(0, 0): 0.5 + 0j, (0, z_c ^ z_d): -0.5 + 0j}
     # (c_j +- i d_j) / 2; a +0.0 real part, as ``QubitOperator(n, {d: -0.5j})`` folds it.
     d_coeff = complex(0.0, 0.5 if flavor == LOWER else -0.5)
-    return {(c.x_mask, c.z_mask): 0.5 + 0j, (d.x_mask, d.z_mask): d_coeff}
-
-
-def lowering(spec: EncodingSpec, j: int) -> QubitOperator:
-    """a_j = (c_j + i d_j) / 2."""
-    return encode_model(spec, FermionOperator.term(spec.n_modes, 1.0, ((j, LOWER),)))
-
-
-def raising(spec: EncodingSpec, j: int) -> QubitOperator:
-    """a^dag_j = (c_j - i d_j) / 2."""
-    return encode_model(spec, FermionOperator.term(spec.n_modes, 1.0, ((j, RAISE),)))
+    return {(x, z_c): 0.5 + 0j, (x, z_d): d_coeff}
 
 
 def hopping_op(spec: EncodingSpec, j: int, k: int) -> QubitOperator:

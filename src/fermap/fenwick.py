@@ -134,11 +134,3 @@ class FenwickForest:
         for j, kids in enumerate(self.children_mask):  # children precede parents
             x ^= ((x & kids).bit_count() & 1) << j  # bit j turns from n_j to x_j
         return tuple(x >> j & 1 for j in range(self.n_sites))
-
-    def decode(self, code: Sequence[int]) -> tuple[int, ...]:
-        """Invert :meth:`encode` exactly."""
-        x = self._check_bits(code)
-        return tuple(
-            (x >> j) + (x & kids).bit_count() & 1
-            for j, kids in enumerate(self.children_mask)
-        )

@@ -19,13 +19,15 @@ oracle in fermap.verify read it.  A directional edge that would leave
 the lattice contributes an identity factor.
 
 Fermion terms are encoded by ``encodings.encode_model`` under an
-``LsfsSpec``, whose factor maps are a pair table: the Majorana pair
-c_j d_k on an edge is eps_jk A(jk) B_k, with the phase of that string
-product, and n_k is (1 - B_k) / 2.  A hop (i/2)(c_j d_k + c_k d_j) then
-expands, on a horizontal edge, to (1/2) Y_k^right (Z_k^down Z_{k+1}^up -
-Z_k^up Z_k^left Z_{k+1}^right Z_{k+1}^down); the lattice is bipartite,
-so the codespace spectrum is insensitive to the global sign of eps (the
-Fock oracle in fermap.verify pins the equivalence).
+``LsfsSpec``, which is a pair table: ``LsfsSpec.pairs`` holds, once per
+directed edge (j, k), the masks and coefficient of the Majorana pair
+c_j d_k = eps_jk A(jk) B_k, with the phase of that string product, and
+the factor maps shift its entries into their spin block; n_k is
+(1 - B_k) / 2.  A hop (i/2)(c_j d_k + c_k d_j) then expands, on a
+horizontal edge, to (1/2) Y_k^right (Z_k^down Z_{k+1}^up - Z_k^up
+Z_k^left Z_{k+1}^right Z_{k+1}^down); the lattice is bipartite, so the
+codespace spectrum is insensitive to the global sign of eps (the Fock
+oracle in fermap.verify pins the equivalence).
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 
 from .encodings import encode_model
 from .models import MAJORANA_C, MAJORANA_D, NUMBER, FermionOperator, LatticeSpec, hopping_pair
-from .pauli import DENSE_CAP_DEFAULT, DenseCapError, PauliString, QubitOperator
+from .pauli import _PHASES, DENSE_CAP_DEFAULT, DenseCapError, PauliString, QubitOperator, _mul_masks
 
 
 @dataclass(frozen=True)
@@ -157,10 +159,21 @@ class LsfsSpec:
     def n_qubits(self) -> int:
         return self.n_spins * self.layout.n_edges
 
+    @functools.cached_property
+    def pairs(self) -> dict[tuple[int, int], tuple[int, int, complex]]:
+        """Per directed edge (j, k), eps_jk A(jk) B_k as (x, z, coeff) on block 0's qubits."""
+        (a_strings, b_strings), table = self.layout.generators, {}
+        for j, row in enumerate(self.layout.incidence):
+            for k, qubit in row.items():
+                a, b = a_strings[qubit], b_strings[k]
+                x, z, exp = _mul_masks(a.x_mask, a.z_mask, b.x_mask, b.z_mask)
+                table[j, k] = (x, z, _epsilon(j, k) * _PHASES[exp])
+        return table
+
     def factor_maps(self, factors) -> list[dict]:
-        """n_k is (1 - B_k) / 2 and c_j d_k on an edge is eps_jk A(jk) B_k."""
-        layout, maps, rest = self.layout, [], list(factors)
-        (a_strings, b_strings), n_v = layout.generators, layout.n_vertices
+        """n_k is (1 - B_k) / 2 and c_j d_k on an edge is ``pairs[j, k]``, both shifted."""
+        layout, pairs, maps, rest = self.layout, self.pairs, [], list(factors)
+        b_strings, n_v = layout.generators[1], layout.n_vertices
         while rest:
             mode, flavor = rest.pop(0)
             block, j = divmod(mode, n_v)
@@ -170,12 +183,11 @@ class LsfsSpec:
                 continue
             k_mode, partner = rest.pop(0) if rest else (None, None)
             k = k_mode - block * n_v if (flavor, partner) == (MAJORANA_C, MAJORANA_D) else None
-            qubit = layout.incidence[j].get(k)  # also None for a k in another block
-            if qubit is None:
+            pair = pairs.get((j, k))  # also None for a k in another block
+            if pair is None:
                 raise ValueError(f"LSFS encodes n_k and c_j d_k on an edge, not {factors}")
-            pair = a_strings[qubit] * b_strings[k]
-            key = (pair.x_mask << shift, pair.z_mask << shift)
-            maps.append({key: _epsilon(j, k) * pair.phase})
+            x, z, coeff = pair
+            maps.append({(x << shift, z << shift): coeff})
         return maps
 
 

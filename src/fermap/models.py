@@ -98,16 +98,18 @@ class LatticeSpec:
         return cls(kind="rectangle", w=w, h=h, dim=2, ordering=ordering)
 
     @classmethod
-    def hypercube(cls, dim: int, w: int, ordering: str = "snake") -> "LatticeSpec":
+    def hypercube(cls, dim: int, w: int) -> "LatticeSpec":
         if dim < 1 or w < 1:
             raise ValueError("hypercube needs dim >= 1 and side >= 1")
-        return cls(kind="hypercube", w=w, h=1, dim=dim, ordering=ordering)
+        return cls(kind="hypercube", w=w, h=1, dim=dim, ordering="row_major")
 
     def __post_init__(self):
         if self.kind not in ("rectangle", "hypercube"):
             raise ValueError(f"unknown lattice kind {self.kind!r}")
         if self.ordering not in ("row_major", "snake"):
             raise ValueError(f"unknown ordering {self.ordering!r}")
+        if self.kind == "hypercube" and self.ordering != "row_major":
+            raise ValueError("hypercubes order their sites row-major only")
 
     @property
     def n_sites(self) -> int:
@@ -152,15 +154,13 @@ class LatticeSpec:
     def site_order(self) -> tuple[int, ...]:
         """Bijection canonical site id -> position within a spin block.
 
-        ``row_major`` keeps the canonical raster.  ``snake`` is the
-        locality-optimal raster whose consecutive indices run along the
-        shortest lattice side, so every hop along that side is a
-        nearest-index pair.
+        ``row_major`` (every hypercube) keeps the canonical raster.
+        ``snake`` is the locality-optimal raster of a rectangle whose
+        consecutive indices run along its shortest side, so every hop
+        along that side is a nearest-index pair.
         """
         n = self.n_sites
-        if self.ordering == "row_major" or self.kind == "hypercube":
-            return tuple(range(n))
-        if self.w <= self.h:
+        if self.ordering == "row_major" or self.w <= self.h:
             return tuple(range(n))
         # Wide rectangle: transpose so consecutive indices run down columns.
         order = [0] * n
@@ -186,18 +186,19 @@ def hopping_pair(n_modes: int, i: int, j: int, coeff: complex = 1.0) -> FermionO
 
 
 def hubbard_terms(
-    spec: LatticeSpec, t: float, u: float, eps: float = 0.0
+    spec: LatticeSpec, t: float, u: float, eps: float = 0.0, spins: Sequence[int] = (0, 1)
 ) -> list[tuple[str, FermionOperator]]:
     """The Hubbard Hamiltonian as (term class, Hermitian term) pairs.
 
     Classes are the edge classes of the lattice for hopping,
     "density-density" for the on-site repulsion, and "onsite" for the
-    optional single-particle energy.
+    optional single-particle energy.  Hops and on-site energies are built
+    for the spin blocks in ``spins`` only; the repulsion couples both.
     """
     n = spec.n_modes
     out: list[tuple[str, FermionOperator]] = []
     for i, j, klass in spec.edges():
-        for spin in (0, 1):
+        for spin in spins:
             if t != 0.0:
                 out.append(
                     (
@@ -223,7 +224,7 @@ def hubbard_terms(
                 )
             )
         if eps != 0.0:
-            for spin in (0, 1):
+            for spin in spins:
                 out.append(
                     (
                         "onsite",

@@ -164,9 +164,6 @@ class PauliString:
         x, z, exp = _mul_masks(self.x_mask, self.z_mask, other.x_mask, other.z_mask)
         return PauliString(self.n_qubits, x, z, self.phase_exp + other.phase_exp + exp)
 
-    def adjoint(self) -> "PauliString":
-        return PauliString(self.n_qubits, self.x_mask, self.z_mask, -self.phase_exp)
-
     def commutes(self, other: "PauliString") -> bool:
         """True iff the symplectic inner product of the two strings is even."""
         _check_same_size(self, other)
@@ -282,16 +279,6 @@ class QubitOperator:
         out = QubitOperator(self.n_qubits)
         out._terms = _mul_terms(self._terms, other._terms)
         return out
-
-    def adjoint(self) -> "QubitOperator":
-        out = QubitOperator(self.n_qubits)
-        # Keys are phase-free letter strings, hence Hermitian themselves.
-        out._terms = {key: c.conjugate() for key, c in self._terms.items()}
-        out._prune()
-        return out
-
-    def is_hermitian(self) -> bool:
-        return all(c.imag == 0 for c in self._terms.values())
 
     def max_weight(self) -> int:
         """Largest Pauli weight among the summands (0 for the zero operator)."""

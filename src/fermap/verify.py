@@ -81,18 +81,20 @@ def check_car(spec: EncodingSpec, name: Optional[str] = None) -> CheckResult:
     {a_i, a_j} = (2 - 2) delta_ij / 4, and conversely c_j = a_j + a^dag_j,
     d_j = i (a^dag_j - a_j) obey it under CAR.  The ladder identities are
     read mode by mode off ``spec.factor_maps``, the term maps every
-    ``encode_model`` call multiplies.
+    ``encode_model`` call multiplies.  The table holds masks, so the
+    strings are built here, for their ``commutes``.
     """
 
     def body():
-        strings = enumerate(g for pair in spec.majoranas for g in pair)
-        for (a, g_a), (b, g_b) in itertools.combinations(strings, 2):
+        n = spec.n_qubits
+        strings = [PauliString(n, x, z) for x, *zs in spec.majoranas for z in zs]
+        for (a, g_a), (b, g_b) in itertools.combinations(enumerate(strings), 2):
             if g_a.commutes(g_b):  # {g_a, g_b} = 2 g_a g_b
                 return False, 2.0, f"pair ({a // 2}, {b // 2})"
-        for j, (c, d) in enumerate(spec.majoranas):
+        for j, (x, z_c, z_d) in enumerate(spec.majoranas):
             ladders = spec.factor_maps(((j, LOWER), (j, RAISE)))
             for terms, sign in zip(ladders, (1, -1)):
-                expected = {(c.x_mask, c.z_mask): 0.5, (d.x_mask, d.z_mask): sign * 0.5j}
+                expected = {(x, z_c): 0.5, (x, z_d): sign * 0.5j}
                 if worst := _distance(terms, expected):
                     return False, worst, f"mode {j}"
         return True, 0.0, ""

@@ -20,7 +20,7 @@ from fermap.analysis import (
     table_II,
 )
 from fermap.encodings import encode_model
-from fermap.models import LatticeSpec, hubbard_terms
+from fermap.models import FermionOperator, LatticeSpec, hubbard_terms
 
 
 def rows_by(report, encoding, term_class):
@@ -189,6 +189,51 @@ class TestOneSpinBlock:
         lat = LatticeSpec.rectangle(w, h)
         measure(name, lat)
         assert len(calls) == len(lat.edges()) + lat.n_sites
+
+
+class TestBlockZeroStream:
+    """Each fermion piece is built once: the tables share one block-0 stream per lattice."""
+
+    @staticmethod
+    def built(monkeypatch):
+        pieces = []
+        post_init = FermionOperator.__post_init__
+
+        def counting(op):
+            pieces.append(op)
+            post_init(op)
+
+        monkeypatch.setattr(FermionOperator, "__post_init__", counting)
+        return pieces
+
+    def test_table_I_builds_one_stream(self, monkeypatch):
+        pieces = self.built(monkeypatch)
+        table_I(4, 4)  # JW, BK, SBK and LSFS all read the 4x4 stream
+        lat = LatticeSpec.rectangle(4, 4)
+        assert len(pieces) == len(lat.edges()) + lat.n_sites == 40
+
+    def test_table_II_builds_one_stream_per_lattice(self, monkeypatch):
+        pieces = self.built(monkeypatch)
+        table_II(2, 3)  # the hypercube's stream, and the 3x3 square's for LSFS
+        assert len(pieces) == 2 * (12 + 9)
+
+    def test_wide_snake_lsfs_builds_only_its_row_major_stream(self, monkeypatch):
+        pieces = self.built(monkeypatch)
+        snake = LatticeSpec.rectangle(5, 3)
+        assert snake.site_order != tuple(range(15))
+        measured = measure("lsfs", snake)
+        assert len(pieces) == len(snake.edges()) + snake.n_sites == 37
+        # A snake stream handed in is not read: LSFS modes are the row-major sites.
+        snake_terms = hubbard_terms(snake, 1.0, 1.0, spins=(0,))
+        assert measure("lsfs", snake, terms=snake_terms) == measured
+        assert measured == measure("lsfs", LatticeSpec.rectangle(5, 3, "row_major"))
+
+    def test_stream_is_the_filtered_two_spin_stream(self):
+        for lat in (LatticeSpec.rectangle(4, 3), LatticeSpec.rectangle(5, 3, "row_major"),
+                    LatticeSpec.hypercube(3, 2)):
+            both = hubbard_terms(lat, 1.0, 1.0)
+            block0 = [(k, p) for k, p in both if min(m for m, _ in p.terms[0][1]) < lat.n_sites]
+            assert hubbard_terms(lat, 1.0, 1.0, spins=(0,)) == block0
 
 
 class TestTableI:

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from test_pauli import reference_json_dict
+from test_pauli import is_hermitian, reference_json_dict
 
 from fermap import lsfs
 from fermap.analysis import model_encoding
@@ -31,7 +31,7 @@ class TestEncode:
         assert data["meta"]["n_qubits"] == 8
         op = QubitOperator.from_json_dict(data["operator"])
         assert op.n_qubits == 8
-        assert op.is_hermitian()
+        assert is_hermitian(op)
 
     def test_repeated_run_byte_identical(self, tmp_path):
         args = ["encode", "--w", "2", "--h", "3", "--encoding", "bk",
@@ -629,6 +629,30 @@ class TestParser:
         captured = capsys.readouterr()
         assert captured.out == "" and not out.exists()
         assert captured.err == f"fermap: hypercubic {noun} take no --h: every side is --w\n"
+
+    @pytest.mark.parametrize("command", ["encode", "analyze"])
+    @pytest.mark.parametrize("ordering", ["snake", "row_major"])
+    def test_ordering_beside_dim_rejected(self, command, ordering, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = [command, "--dim", "2", "--w", "3", "--ordering", ordering, "--out", str(out)]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        message = "hypercubic lattices take no --ordering: their sites are row-major"
+        assert captured.err == f"fermap: {message}\n"
+
+    def test_hypercube_model_file_takes_no_ordering(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        lattice = {"kind": "hypercube", "dim": 2, "w": 3}
+        model.write_text(json.dumps({"lattice": lattice, "ordering": "row_major"}))
+        assert run(["encode", "--model", str(model)]) == 2
+        message = "hypercube models take no ordering: sites are row-major"
+        assert capsys.readouterr().err == f"fermap: {message}\n"
+
+    def test_hypercube_meta_records_row_major(self, tmp_path):
+        out = tmp_path / "op.json"
+        assert run(["encode", "--dim", "2", "--w", "3", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["meta"]["ordering"] == "row_major"
 
     def test_env_coupling_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FERMAP_U", "7.5")

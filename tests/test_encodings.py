@@ -4,21 +4,21 @@ import random
 
 import numpy as np
 import pytest
+from test_pauli import is_hermitian
 
 from fermap import lsfs
 from fermap.encodings import (
     EncodingSpec,
     encode_model,
     hopping_op,
-    lowering,
     majorana_c,
     majorana_d,
-    raising,
 )
 from fermap.fenwick import FenwickForest
 from fermap.models import (
     LOWER,
     NUMBER,
+    RAISE,
     FermionOperator,
     LatticeSpec,
     fock_matrix,
@@ -36,6 +36,16 @@ def single(n, ops, coeff=1.0):
 def number_op(spec, j):
     """n_j through the one synthesis path."""
     return encode_model(spec, FermionOperator.term(spec.n_modes, 1.0, ((j, NUMBER),)))
+
+
+def lowering(spec, j):
+    """a_j = (c_j + i d_j) / 2, through the one synthesis path."""
+    return encode_model(spec, FermionOperator.term(spec.n_modes, 1.0, ((j, LOWER),)))
+
+
+def raising(spec, j):
+    """a^dag_j = (c_j - i d_j) / 2, through the one synthesis path."""
+    return encode_model(spec, FermionOperator.term(spec.n_modes, 1.0, ((j, RAISE),)))
 
 
 class TestKind:
@@ -59,6 +69,19 @@ class TestKind:
 
 
 class TestMajoranas:
+    def test_mask_table_matches_set_queries(self):
+        # c_j: X on j and U(j), Z on P(j); d_j: the same X, Z on j and P(j) minus F(j).
+        rng = random.Random(21)
+        for _ in range(200):
+            spec = random_forest_spec(rng.randint(1, 40), rng)
+            forest = spec.forest
+            for j in range(spec.n_modes):
+                parity, children = set(forest.parity_set(j)), set(forest.children(j))
+                x = sum(1 << q for q in (*forest.ancestors(j), j))
+                z_c = sum(1 << q for q in parity)
+                z_d = sum(1 << q for q in parity - children | {j})
+                assert spec.majoranas[j] == (x, z_c, z_d)
+
     def test_bk7_c3(self):
         spec = EncodingSpec.bravyi_kitaev(7)
         assert majorana_c(spec, 3) == single(7, [(1, "Z"), (2, "Z"), (3, "X"), (6, "X")])
@@ -254,7 +277,7 @@ class TestHoppingOp:
             for i in range(n):
                 for j in range(i + 1, n):
                     hop = hopping_op(spec, i, j)
-                    assert hop.is_hermitian()
+                    assert is_hermitian(hop)
                     oracle = fock_matrix(
                         FermionOperator(
                             n,
@@ -299,7 +322,7 @@ class TestEncodeModel:
         spec = LatticeSpec.rectangle(2, 1)
         model = hubbard(spec, t=1.0, u=3.0)
         enc = encode_model(EncodingSpec.jordan_wigner(4), model)
-        assert enc.is_hermitian()
+        assert is_hermitian(enc)
         got = np.sort(np.linalg.eigvalsh(enc.to_dense()))
         want = np.sort(np.linalg.eigvalsh(fock_matrix(model)))
         assert np.max(np.abs(got - want)) < 1e-9
@@ -320,7 +343,7 @@ class TestEncodeModel:
             EncodingSpec.bravyi_kitaev(8),
             EncodingSpec.from_segments([2, 2, 2, 2]),
         ):
-            assert encode_model(enc, model).is_hermitian()
+            assert is_hermitian(encode_model(enc, model))
 
     def test_model_too_large(self):
         enc = EncodingSpec.jordan_wigner(2)

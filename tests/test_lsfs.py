@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from test_pauli import is_hermitian
 
 from fermap.encodings import encode_model
 from fermap.lsfs import (
@@ -309,7 +310,7 @@ class TestStabilizers:
         lay = EdgeLayout(4, 3)
         for stab in stabilizers(lay):
             assert stab * stab == QubitOperator.identity(lay.n_edges)
-            assert stab.is_hermitian()
+            assert is_hermitian(stab)
 
     def test_commutes_with_generators_and_each_other(self):
         lay = EdgeLayout(3, 3)
@@ -376,7 +377,7 @@ class TestHopping:
     def test_hermitian(self):
         lay = EdgeLayout(3, 3)
         for u, v in lay.edges():
-            assert hopping_term(lay, u, v).is_hermitian()
+            assert is_hermitian(hopping_term(lay, u, v))
 
     def test_worst_weights_on_large_lattice(self):
         lay = EdgeLayout(5, 5)
@@ -419,6 +420,19 @@ class TestPairTable:
                 pair = encode_model(spec, FermionOperator.term(9, 1.0, ((j, "c"), (k, "d"))))
                 assert pair == a_op(lay, j, k) * b_op(lay, k)
 
+    @pytest.mark.parametrize("w,h", [(w, h) for w in range(2, 6) for h in range(2, 5)])
+    def test_pairs_are_signed_string_products(self, w, h):
+        # One entry per directed edge: eps_jk times a_strings[q] * b_strings[k], phase in coeff.
+        lay = EdgeLayout(w, h)
+        a_strings, b_strings = lay.generators
+        expected = {}
+        for q, (u, v) in enumerate(lay.edges()):
+            for j, k in ((u, v), (v, u)):
+                pair = a_strings[q] * b_strings[k]
+                expected[j, k] = (pair.x_mask, pair.z_mask, (1 if j > k else -1) * pair.phase)
+        assert LsfsSpec(lay, 2).pairs == expected
+        assert len(expected) == 2 * lay.n_edges
+
     def test_spin_blocks_are_shifted_copies(self):
         lay = EdgeLayout(3, 2)
         spec, n_v, n_e = LsfsSpec(lay, 2), lay.n_vertices, lay.n_edges
@@ -438,7 +452,7 @@ class TestHamiltonians:
     def test_number_term(self):
         lay = EdgeLayout(2, 2)
         nk = number_term(lay, 0)
-        assert nk.is_hermitian()
+        assert is_hermitian(nk)
         evals = np.sort(np.linalg.eigvalsh(nk.to_dense()))
         assert np.allclose(evals[:8], 0.0) and np.allclose(evals[8:], 1.0)
 

@@ -3,9 +3,10 @@
 import json
 
 import pytest
+from test_encodings import lowering, raising
 
 from fermap import encodings, lsfs
-from fermap.encodings import EncodingSpec, lowering, raising
+from fermap.encodings import EncodingSpec
 from fermap.lsfs import EdgeLayout, LsfsSpec, stabilizers
 from fermap.models import LOWER, MAJORANA_C, MAJORANA_D, NUMBER, RAISE, LatticeSpec
 from fermap.pauli import PauliString, QubitOperator
@@ -76,7 +77,7 @@ class TestCar:
     )
     def test_broken_majorana_table_names_a_pair(self, mutation, monkeypatch):
         def mutated(spec):
-            forest, n = spec.forest, spec.n_modes
+            forest = spec.forest
             masks = zip(forest.ancestor_mask, forest.parity_mask, forest.children_mask)
             table = []
             for j, (ancestors, parity, children) in enumerate(masks):
@@ -89,7 +90,7 @@ class TestCar:
                     x = 1 << j
                 else:
                     d_z = parity & ~children
-                table.append((PauliString(n, x, c_z), PauliString(n, x, d_z)))
+                table.append((x, c_z, d_z))
             return tuple(table)
 
         monkeypatch.setattr(EncodingSpec, "majoranas", property(mutated))
@@ -112,11 +113,12 @@ class TestCar:
             terms = ladder_terms(spec, j, flavor_j)
             if (j, flavor_j) != (3, flavor):
                 return terms
-            d = spec.majoranas[j][1]
-            return {**terms, (d.x_mask, d.z_mask): 2 * terms[d.x_mask, d.z_mask]}
+            x, _, z_d = spec.majoranas[j]
+            return {**terms, (x, z_d): 2 * terms[x, z_d]}
 
         monkeypatch.setattr(encodings, "_ladder_terms", broken)
-        c, d = spec.majoranas[3]
+        x, z_c, z_d = spec.majoranas[3]
+        c, d = PauliString(spec.n_modes, x, z_c), PauliString(spec.n_modes, x, z_d)
         sign, ladder = (1, lowering) if flavor == LOWER else (-1, raising)
         diff = ladder(spec, 3) - QubitOperator(spec.n_modes, {c: 0.5, d: sign * 0.5j})
         result = check_car(spec)
