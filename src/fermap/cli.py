@@ -10,7 +10,10 @@ each check's ``wall_time_s``.  ``encode`` splices the operator text of
 overridden with FERMAP_-prefixed environment variables (FERMAP_T,
 FERMAP_U, FERMAP_EPS, FERMAP_DELTA, FERMAP_DENSE_CAP, FERMAP_SEED);
 FERMAP_T, FERMAP_U and FERMAP_EPS set the ``encode`` coupling defaults
-only: ``analyze`` measures locality at unit couplings.
+only (``analyze`` measures locality at unit couplings), and FERMAP_DELTA
+only the LSFS ``encode`` penalty: other encodings ignore the variable and
+reject the ``--delta`` flag.  A non-finite t, U, eps or delta, from a
+flag, a variable or a ``--model`` file, exits 2 before anything is written.
 
 Exit codes: 0 success (including a partial verify run with skipped
 checks), 1 verification failure, 2 usage or configuration error.
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -102,8 +106,15 @@ _FLAG_READERS = {
     "segments": ("forest",),
     "segment_size": ("sbk", "all"),
     "spin": ("lsfs",),
+    "delta": ("lsfs",),
     "ordering": ("jw", "bk", "sbk", "forest", "all"),
 }
+
+
+def _finite(name: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise ConfigError(f"coupling {name} must be finite, not {value}")
+    return value
 
 
 def _reject_unread_flags(args, kind: str):
@@ -156,37 +167,57 @@ def _cmd_encode(args) -> int:
     _reject_unread_flags(args, kind)
     lattice, data = _load_model(args)
     try:
-        t = float(data.get("t", args.t))
-        u = float(data.get("U", data.get("u", args.u)))
-        eps = float(data.get("eps", args.eps))
-    except (TypeError, ValueError) as exc:
+        t = _finite("t", float(data.get("t", args.t)))
+        u = _finite("U", float(data.get("U", data.get("u", args.u))))
+        eps = _finite("eps", float(data.get("eps", args.eps)))
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed model config: {exc}") from exc
     if kind == "lsfs":
         if lattice.kind != "rectangle":
             raise ConfigError("the loop-stabilized encoding needs a rectangle")
-        w, h = lattice.w, lattice.h
-        delta = args.delta
-        if delta is None:
-            delta = lsfs.default_penalty(t, u, eps)
-        layout = lsfs.EdgeLayout(w, h)
+        default = _env("DELTA", float, lsfs.default_penalty(t, u, eps))
+        delta = _finite("delta", default if args.delta is None else args.delta)
+        layout = lsfs.EdgeLayout(lattice.w, lattice.h)
         if args.spin == "single":
             if u != 0.0:
                 raise ConfigError("single-spin encoding has no density coupling; set U=0")
             operator = lsfs.single_spin_hamiltonian(layout, t, eps, delta)
         else:
-            operator = lsfs.hubbard_lsfs(w, h, t, u, eps, delta)
-        meta = {
-            "encoding": "lsfs",
-            "spin": args.spin or "both",
-            "lattice": {"kind": "rectangle", "w": w, "h": h},
-            "t": t,
-            "U": u,
-            "eps": eps,
-            "delta": delta,
-            "n_qubits": operator.n_qubits,
-        }
-        out = args.out or "lsfs_operator.json"
-        _write_atomic(Path(out), _meta_json(meta, operator))
+            operator = lsfs.hubbard_lsfs(lattice.w, lattice.h, t, u, eps, delta)
+        extra = {"spin": args.spin or "both", "delta": delta}
+    else:
+        if kind in ("jw", "bk", "sbk"):
+            enc = analysis.model_encoding(kind, lattice, args.segment_size)
+        elif kind == "forest":
+            if not args.segments:
+                raise ConfigError("--encoding forest needs --segments")
+            sizes = _parse_segments(args.segments)
+            if sum(sizes) != lattice.n_modes:
+                raise ConfigError(
+                    f"segments sum to {sum(sizes)}, model has {lattice.n_modes} modes"
+                )
+            enc = EncodingSpec.from_segments(sizes)
+        else:
+            raise ConfigError(f"unknown encoding {args.encoding!r}")
+        operator = encode_model(enc, hubbard(lattice, t, u, eps))
+        segments = [stop - start for start, stop in enc.forest.segments]
+        extra = {"segments": segments, "ordering": lattice.ordering}
+    meta = {
+        "encoding": kind,
+        "lattice": (
+            {"kind": "rectangle", "w": lattice.w, "h": lattice.h}
+            if lattice.kind == "rectangle"
+            else {"kind": "hypercube", "dim": lattice.dim, "w": lattice.w}
+        ),
+        "t": t,
+        "U": u,
+        "eps": eps,
+        "n_qubits": operator.n_qubits,
+        **extra,
+    }
+    out = args.out or ("lsfs_operator.json" if kind == "lsfs" else None)
+    _emit(_meta_json(meta, operator), out)
+    if kind == "lsfs":
         stabs = lsfs.stabilizers(layout)
         items = ",\n  ".join(s.to_json_text(2) for s in stabs)
         head = {"n_qubits": layout.n_edges, "count": len(stabs)}
@@ -197,37 +228,6 @@ def _cmd_encode(args) -> int:
             rows.append((" ".join(str(v) for v in plq), loop.weight, int(loop.phase.real)))
         text = analysis.versioned_csv("plaquette-report", "plaquette,weight,sign", rows)
         _write_atomic(Path(out).with_suffix(".plaquettes.csv"), text)
-        return 0
-
-    if kind in ("jw", "bk", "sbk"):
-        enc = analysis.model_encoding(kind, lattice, args.segment_size)
-    elif kind == "forest":
-        if not args.segments:
-            raise ConfigError("--encoding forest needs --segments")
-        sizes = _parse_segments(args.segments)
-        if sum(sizes) != lattice.n_modes:
-            raise ConfigError(
-                f"segments sum to {sum(sizes)}, model has {lattice.n_modes} modes"
-            )
-        enc = EncodingSpec.from_segments(sizes)
-    else:
-        raise ConfigError(f"unknown encoding {args.encoding!r}")
-    operator = encode_model(enc, hubbard(lattice, t, u, eps))
-    meta = {
-        "encoding": kind,
-        "segments": [stop - start for start, stop in enc.forest.segments],
-        "lattice": (
-            {"kind": "rectangle", "w": lattice.w, "h": lattice.h}
-            if lattice.kind == "rectangle"
-            else {"kind": "hypercube", "dim": lattice.dim, "w": lattice.w}
-        ),
-        "ordering": lattice.ordering,
-        "t": t,
-        "U": u,
-        "eps": eps,
-        "n_qubits": operator.n_qubits,
-    }
-    _emit(_meta_json(meta, operator), args.out)
     return 0
 
 
@@ -366,7 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
     enc.add_argument("--segments", help="comma-separated forest segment sizes")
     enc.add_argument("--segment-size", type=int, help="sbk row-chunk size")
     enc.add_argument("--spin", choices=("both", "single"), help="lsfs only; default: both")
-    enc.add_argument("--delta", type=float, default=_env("DELTA", float, None))
+    enc.add_argument(
+        "--delta", type=float, help="lsfs only; default: FERMAP_DELTA, else 10x largest coupling"
+    )
     enc.add_argument("--out")
     enc.set_defaults(func=_cmd_encode)
 

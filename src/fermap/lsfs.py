@@ -28,6 +28,12 @@ horizontal edge, to (1/2) Y_k^right (Z_k^down Z_{k+1}^up - Z_k^up
 Z_k^left Z_{k+1}^right Z_{k+1}^down); the lattice is bipartite, so the
 codespace spectrum is insensitive to the global sign of eps (the Fock
 oracle in fermap.verify pins the equivalence).
+
+Both Hamiltonians take that one path from the one Hubbard builder on the
+row-major lattice: ``single_spin_hamiltonian`` encodes block 0 of
+``models.hubbard_terms`` under a one-block spec, ``hubbard_lsfs`` all of
+``models.hubbard`` under a two-block spec, and each then subtracts
+delta/2 times every plaquette loop of each block.
 """
 
 from __future__ import annotations
@@ -38,7 +44,9 @@ from dataclasses import dataclass
 
 from .encodings import encode_model
 from .models import MAJORANA_C, MAJORANA_D, NUMBER, FermionOperator, LatticeSpec, hopping_pair
+from .models import hubbard, hubbard_terms
 from .pauli import _PHASES, DENSE_CAP_DEFAULT, DenseCapError, PauliString, QubitOperator, _mul_masks
+from .pauli import _add_terms
 
 
 @dataclass(frozen=True)
@@ -203,25 +211,29 @@ def hopping_term(layout: EdgeLayout, j: int, k: int) -> QubitOperator:
 
 
 def single_spin_model(layout: EdgeLayout, t: float, eps: float = 0.0) -> FermionOperator:
-    """-t sum_edges hop + eps sum_k n_k on the vertices, hops in edge-qubit order."""
-    n, terms = layout.n_vertices, []
-    if t != 0.0:
-        for u, v in layout.edges():
-            terms += hopping_pair(n, u, v, -t).terms
-    if eps != 0.0:
-        terms += [(complex(eps), ((k, NUMBER),)) for k in range(n)]
-    return FermionOperator(n, tuple(terms))
+    """Block 0 of ``models.hubbard_terms`` on the layout's vertices: -t per hop, eps per n_k."""
+    lattice = LatticeSpec.rectangle(layout.w, layout.h, "row_major")
+    pieces = hubbard_terms(lattice, t, 0.0, eps, spins=(0,))
+    return FermionOperator(layout.n_vertices, tuple(term for _, op in pieces for term in op.terms))
+
+
+def _penalized(spec: LsfsSpec, total: QubitOperator, delta: float) -> QubitOperator:
+    """``total`` minus delta/2 times every plaquette loop of each spin block, block 0 first."""
+    if delta != 0.0:
+        stabs, n_e = stabilizers(spec.layout), spec.layout.n_edges
+        for shift in range(0, spec.n_qubits, n_e):
+            for stab in stabs:
+                for (x, z), c in stab._terms.items():
+                    _add_terms(total._terms, [((x << shift, z << shift), -delta / 2 * c)])
+    return total
 
 
 def single_spin_hamiltonian(
     layout: EdgeLayout, t: float, eps: float = 0.0, delta: float = 0.0
 ) -> QubitOperator:
     """The encoded ``single_spin_model``, with optional stabilizer penalty."""
-    total = encode_model(LsfsSpec(layout), single_spin_model(layout, t, eps))
-    if delta != 0.0:
-        for stab in stabilizers(layout):
-            total._add_in_place((-delta / 2.0) * stab)
-    return total
+    spec = LsfsSpec(layout)
+    return _penalized(spec, encode_model(spec, single_spin_model(layout, t, eps)), delta)
 
 
 def hubbard_lsfs(
@@ -234,24 +246,17 @@ def hubbard_lsfs(
 ) -> QubitOperator:
     """Two-spin-lattice Hubbard Hamiltonian on 4wh - 2w - 2h edge qubits.
 
-    The spin-down edge lattice occupies qubits [0, E) and spin-up
-    occupies [E, 2E).  The on-site repulsion couples matching vertices
-    of the two lattices through n_k n_k' = (1 - B)(1 - B')/4, and the
-    penalty sums -delta/2 times every stabilizer of both lattices.
+    ``encode_model`` of ``models.hubbard`` on the row-major w x h lattice
+    under a two-block ``LsfsSpec``: spin-down on edge qubits [0, E),
+    spin-up on [E, 2E), and n_k n_k' = (1 - B)(1 - B')/4 couples matching
+    vertices.  The penalty subtracts delta/2 times every stabilizer of both
+    blocks.
     """
     if w < 2 or h < 2:
         raise ValueError("the two-spin mapping needs w, h >= 2")
-    layout = EdgeLayout(w, h)
-    spec, n_v = LsfsSpec(layout, 2), layout.n_vertices
-    total = QubitOperator.zero(spec.n_qubits)
-    spin_part = single_spin_hamiltonian(layout, t, eps, delta)
-    for offset in (0, layout.n_edges):
-        total._add_in_place(spin_part.embedded(spec.n_qubits, offset))
-    if u != 0.0:
-        for k in range(n_v):  # one term at a time: the identity is a running sum
-            model = FermionOperator.term(spec.n_modes, u, ((k, NUMBER), (k + n_v, NUMBER)))
-            total._add_in_place(encode_model(spec, model))
-    return total
+    spec = LsfsSpec(EdgeLayout(w, h), 2)
+    model = hubbard(LatticeSpec.rectangle(w, h, "row_major"), t, u, eps)
+    return _penalized(spec, encode_model(spec, model), delta)
 
 
 def codespace_projector(layout: EdgeLayout, cap: int = DENSE_CAP_DEFAULT):

@@ -195,44 +195,20 @@ def hubbard_terms(
     optional single-particle energy.  Hops and on-site energies are built
     for the spin blocks in ``spins`` only; the repulsion couples both.
     """
-    n = spec.n_modes
-    out: list[tuple[str, FermionOperator]] = []
-    for i, j, klass in spec.edges():
-        for spin in spins:
-            if t != 0.0:
-                out.append(
-                    (
-                        klass,
-                        hopping_pair(
-                            n, spec.mode_index(i, spin), spec.mode_index(j, spin), -t
-                        ),
-                    )
-                )
+    n, out = spec.n_modes, []
+    if t != 0.0:
+        for i, j, klass in spec.edges():
+            for spin in spins:
+                hop = hopping_pair(n, spec.mode_index(i, spin), spec.mode_index(j, spin), -t)
+                out.append((klass, hop))
     for site in range(spec.n_sites):
         if u != 0.0:
-            out.append(
-                (
-                    "density-density",
-                    FermionOperator.term(
-                        n,
-                        u,
-                        (
-                            (spec.mode_index(site, 1), NUMBER),
-                            (spec.mode_index(site, 0), NUMBER),
-                        ),
-                    ),
-                )
-            )
+            pair = ((spec.mode_index(site, 1), NUMBER), (spec.mode_index(site, 0), NUMBER))
+            out.append(("density-density", FermionOperator.term(n, u, pair)))
         if eps != 0.0:
             for spin in spins:
-                out.append(
-                    (
-                        "onsite",
-                        FermionOperator.term(
-                            n, eps, ((spec.mode_index(site, spin), NUMBER),)
-                        ),
-                    )
-                )
+                number = ((spec.mode_index(site, spin), NUMBER),)
+                out.append(("onsite", FermionOperator.term(n, eps, number)))
     return out
 
 

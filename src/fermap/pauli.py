@@ -185,9 +185,9 @@ class QubitOperator:
     letter string, which is Hermitian; a string enters only through
     ``_add_term``, which folds its phase into the coefficient.  Keys are
     combined only by XOR between operators of the same size, or shifted
-    inside a checked window (``embedded``), so every key fits the
-    register without a per-key check.  Terms with exactly zero
-    coefficient are dropped, and serialization orders terms
+    by ``lsfs`` into one spin block of an ``LsfsSpec`` register, so every
+    key fits the register without a per-key check.  Terms with exactly
+    zero coefficient are dropped, and serialization orders terms
     lexicographically on (z_mask, x_mask).
     """
 
@@ -283,14 +283,6 @@ class QubitOperator:
     def max_weight(self) -> int:
         """Largest Pauli weight among the summands (0 for the zero operator)."""
         return max(((x | z).bit_count() for x, z in self._terms), default=0)
-
-    def embedded(self, n_total: int, offset: int) -> "QubitOperator":
-        """The same sum acting on qubits [offset, offset + n) of a larger register."""
-        if offset < 0 or offset + self.n_qubits > n_total:
-            raise DimensionError("embedding window does not fit target register")
-        out = QubitOperator(n_total)
-        out._terms = {(x << offset, z << offset): c for (x, z), c in self._terms.items()}
-        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QubitOperator):

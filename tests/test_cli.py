@@ -239,10 +239,13 @@ PINNED_SHA256 = {
     ),
     # Non-square LSFS lattices, recorded while EdgeLayout still numbered
     # its edges by closed forms: a w/h swap in the edge table shows here.
+    # op.json re-pinned when hubbard_lsfs became encode_model of
+    # models.hubbard: at eps != 0 the identity coefficient sums its terms
+    # in the builder's order, 8.25 -> 8.250000000000005.
     "lsfs-5x3-eps": (
         ["--w", "5", "--h", "3", "--eps", "0.3", "--encoding", "lsfs"],
         {
-            "op.json": "b94851ac508dedc604920fc477ab5c5725716b79dca47a3c83c0dbce90fea1b0",
+            "op.json": "7a5815d81081788bf7a72904508e060fbfd6be065263546aac330e4c0a5055c6",
             "op.plaquettes.csv":
                 "b6109c3be064d955cecdec47320dc1c51856af7e2164157e16a61cac2d6235bc",
             "op.stabilizers.json":
@@ -556,6 +559,29 @@ class TestPlanAux:
         assert run(["plan-aux"]) == 2
 
 
+# Every coupling from every source that sets it, as (flags, environment,
+# model-file entry, message); the last case is the default LSFS penalty,
+# 10x a finite coupling near the float limit.
+LSFS = ["--encoding", "lsfs"]
+NON_FINITE = {
+    "flag-t": (["--t=nan"], {}, None, "coupling t must be finite, not nan"),
+    "flag-u": (["--u=inf"], {}, None, "coupling U must be finite, not inf"),
+    "flag-eps": (["--eps=-inf"], {}, None, "coupling eps must be finite, not -inf"),
+    "flag-delta": ([*LSFS, "--delta=nan"], {}, None, "coupling delta must be finite, not nan"),
+    "env-t": ([], {"FERMAP_T": "inf"}, None, "coupling t must be finite, not inf"),
+    "env-u": (LSFS, {"FERMAP_U": "-inf"}, None, "coupling U must be finite, not -inf"),
+    "env-eps": ([], {"FERMAP_EPS": "nan"}, None, "coupling eps must be finite, not nan"),
+    "env-delta": (LSFS, {"FERMAP_DELTA": "inf"}, None, "coupling delta must be finite, not inf"),
+    "model-t": ([], {}, '"t": NaN', "coupling t must be finite, not nan"),
+    "model-U": (LSFS, {}, '"U": Infinity', "coupling U must be finite, not inf"),
+    "model-u": ([], {}, '"u": -Infinity', "coupling U must be finite, not -inf"),
+    "model-eps": ([], {}, '"eps": 1e400', "coupling eps must be finite, not inf"),
+    "model-int": ([], {}, '"t": 1' + "0" * 400,
+                  "malformed model config: int too large to convert to float"),
+    "default-delta": ([*LSFS, "--t=1e308"], {}, None, "coupling delta must be finite, not inf"),
+}
+
+
 class TestParser:
     def test_missing_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as err:
@@ -579,6 +605,7 @@ class TestParser:
              "lsfs does not read --ordering"),
             ("analyze", ["--encoding", "af", "--ordering", "snake"],
              "af does not read --ordering"),
+            ("encode", ["--encoding", "jw", "--delta", "5"], "jw does not read --delta"),
         ],
     )
     def test_flag_the_encoding_does_not_read_rejected(
@@ -677,6 +704,41 @@ class TestParser:
         assert err == f"fermap: FERMAP_{name}='abc' is not a valid " + (
             "int\n" if name == "SEED" else "float\n"
         )
+
+    @pytest.mark.parametrize("case", sorted(NON_FINITE))
+    def test_non_finite_coupling_exits_2(self, case, monkeypatch, tmp_path, capsys):
+        flags, env, model, message = NON_FINITE[case]
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        argv = ["encode", *flags, "--out", str(tmp_path / "out" / "op.json")]
+        if model is None:
+            argv += ["--w", "2", "--h", "2"]
+        else:
+            path = tmp_path / "model.json"
+            path.write_text('{"lattice": {"kind": "rectangle", "w": 2, "h": 2}, ' + model + "}")
+            argv += ["--model", str(path)]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not (tmp_path / "out").exists()
+        assert captured.err == f"fermap: {message}\n"
+
+    @pytest.mark.parametrize("encoding", ["jw", "bk", "sbk"])
+    def test_env_delta_does_not_reach_tree_encodes(self, encoding, monkeypatch, tmp_path):
+        args = ["encode", "--w", "2", "--h", "2", "--encoding", encoding]
+        plain, with_env = tmp_path / "plain.json", tmp_path / "env.json"
+        assert run([*args, "--out", str(plain)]) == 0
+        monkeypatch.setenv("FERMAP_DELTA", "5")
+        assert run([*args, "--out", str(with_env)]) == 0
+        assert with_env.read_bytes() == plain.read_bytes()
+
+    def test_env_delta_sets_lsfs_penalty(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("FERMAP_DELTA", "2.5")
+        out = tmp_path / "op.json"
+        assert run(["encode", "--w", "2", "--h", "2", "--encoding", "lsfs", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["meta"]["delta"] == 2.5
+        assert run(["encode", "--w", "2", "--h", "2", "--encoding", "lsfs", "--delta", "4",
+                    "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["meta"]["delta"] == 4.0
 
 
 # Exact text of every CSV writer and of both table formats: any drift in a

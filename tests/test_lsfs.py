@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from test_pauli import is_hermitian
+from test_transpile import embedded
 
 from fermap.encodings import encode_model
 from fermap.lsfs import (
@@ -441,11 +442,11 @@ class TestPairTable:
             for u, v in lay.edges():
                 hop = FermionOperator(2 * n_v, ((1.0, ((u + block, "c"), (v + block, "d"))),))
                 single = FermionOperator(n_v, ((1.0, ((u, "c"), (v, "d"))),))
-                expected = encode_model(LsfsSpec(lay), single).embedded(2 * n_e, offset)
+                expected = embedded(encode_model(LsfsSpec(lay), single), 2 * n_e, offset)
                 assert encode_model(spec, hop) == expected
             for k in range(n_v):
                 n_k = FermionOperator.term(2 * n_v, 1.0, ((k + block, "n"),))
-                assert encode_model(spec, n_k) == number_term(lay, k).embedded(2 * n_e, offset)
+                assert encode_model(spec, n_k) == embedded(number_term(lay, k), 2 * n_e, offset)
 
 
 class TestHamiltonians:

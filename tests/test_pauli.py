@@ -413,25 +413,13 @@ class TestMaskKeyedReference:
         assert_matches(op_a + op_b, n, ref_add(ref_fold(a.items()), ref_fold(b.items())))
 
     @settings(max_examples=100, deadline=None)
-    @given(operator_pairs(), SCALARS, st.integers(0, 70), st.data())
-    def test_scalar_and_embedded(self, case, scalar, extra, data):
+    @given(operator_pairs(), SCALARS)
+    def test_scalar(self, case, scalar):
         n, a, _ = case
         op, ref = QubitOperator(n, a), ref_fold(a.items())
         scaled = {key: scalar * c for key, c in ref.items() if scalar * c != 0}
         assert_matches(scalar * op, n, scaled)
         assert_matches(op * scalar, n, scaled)
-        offset = data.draw(st.integers(0, extra))
-        moved = {
-            PauliString(n + extra, s.x_mask << offset, s.z_mask << offset): c
-            for s, c in ref.items()
-        }
-        assert_matches(op.embedded(n + extra, offset), n + extra, moved)
-
-    def test_embedding_window_checked_when_empty(self):
-        with pytest.raises(DimensionError):
-            QubitOperator(3).embedded(4, 2)
-        with pytest.raises(DimensionError):
-            QubitOperator(3).embedded(4, -1)
 
 
 # The writer must return exactly the text ``json.dumps(..., sort_keys=True,

@@ -6,7 +6,8 @@ the forest's sets by the paper's definitions (``test_fenwick``'s
 string with ``PauliString.__mul__`` (not the term-map kernel) and sum
 every Hamiltonian by chained addition, the way the encoders first did it.
 The encoders must match them exactly: same coefficients, same term order,
-same JSON text.
+same JSON text.  The two-spin LSFS operator is also compared, key by key,
+with the embed-and-add assembly it replaced.
 """
 
 import functools
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from test_encodings import lowering, number_op, raising
 from test_fenwick import reference_sets
 
-from fermap import encodings, lsfs, pauli
+from fermap import analysis, cli, encodings, lsfs, models, pauli, verify
 from fermap.analysis import model_encoding
 from fermap.encodings import EncodingSpec, encode_model
 from fermap.fenwick import FenwickForest
@@ -93,9 +94,18 @@ def naive_encode(spec, model):
     return total
 
 
+def embedded(op, n_total, offset):
+    """``op`` on qubits [offset, offset + n) of an ``n_total``-qubit register."""
+    assert 0 <= offset and offset + op.n_qubits <= n_total
+    out = QubitOperator(n_total)
+    out._terms = {(x << offset, z << offset): c for (x, z), c in op._terms.items()}
+    return out
+
+
 def naive_single_spin(layout, t, eps, delta):
+    """Term by term in ``hubbard_terms``' order: hops per lattice edge, eps per site, penalty."""
     total = QubitOperator.zero(layout.n_edges)
-    for u, v in layout.edges():
+    for u, v, _ in LatticeSpec.rectangle(layout.w, layout.h, "row_major").edges():
         total = plus(total, (-t) * lsfs.hopping_term(layout, u, v))
     for k in range(layout.n_vertices):
         total = plus(total, eps * lsfs.number_term(layout, k))
@@ -105,15 +115,42 @@ def naive_single_spin(layout, t, eps, delta):
 
 
 def naive_hubbard_lsfs(w, h, t, u, eps, delta):
+    """Term by term in ``models.hubbard``'s order: each lattice edge's hop in
+    block 0 then block 1; per site U, then eps for each spin; then the
+    penalty of block 0 and of block 1."""
     layout = lsfs.EdgeLayout(w, h)
     n_edges = layout.n_edges
+
+    def block(op, spin):
+        return embedded(op, 2 * n_edges, spin * n_edges)
+
+    total = QubitOperator.zero(2 * n_edges)
+    for i, j, _ in LatticeSpec.rectangle(w, h, "row_major").edges():
+        for spin in (0, 1):
+            total = plus(total, (-t) * block(lsfs.hopping_term(layout, i, j), spin))
+    for k in range(layout.n_vertices):
+        n_dn, n_up = (block(lsfs.number_term(layout, k), spin) for spin in (0, 1))
+        total = plus(total, u * times(n_up, n_dn))
+        for n_k in (n_dn, n_up):
+            total = plus(total, eps * n_k)
+    for spin in (0, 1):
+        for stab in lsfs.stabilizers(layout):
+            total = plus(total, (-delta / 2.0) * block(stab, spin))
+    return total
+
+
+def embed_and_add_hubbard_lsfs(w, h, t, u, eps, delta):
+    """The two-spin operator as LSFS first assembled it: one spin's penalized
+    Hamiltonian embedded into both blocks, then U added site by site."""
+    layout = lsfs.EdgeLayout(w, h)
+    n_edges = layout.n_edges
+    part = naive_single_spin(layout, t, eps, delta)
     total = QubitOperator.zero(2 * n_edges)
     for offset in (0, n_edges):
-        part = naive_single_spin(layout, t, eps, delta)
-        total = plus(total, part.embedded(2 * n_edges, offset))
+        total = plus(total, embedded(part, 2 * n_edges, offset))
     for k in range(layout.n_vertices):
-        n_dn = lsfs.number_term(layout, k).embedded(2 * n_edges, 0)
-        n_up = lsfs.number_term(layout, k).embedded(2 * n_edges, n_edges)
+        n_dn = embedded(lsfs.number_term(layout, k), 2 * n_edges, 0)
+        n_up = embedded(lsfs.number_term(layout, k), 2 * n_edges, n_edges)
         total = plus(total, u * times(n_dn, n_up))
     return total
 
@@ -155,6 +192,20 @@ class TestExactness:
             lsfs.hubbard_lsfs(w, h, T, U, EPS, DELTA),
             naive_hubbard_lsfs(w, h, T, U, EPS, DELTA),
         )
+
+    @pytest.mark.parametrize("eps", [0.0, EPS])
+    @pytest.mark.parametrize("w,h", [(w, h) for w in range(2, 6) for h in range(2, 5)])
+    def test_hubbard_lsfs_matches_embed_and_add(self, w, h, eps):
+        """Exact at eps = 0; at eps != 0 the identity sums in another order."""
+        op = lsfs.hubbard_lsfs(w, h, T, U, eps, DELTA)
+        ref = embed_and_add_hubbard_lsfs(w, h, T, U, eps, DELTA)
+        assert op.n_qubits == ref.n_qubits
+        assert sorted(op._terms) == sorted(ref._terms)
+        for key, coeff in ref._terms.items():
+            if eps == 0.0:
+                assert op._terms[key] == coeff
+            else:
+                assert abs(op._terms[key] - coeff) <= 1e-12 * abs(coeff)
 
     def test_majorana_table_matches_from_ops(self):
         spec = random_forest_spec(17, random.Random(5))
@@ -263,6 +314,39 @@ class TestWorkCount:
         assert builds == {id(spec): 1}
         assert spec.majoranas is first
         assert len(op) > 0
+
+    @pytest.mark.parametrize("spin, hubbards", [("both", 1), ("single", 0)])
+    def test_lsfs_encode_is_one_model_and_one_encode(self, spin, hubbards, monkeypatch, tmp_path):
+        # One model from the shared builder, one encode_model call and one
+        # pair table: no per-site U encodes and no per-block copies.
+        calls, builds = Counter(), Counter()
+        modules = (models, encodings, analysis, cli, lsfs, verify)
+        owners = {"hubbard": models, "hubbard_terms": models, "encode_model": encodings}
+        for name, owner in owners.items():
+            original = getattr(owner, name)
+
+            def wrapper(*args, _name=name, _fn=original, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            for module in modules:  # every name the function is bound to
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, wrapper)
+        build = lsfs.LsfsSpec.__dict__["pairs"].func
+
+        def counted_build(spec):
+            builds[spec] += 1
+            return build(spec)
+
+        table = functools.cached_property(counted_build)
+        table.__set_name__(lsfs.LsfsSpec, "pairs")
+        monkeypatch.setattr(lsfs.LsfsSpec, "pairs", table)
+        u = "1" if spin == "both" else "0"
+        argv = ["encode", "--w", "4", "--h", "3", "--encoding", "lsfs", "--spin", spin,
+                "--u", u, "--eps", "0.3", "--out", str(tmp_path / "op.json")]
+        assert cli.main(argv) == 0
+        assert calls == Counter(hubbard=hubbards, hubbard_terms=1, encode_model=1)
+        assert sum(builds.values()) == 1
 
     def test_hop_is_two_string_products(self, monkeypatch):
         # A hop is two Majorana pairs, each one table product; the ladder
