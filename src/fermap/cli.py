@@ -6,14 +6,10 @@ written atomically; repeated runs with the same configuration produce
 byte-identical files, except the ``verify --out`` report, which records
 each check's ``wall_time_s``.  ``encode`` splices the operator text of
 ``QubitOperator.to_json_text``, whose tests hold it byte-identical to
-``json.dumps(..., sort_keys=True, indent=1)``.  Numeric defaults can be
-overridden with FERMAP_-prefixed environment variables (FERMAP_T,
-FERMAP_U, FERMAP_EPS, FERMAP_DELTA, FERMAP_DENSE_CAP, FERMAP_SEED);
-FERMAP_T, FERMAP_U and FERMAP_EPS set the ``encode`` coupling defaults
-only (``analyze`` measures locality at unit couplings), and FERMAP_DELTA
-only the LSFS ``encode`` penalty: other encodings ignore the variable and
-reject the ``--delta`` flag.  A non-finite t, U, eps or delta, from a
-flag, a variable or a ``--model`` file, exits 2 before anything is written.
+``json.dumps(..., sort_keys=True, indent=1)``.  A run reads each number it
+uses, and only those, from its flag or ``--model`` entry (never both), else
+from FERMAP_T, _U, _EPS, _DELTA, _DENSE_CAP or _SEED, else its default.  A
+non-finite t, U, eps or delta exits 2 before anything is written.
 
 Exit codes: 0 success (including a partial verify run with skipped
 checks), 1 verification failure, 2 usage or configuration error.
@@ -40,11 +36,11 @@ class ConfigError(Exception):
     """Bad configuration content: reported on stderr with exit code 2."""
 
 
-def _env(name: str, parse, default):
-    """FERMAP_<name> parsed by ``parse``, or ``default`` when it is unset."""
+def _env(flag, name: str, parse, default):
+    """``flag`` if given, else FERMAP_<name> parsed by ``parse``, else ``default``."""
     raw = os.environ.get(f"FERMAP_{name}")
     try:
-        return default if raw is None else parse(raw)
+        return flag if flag is not None else default if raw is None else parse(raw)
     except ValueError:
         msg = f"FERMAP_{name}={raw!r} is not a valid {parse.__name__}"
         raise ConfigError(msg) from None
@@ -70,8 +66,9 @@ def _emit(text: str, out: Optional[str]):
         sys.stdout.write(text)
 
 
-def _load_model(args) -> tuple[LatticeSpec, dict]:
-    """The lattice from --model JSON or the lattice flags, and the file's data or {}."""
+def _load_model(args) -> LatticeSpec:
+    """The lattice from --model JSON or the lattice flags.  The file's couplings
+    replace encode's coupling flags, which must then not be given."""
     if args.model:
         flags = ("w", "h", "dim", "ordering")
         given = [f"--{flag}" for flag in flags if getattr(args, flag) is not None]
@@ -92,16 +89,29 @@ def _load_model(args) -> tuple[LatticeSpec, dict]:
                 spec = LatticeSpec.hypercube(int(lat["dim"]), int(lat["w"]))
             else:
                 raise ConfigError(f"unknown lattice kind {lat['kind']!r}")
-            return spec, data
-        except (KeyError, TypeError, ValueError) as exc:
+            if "u" in data:  # the lower-case spelling of U; "U" wins if both are set
+                data.setdefault("U", data.pop("u"))
+            for flag, key, _ in _COUPLINGS:
+                if key in data and hasattr(args, flag):
+                    if getattr(args, flag) is not None:
+                        raise ConfigError(f"--model sets {key}; drop --{flag}")
+                    setattr(args, flag, float(data[key]))
+            return spec
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"malformed model config: {exc}") from exc
     dim, w, h = _lattice_flags(args, "lattices")
     if dim is not None:
-        return LatticeSpec.hypercube(dim, w), {}
-    return LatticeSpec.rectangle(w, h, args.ordering or "snake"), {}
+        return LatticeSpec.hypercube(dim, w)
+    return LatticeSpec.rectangle(w, h, args.ordering or "snake")
 
 
-# Each encoding flag and the --encoding values that read it; others exit 2.
+# Each coupling's flag, --model key and default.
+_COUPLINGS = (("t", "t", 1.0), ("u", "U", 1.0), ("eps", "eps", 0.0))
+
+# The --encoding values of each subcommand, and each encoding flag with the
+# values that read it; other values exit 2.
+_ENCODINGS = {"encode": ("jw", "bk", "sbk", "forest", "lsfs"),
+              "analyze": ("jw", "bk", "sbk", "af", "lsfs", "all")}
 _FLAG_READERS = {
     "segments": ("forest",),
     "segment_size": ("sbk", "all"),
@@ -118,6 +128,8 @@ def _finite(name: str, value: float) -> float:
 
 
 def _reject_unread_flags(args, kind: str):
+    if kind not in _ENCODINGS[args.command]:
+        raise ConfigError(f"unknown encoding {args.encoding!r}")
     unread = [flag for flag, readers in _FLAG_READERS.items() if kind not in readers]
     given = [f"--{f.replace('_', '-')}" for f in unread if getattr(args, f, None) is not None]
     if given:
@@ -165,18 +177,14 @@ def _meta_json(meta: dict, operator) -> str:
 def _cmd_encode(args) -> int:
     kind = args.encoding.lower()
     _reject_unread_flags(args, kind)
-    lattice, data = _load_model(args)
-    try:
-        t = _finite("t", float(data.get("t", args.t)))
-        u = _finite("U", float(data.get("U", data.get("u", args.u))))
-        eps = _finite("eps", float(data.get("eps", args.eps)))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"malformed model config: {exc}") from exc
+    lattice = _load_model(args)
+    t, u, eps = [_finite(key, _env(getattr(args, flag), key.upper(), float, default))
+                 for flag, key, default in _COUPLINGS]
     if kind == "lsfs":
         if lattice.kind != "rectangle":
             raise ConfigError("the loop-stabilized encoding needs a rectangle")
-        default = _env("DELTA", float, lsfs.default_penalty(t, u, eps))
-        delta = _finite("delta", default if args.delta is None else args.delta)
+        default = lsfs.default_penalty(t, u, eps)
+        delta = _finite("delta", _env(args.delta, "DELTA", float, default))
         layout = lsfs.EdgeLayout(lattice.w, lattice.h)
         if args.spin == "single":
             if u != 0.0:
@@ -188,7 +196,7 @@ def _cmd_encode(args) -> int:
     else:
         if kind in ("jw", "bk", "sbk"):
             enc = analysis.model_encoding(kind, lattice, args.segment_size)
-        elif kind == "forest":
+        else:
             if not args.segments:
                 raise ConfigError("--encoding forest needs --segments")
             sizes = _parse_segments(args.segments)
@@ -197,8 +205,6 @@ def _cmd_encode(args) -> int:
                     f"segments sum to {sum(sizes)}, model has {lattice.n_modes} modes"
                 )
             enc = EncodingSpec.from_segments(sizes)
-        else:
-            raise ConfigError(f"unknown encoding {args.encoding!r}")
         operator = encode_model(enc, hubbard(lattice, t, u, eps))
         segments = [stop - start for start, stop in enc.forest.segments]
         extra = {"segments": segments, "ordering": lattice.ordering}
@@ -234,7 +240,7 @@ def _cmd_encode(args) -> int:
 def _cmd_analyze(args) -> int:
     kind = args.encoding.lower()
     _reject_unread_flags(args, kind)
-    lattice, _ = _load_model(args)
+    lattice = _load_model(args)
     rectangle = lattice.kind == "rectangle"
     if kind != "all":
         names = [kind]
@@ -290,13 +296,13 @@ def _cmd_verify(args) -> int:
     from .verify import run_suite  # numpy-free; loaded here, as no other command needs it
     if args.trials < 1:
         raise ConfigError("--trials must be at least 1")
-    if args.dense_cap < 0:
-        cap = args.dense_cap
+    cap = _env(args.dense_cap, "DENSE_CAP", int, DENSE_CAP_DEFAULT)
+    if cap < 0:
         raise ConfigError(f"--dense-cap (FERMAP_DENSE_CAP) must be at least 0, not {cap}")
     report = run_suite(
         symbolic_only=(args.suite == "symbolic"),
-        cap=args.dense_cap,
-        seed=args.seed,
+        cap=cap,
+        seed=_env(args.seed, "SEED", int, 0),
         forest_trials=args.trials,
     )
     text = report.to_json() + "\n"
@@ -338,8 +344,8 @@ def _cmd_plan_aux(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_lattice_flags(sub):
-    sub.add_argument("--model", help="model JSON file; replaces --w, --h, --dim, --ordering")
+def _add_lattice_flags(sub, replaces="--w, --h, --dim, --ordering"):
+    sub.add_argument("--model", help=f"model JSON file; replaces {replaces}")
     sub.add_argument("--w", type=int, help="lattice width")
     sub.add_argument("--h", type=int, help="lattice height")
     sub.add_argument("--dim", type=int, help="hypercube dimension (with --w)")
@@ -354,15 +360,11 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     enc = subparsers.add_parser("encode", help="encode a lattice model to qubits")
-    _add_lattice_flags(enc)
-    enc.add_argument("--t", type=float, default=_env("T", float, 1.0))
-    enc.add_argument("--u", type=float, default=_env("U", float, 1.0))
-    enc.add_argument("--eps", type=float, default=_env("EPS", float, 0.0))
-    enc.add_argument(
-        "--encoding",
-        default="jw",
-        help="jw | bk | sbk | forest | lsfs",
-    )
+    _add_lattice_flags(enc, "--w, --h, --dim, --ordering and each of --t, --u, --eps it sets")
+    enc.add_argument("--t", type=float)
+    enc.add_argument("--u", type=float)
+    enc.add_argument("--eps", type=float)
+    enc.add_argument("--encoding", default="jw", help=" | ".join(_ENCODINGS["encode"]))
     enc.add_argument("--segments", help="comma-separated forest segment sizes")
     enc.add_argument("--segment-size", type=int, help="sbk row-chunk size")
     enc.add_argument("--spin", choices=("both", "single"), help="lsfs only; default: both")
@@ -374,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ana = subparsers.add_parser("analyze", help="measured localities at unit couplings")
     _add_lattice_flags(ana)
-    ana.add_argument("--encoding", default="all", help="jw | bk | sbk | af | lsfs | all")
+    ana.add_argument("--encoding", default="all", help=" | ".join(_ENCODINGS["analyze"]))
     ana.add_argument("--segment-size", type=int, help="sbk row-chunk size")
     ana.add_argument("--out")
     ana.set_defaults(func=_cmd_analyze)
@@ -404,10 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = subparsers.add_parser("verify", help="run the verification suite")
     ver.add_argument("--suite", choices=("desk", "symbolic"), default="desk")
-    ver.add_argument(
-        "--dense-cap", type=int, default=_env("DENSE_CAP", int, DENSE_CAP_DEFAULT)
-    )
-    ver.add_argument("--seed", type=int, default=_env("SEED", int, 0))
+    ver.add_argument("--dense-cap", type=int)
+    ver.add_argument("--seed", type=int)
     ver.add_argument("--trials", type=int, default=100)
     ver.add_argument("--out")
     ver.set_defaults(func=_cmd_verify)

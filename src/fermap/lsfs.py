@@ -250,10 +250,9 @@ def hubbard_lsfs(
     under a two-block ``LsfsSpec``: spin-down on edge qubits [0, E),
     spin-up on [E, 2E), and n_k n_k' = (1 - B)(1 - B')/4 couples matching
     vertices.  The penalty subtracts delta/2 times every stabilizer of both
-    blocks.
+    blocks.  Strips (w or h = 1, at least two sites) have no plaquettes, so
+    no stabilizers; a 1x1 lattice raises ``ValueError``, as ``EdgeLayout`` does.
     """
-    if w < 2 or h < 2:
-        raise ValueError("the two-spin mapping needs w, h >= 2")
     spec = LsfsSpec(EdgeLayout(w, h), 2)
     model = hubbard(LatticeSpec.rectangle(w, h, "row_major"), t, u, eps)
     return _penalized(spec, encode_model(spec, model), delta)

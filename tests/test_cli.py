@@ -156,6 +156,11 @@ LSFS_FILES = {
     "both-spins": (["--w", "3", "--h", "2", "--u", "2"], 3, 2, "both"),
     "single-spin": (["--w", "3", "--h", "3", "--u", "0", "--spin", "single"], 3, 3, "single"),
     "single-spin-strip": (["--w", "3", "--h", "1", "--u", "0", "--spin", "single"], 3, 1, "single"),
+    # Two-spin strips: no plaquettes, so empty sidecars beside the operator.
+    "both-spins-3x1": (["--w", "3", "--h", "1", "--u", "2", "--eps", "0.3", "--delta", "4"],
+                       3, 1, "both"),
+    "both-spins-1x4": (["--w", "1", "--h", "4", "--u", "-1", "--eps", "0.2"], 1, 4, "both"),
+    "both-spins-2x1": (["--w", "2", "--h", "1", "--t", "0.5", "--eps", "1"], 2, 1, "both"),
 }
 
 
@@ -691,7 +696,7 @@ class TestParser:
     @pytest.mark.parametrize(
         "name,args",
         [
-            ("T", ["tables", "--w", "2", "--h", "2"]),
+            ("T", ["encode", "--w", "2", "--h", "2"]),
             ("EPS", ["encode", "--w", "2", "--h", "2"]),
             ("DELTA", ["encode", "--w", "2", "--h", "2", "--encoding", "lsfs"]),
             ("SEED", ["verify", "--trials", "1"]),
@@ -739,6 +744,132 @@ class TestParser:
         assert run(["encode", "--w", "2", "--h", "2", "--encoding", "lsfs", "--delta", "4",
                     "--out", str(out)]) == 0
         assert json.loads(out.read_text())["meta"]["delta"] == 4.0
+
+
+# One run per input path, and the FERMAP_ variables it reads: a flag or a
+# --model entry hides the variable, and a run that does not use a number
+# never reads its variable.  MODEL stands for a file that sets t, U and eps.
+COUPLINGS = {"T", "U", "EPS"}
+ENV_RUNS = {
+    "help": (["--help"], set()),
+    "encode-help": (["encode", "--help"], set()),
+    "verify-help": (["verify", "--help"], set()),
+    "analyze": (["analyze", "--w", "2", "--h", "2"], set()),
+    "tables": (["tables", "--w", "2", "--h", "2"], set()),
+    "sweep": (["sweep", "--w", "8"], set()),
+    "fig6": (["fig6", "--w-max", "3"], set()),
+    "plan-aux": (["plan-aux", "--w", "2", "--h", "2"], set()),
+    "encode": (["encode", "--w", "2", "--h", "2"], COUPLINGS),
+    "encode-flags": (["encode", "--w", "2", "--h", "2", "--t", "2", "--u", "0", "--eps", "1"],
+                     set()),
+    "encode-model": (["encode", "--model", "MODEL"], set()),
+    "lsfs-model": (["encode", "--model", "MODEL", "--encoding", "lsfs"], {"DELTA"}),
+    "lsfs": (["encode", "--w", "2", "--h", "2", "--encoding", "lsfs"], COUPLINGS | {"DELTA"}),
+    "lsfs-flags": (["encode", "--w", "2", "--h", "2", "--encoding", "lsfs", "--t", "2",
+                    "--u", "0", "--eps", "1", "--delta", "3"], set()),
+    "verify": (["verify", "--suite", "symbolic", "--trials", "1"], {"DENSE_CAP", "SEED"}),
+    "verify-flags": (["verify", "--suite", "symbolic", "--trials", "1", "--dense-cap", "4",
+                      "--seed", "3"], set()),
+}
+MALFORMED = {"T": "abc", "U": "1,5", "EPS": "x", "DELTA": "-", "DENSE_CAP": "1.5", "SEED": "1.5"}
+
+
+def outcome(argv, capsys, tmp_path):
+    """Exit code, stdout, stderr and every written file (verify's wall times dropped)."""
+    model = tmp_path / "model.json"
+    model.write_text('{"lattice": {"kind": "rectangle", "w": 2, "h": 2}, "t": 2, "U": 0, "eps": 1}')
+    argv = [str(model) if arg == "MODEL" else arg for arg in argv]
+    out_dir = tmp_path / "out"
+    if "--help" not in argv:
+        argv += ["--out", str(out_dir / "result")]
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    files = {}
+    for path in sorted(out_dir.glob("*")) if out_dir.exists() else []:
+        text = path.read_text()
+        if argv[0] == "verify":
+            report = json.loads(text)
+            for check in report["checks"]:
+                del check["wall_time_s"]
+            text = json.dumps(report)
+        files[path.name] = text
+        path.unlink()
+    return (code, *capsys.readouterr(), files)
+
+
+class TestInputRule:
+    @pytest.mark.parametrize("run_name", sorted(ENV_RUNS))
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_malformed_variable_read_only_where_used(
+        self, name, run_name, monkeypatch, tmp_path, capsys
+    ):
+        argv, reads = ENV_RUNS[run_name]
+        clean = outcome(argv, capsys, tmp_path)
+        assert clean[0] == 0
+        monkeypatch.setenv(f"FERMAP_{name}", MALFORMED[name])
+        if name not in reads:
+            assert outcome(argv, capsys, tmp_path) == clean
+        else:
+            kind = "int" if name in ("DENSE_CAP", "SEED") else "float"
+            message = f"fermap: FERMAP_{name}={MALFORMED[name]!r} is not a valid {kind}\n"
+            assert outcome(argv, capsys, tmp_path) == (2, "", message, {})
+
+    def test_flag_beats_malformed_variable(self, monkeypatch, capsys):
+        monkeypatch.setenv("FERMAP_SEED", "x")
+        assert run(["verify", "--seed", "3", "--trials", "1"]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "entry, flag, key",
+        [("t", "--t", "t"), ("U", "--u", "U"), ("u", "--u", "U"), ("eps", "--eps", "eps")],
+    )
+    def test_model_entry_beside_its_flag_rejected(self, entry, flag, key, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        lattice = {"kind": "rectangle", "w": 2, "h": 2}
+        model.write_text(json.dumps({"lattice": lattice, entry: 2}))
+        out = tmp_path / "op.json"
+        assert run(["encode", "--model", str(model), flag, "3", "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"fermap: --model sets {key}; drop {flag}\n")
+        assert not out.exists()
+
+    def test_flag_sets_what_the_model_file_leaves_out(self, tmp_path):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"lattice": {"kind": "rectangle", "w": 2, "h": 2}, "U": 4}))
+        out = tmp_path / "op.json"
+        assert run(["encode", "--model", str(model), "--t", "3", "--out", str(out)]) == 0
+        meta = json.loads(out.read_text())["meta"]
+        assert (meta["t"], meta["U"], meta["eps"]) == (3.0, 4.0, 0.0)
+
+    def test_model_file_beats_variable(self, monkeypatch, tmp_path):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"lattice": {"kind": "rectangle", "w": 2, "h": 2}, "t": 2}))
+        monkeypatch.setenv("FERMAP_T", "5")
+        monkeypatch.setenv("FERMAP_EPS", "0.25")
+        out = tmp_path / "op.json"
+        assert run(["encode", "--model", str(model), "--out", str(out)]) == 0
+        meta = json.loads(out.read_text())["meta"]
+        assert (meta["t"], meta["eps"]) == (2.0, 0.25)
+
+    @pytest.mark.parametrize("command", ["encode", "analyze"])
+    def test_infinite_model_side_exits_2(self, command, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text('{"lattice": {"kind": "rectangle", "w": Infinity, "h": 2}}')
+        assert run([command, "--model", str(model)]) == 2
+        message = "malformed model config: cannot convert float infinity to integer"
+        assert capsys.readouterr() == ("", f"fermap: {message}\n")
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [("encode", ["--delta", "1"]), ("analyze", ["--segment-size", "1"])],
+    )
+    def test_unknown_encoding_named_before_its_flags(self, command, flags, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = [command, "--w", "2", "--h", "2", "--encoding", "magic", *flags, "--out", str(out)]
+        assert run(argv) == 2
+        assert capsys.readouterr() == ("", "fermap: unknown encoding 'magic'\n")
+        assert not out.exists()
 
 
 # Exact text of every CSV writer and of both table formats: any drift in a

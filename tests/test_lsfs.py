@@ -475,7 +475,7 @@ class TestHamiltonians:
 
     def test_too_small(self):
         with pytest.raises(ValueError):
-            hubbard_lsfs(1, 3, 1.0, 1.0)
+            hubbard_lsfs(1, 1, 1.0, 1.0)
 
     def test_penalty_enters(self):
         lay = EdgeLayout(2, 2)

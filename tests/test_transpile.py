@@ -194,7 +194,9 @@ class TestExactness:
         )
 
     @pytest.mark.parametrize("eps", [0.0, EPS])
-    @pytest.mark.parametrize("w,h", [(w, h) for w in range(2, 6) for h in range(2, 5)])
+    @pytest.mark.parametrize(
+        "w,h", [(w, h) for w in range(2, 6) for h in range(2, 5)] + [(2, 1), (3, 1), (1, 4)]
+    )
     def test_hubbard_lsfs_matches_embed_and_add(self, w, h, eps):
         """Exact at eps = 0; at eps != 0 the identity sums in another order."""
         op = lsfs.hubbard_lsfs(w, h, T, U, eps, DELTA)
