@@ -26,9 +26,6 @@ import tempfile
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import analysis, aux_fermion, lsfs
-from .encodings import EncodingSpec, encode_model
-from .models import LatticeSpec, hubbard
 from .pauli import DENSE_CAP_DEFAULT
 
 
@@ -66,9 +63,10 @@ def _emit(text: str, out: Optional[str]):
         sys.stdout.write(text)
 
 
-def _load_model(args) -> LatticeSpec:
+def _load_model(args):
     """The lattice from --model JSON or the lattice flags.  The file's couplings
     replace encode's coupling flags, which must then not be given."""
+    from .models import LatticeSpec
     if args.model:
         flags = ("w", "h", "dim", "ordering")
         given = [f"--{flag}" for flag in flags if getattr(args, flag) is not None]
@@ -170,17 +168,20 @@ def _meta_json(meta: dict, operator) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand bodies.
+# Subcommand bodies, each importing only the layers it runs.
 # ---------------------------------------------------------------------------
 
 
 def _cmd_encode(args) -> int:
+    from .encodings import EncodingSpec, encode_model, model_encoding
+    from .models import hubbard
     kind = args.encoding.lower()
     _reject_unread_flags(args, kind)
     lattice = _load_model(args)
     t, u, eps = [_finite(key, _env(getattr(args, flag), key.upper(), float, default))
                  for flag, key, default in _COUPLINGS]
     if kind == "lsfs":
+        from . import lsfs
         if lattice.kind != "rectangle":
             raise ConfigError("the loop-stabilized encoding needs a rectangle")
         default = lsfs.default_penalty(t, u, eps)
@@ -195,7 +196,7 @@ def _cmd_encode(args) -> int:
         extra = {"spin": args.spin or "both", "delta": delta}
     else:
         if kind in ("jw", "bk", "sbk"):
-            enc = analysis.model_encoding(kind, lattice, args.segment_size)
+            enc = model_encoding(kind, lattice, args.segment_size)
         else:
             if not args.segments:
                 raise ConfigError("--encoding forest needs --segments")
@@ -224,6 +225,7 @@ def _cmd_encode(args) -> int:
     out = args.out or ("lsfs_operator.json" if kind == "lsfs" else None)
     _emit(_meta_json(meta, operator), out)
     if kind == "lsfs":
+        from .analysis import versioned_csv
         stabs = lsfs.stabilizers(layout)
         items = ",\n  ".join(s.to_json_text(2) for s in stabs)
         head = {"n_qubits": layout.n_edges, "count": len(stabs)}
@@ -232,12 +234,13 @@ def _cmd_encode(args) -> int:
         rows = []
         for plq, loop in zip(layout.plaquettes(), layout.loops):
             rows.append((" ".join(str(v) for v in plq), loop.weight, int(loop.phase.real)))
-        text = analysis.versioned_csv("plaquette-report", "plaquette,weight,sign", rows)
+        text = versioned_csv("plaquette-report", "plaquette,weight,sign", rows)
         _write_atomic(Path(out).with_suffix(".plaquettes.csv"), text)
     return 0
 
 
 def _cmd_analyze(args) -> int:
+    from . import analysis
     kind = args.encoding.lower()
     _reject_unread_flags(args, kind)
     lattice = _load_model(args)
@@ -260,6 +263,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_tables(args) -> int:
+    from . import analysis
     dim, w, h = _lattice_flags(args, "tables")
     if dim is not None:
         report = analysis.table_II(dim, w, measured=args.measure)
@@ -273,6 +277,7 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from . import analysis
     sizes = _parse_segments(args.segments) if args.segments else None
     sweep = analysis.sbk_segment_sweep(args.w, sizes)
     size, value = analysis.sweep_optimum(sweep)
@@ -283,6 +288,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_fig6(args) -> int:
+    from . import analysis
     if args.w_min > args.w_max:
         raise ConfigError("--w-min must not exceed --w-max")
     rows = analysis.fig6_series(range(args.w_min, args.w_max + 1))
@@ -293,7 +299,7 @@ def _cmd_fig6(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .verify import run_suite  # numpy-free; loaded here, as no other command needs it
+    from .verify import run_suite  # loads the synthesis layers and lsfs, but not analysis
     if args.trials < 1:
         raise ConfigError("--trials must be at least 1")
     cap = _env(args.dense_cap, "DENSE_CAP", int, DENSE_CAP_DEFAULT)
@@ -314,6 +320,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_plan_aux(args) -> int:
+    from . import analysis, aux_fermion
     dim, w, h = _lattice_flags(args, "plans")
     plan = aux_fermion.plan_hypercubic(dim, w) if dim is not None else aux_fermion.plan(w, h)
     profile = aux_fermion.locality_profile(plan)

@@ -19,18 +19,19 @@ every spec: ``encode_model`` multiplies each term's factors as mask-keyed
 term maps ``{(x_mask, z_mask): coeff}`` that the spec reads from its
 table, and sums the terms into one operator in place.  A hop is two
 Majorana pairs, (i/2)(c_j d_k + c_k d_j): two table products.
-``majorana_c``/``majorana_d`` build one entry's string, and
-``hopping_op`` encodes one hop.
+``model_encoding`` picks a lattice model's forest, ``majorana_c``/
+``majorana_d`` build one entry's string, and ``hopping_op`` one hop.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .fenwick import FenwickForest
-from .models import LOWER, MAJORANA_C, MAJORANA_D, NUMBER, FermionOperator, hopping_pair
+from .models import LOWER, MAJORANA_C, MAJORANA_D, NUMBER, FermionOperator, LatticeSpec
+from .models import hopping_pair
 from .pauli import PauliString, QubitOperator, _add_terms, _mul_terms
 
 
@@ -83,6 +84,52 @@ class EncodingSpec:
             (ancestors | 1 << j, parity, parity & ~children | 1 << j)
             for j, (ancestors, parity, children) in enumerate(masks)
         )
+
+
+def sbk_row_segments(width: int, n_rows: int, segment_size: int) -> list[int]:
+    """Chunk every row of the given width into trees of the given size."""
+    if segment_size < 1:
+        raise ValueError("segment size must be at least 1")
+    if segment_size > width:  # no row of that width holds a larger tree
+        raise ValueError(f"segment size {segment_size} exceeds the row width {width}")
+    per_row = []
+    left = width
+    while left:
+        step = min(segment_size, left)
+        per_row.append(step)
+        left -= step
+    return per_row * n_rows
+
+
+def model_encoding(
+    kind: str,
+    lattice: LatticeSpec,
+    segment_size: Optional[int] = None,
+) -> EncodingSpec:
+    """Forest spec over the 2 * sites modes of a lattice model.
+
+    ``jw`` uses singleton trees, ``bk`` one tree per spin block, and
+    ``sbk`` one tree per row chunk of ``segment_size`` (default: half
+    rows, ``(width + 1) // 2``; the sweep finds that optimal only at
+    power-of-two widths).  Rows are rows of the *ordered* modes: runs of
+    the short side for snake rectangles, of ``w`` for row-major
+    rectangles, and slabs of w**(D-1) sites for (row-major) hypercubes.
+    """
+    sites = lattice.n_sites
+    if kind == "jw":
+        return EncodingSpec.jordan_wigner(2 * sites)
+    if kind == "bk":
+        return EncodingSpec.from_segments([sites, sites])
+    if kind != "sbk":
+        raise ValueError(f"unknown model encoding {kind!r}")
+    if lattice.kind == "hypercube":
+        width = lattice.w ** (lattice.dim - 1)
+    else:  # the snake raster runs along the short side
+        width = lattice.w if lattice.ordering == "row_major" else min(lattice.w, lattice.h)
+    if segment_size is None:
+        segment_size = max(1, (width + 1) // 2)
+    per_spin = sbk_row_segments(width, sites // width, segment_size)
+    return EncodingSpec.from_segments(per_spin * 2)
 
 
 def majorana_c(spec: EncodingSpec, j: int) -> QubitOperator:

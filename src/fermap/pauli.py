@@ -56,6 +56,11 @@ def _mul_masks(xa: int, za: int, xb: int, zb: int) -> tuple[int, int, int]:
     return x, z, (exp + 2 * (za & xb).bit_count()) % 4
 
 
+def _commutes(xa: int, za: int, xb: int, zb: int) -> bool:
+    """True iff the two strings' symplectic inner product is even."""
+    return not ((xa & zb) ^ (za & xb)).bit_count() % 2
+
+
 def _mul_terms(a: dict, b: dict) -> dict:
     """Product of two ``{(x_mask, z_mask): coeff}`` maps, exact zeros dropped."""
     out = {}
@@ -167,10 +172,7 @@ class PauliString:
     def commutes(self, other: "PauliString") -> bool:
         """True iff the symplectic inner product of the two strings is even."""
         _check_same_size(self, other)
-        overlap = (self.x_mask & other.z_mask).bit_count() + (
-            self.z_mask & other.x_mask
-        ).bit_count()
-        return overlap % 2 == 0
+        return _commutes(self.x_mask, self.z_mask, other.x_mask, other.z_mask)
 
     def __str__(self) -> str:
         prefix = {0: "", 1: "i*", 2: "-", 3: "-i*"}[self.phase_exp]

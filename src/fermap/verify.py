@@ -1,14 +1,15 @@
 """Independent correctness oracles for the encodings.
 
 Two kinds of check live here.  Symbolic checks read the encodings' own
-tables (the forests' Majorana strings, the LSFS edge generators) and
+tables (the forests' Majorana masks, the LSFS edge generators) and
 test their (anti)commutation in the exact Pauli algebra, where any
 violated relation is a hard failure.  Fock checks compare encoded
 operators with their fermion models state by state, through one sparse
 action per side (``models.fock_column`` on occupation states,
-``QubitOperator.apply`` on qubits), at fixed tolerances: 1e-9 for
-amplitudes, 1e-12 for penalty coefficients.  They are skipped, not
-failed, past the dense cap, which bounds the states they enumerate.
+``QubitOperator.apply`` on qubits, once per forest operator on every
+basis state at once), at fixed tolerances: 1e-9 for amplitudes, 1e-12
+for penalty coefficients.  They are skipped, not failed, past the dense
+cap, which bounds the states they enumerate.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from . import lsfs
 from .encodings import EncodingSpec, encode_model
 from .models import LOWER, MAJORANA_C, MAJORANA_D, RAISE, FermionOperator, LatticeSpec
 from .models import fock_column, hubbard
-from .pauli import DENSE_CAP_DEFAULT, PauliString, QubitOperator
+from .pauli import DENSE_CAP_DEFAULT, PauliString, QubitOperator, _commutes
 
 SPECTRUM_TOL = 1e-9
 PENALTY_TOL = 1e-12
@@ -81,21 +82,21 @@ def check_car(spec: EncodingSpec, name: Optional[str] = None) -> CheckResult:
     {a_i, a_j} = (2 - 2) delta_ij / 4, and conversely c_j = a_j + a^dag_j,
     d_j = i (a^dag_j - a_j) obey it under CAR.  The ladder identities are
     read mode by mode off ``spec.factor_maps``, the term maps every
-    ``encode_model`` call multiplies.  The table holds masks, so the
-    strings are built here, for their ``commutes``.
+    ``encode_model`` call multiplies.  No string is built: the pairs are
+    tested on the table's masks by ``pauli._commutes``, and a ladder map is
+    measured only if it differs from the expected map.
     """
 
     def body():
-        n = spec.n_qubits
-        strings = [PauliString(n, x, z) for x, *zs in spec.majoranas for z in zs]
-        for (a, g_a), (b, g_b) in itertools.combinations(enumerate(strings), 2):
-            if g_a.commutes(g_b):  # {g_a, g_b} = 2 g_a g_b
+        masks = [(x, z) for x, *zs in spec.majoranas for z in zs]
+        for (a, (xa, za)), (b, (xb, zb)) in itertools.combinations(enumerate(masks), 2):
+            if _commutes(xa, za, xb, zb):  # {g_a, g_b} = 2 g_a g_b
                 return False, 2.0, f"pair ({a // 2}, {b // 2})"
         for j, (x, z_c, z_d) in enumerate(spec.majoranas):
             ladders = spec.factor_maps(((j, LOWER), (j, RAISE)))
             for terms, sign in zip(ladders, (1, -1)):
                 expected = {(x, z_c): 0.5, (x, z_d): sign * 0.5j}
-                if worst := _distance(terms, expected):
+                if terms != expected and (worst := _distance(terms, expected)):
                     return False, worst, f"mode {j}"
         return True, 0.0, ""
 
@@ -215,7 +216,9 @@ def spectra_match(
     Fock state s (n_j = bit j of s) maps to the qubit basis state
     ``code[s]``, whose bit j is bit j of ``spec.forest.encode(n)``, so the
     encoded operator applied to ``code[s]`` must be Fock column s with
-    every row r read at ``code[r]``.
+    every row r read at ``code[r]``.  No term acts at or above bit n, so one
+    ``apply`` to every ``code[s] | s << n`` keeps column s apart, its sums
+    in the same term order, for one ``_distance`` to the tagged Fock entries.
     """
     label = name or f"spectra-{spec_a.kind}-vs-{spec_b.kind}"
     if lattice.n_modes > cap:
@@ -230,10 +233,10 @@ def spectra_match(
             occupancies = ([s >> j & 1 for j in range(n)] for s in range(1 << n))
             codes = map(spec.forest.encode, occupancies)
             code = [sum(bit << j for j, bit in enumerate(x)) for x in codes]
-            encoded = encode_model(spec, model)
-            for s, column in enumerate(columns):
-                fock = {code[r]: amp for r, amp in column.items()}
-                worst = max(worst, _distance(encoded.apply({code[s]: 1}), fock))
+            image = encode_model(spec, model).apply({c | s << n: 1 for s, c in enumerate(code)})
+            fock = {code[r] | s << n: amp
+                    for s, column in enumerate(columns) for r, amp in column.items()}
+            worst = max(worst, _distance(image, fock))
         return worst <= SPECTRUM_TOL, worst, ""
 
     return _timed(label, body)

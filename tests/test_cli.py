@@ -1207,17 +1207,30 @@ class TestGoldenText:
         assert (tmp_path / written).read_text() == expected
 
 
-# Runs fermap.cli.main in a fresh interpreter, then fails if numpy was loaded.
+# Runs fermap.cli.main in a fresh interpreter, fails if numpy was loaded, and
+# prints the fermap modules that were.
 COLD_START = """
-import sys
+import contextlib, io, json, sys
 from fermap.cli import main
-try:
-    rc = main(sys.argv[1:])
-except SystemExit as exc:
-    rc = exc.code
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        rc = main(sys.argv[1:])
+    except SystemExit as exc:
+        rc = exc.code
 assert rc == 0, f"exit code {rc}"
 assert "numpy" not in sys.modules, "numpy was imported"
+print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "fermap")))
 """
+
+
+def cold_start(job) -> set[str]:
+    """The fermap modules a fresh ``fermap.cli.main(job)`` loads."""
+    root = Path(__file__).resolve().parents[1]
+    argv = [sys.executable, "-c", COLD_START, *job]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout))
 
 
 class TestColdStart:
@@ -1239,12 +1252,7 @@ class TestColdStart:
     )
     def test_no_numpy_outside_dense_kernels(self, job, tmp_path):
         """Only dense matrices need numpy, and no command renders one."""
-        root = Path(__file__).resolve().parents[1]
-        out = [] if job == ["--help"] else ["--out", str(tmp_path / "out")]
-        argv = [sys.executable, "-c", COLD_START, *job, *out]
-        env = dict(os.environ, PYTHONPATH=str(root / "src"))
-        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
+        cold_start(job if job == ["--help"] else [*job, "--out", str(tmp_path / "out")])
 
 
 class TestBenchTracer:
@@ -1268,3 +1276,30 @@ class TestBenchTracer:
         proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert json.loads((tmp_path / "trace.json").read_text())["rc"] == 0
+
+
+class TestImportScope:
+    """Each command imports the layers it runs and no other."""
+
+    def test_help_loads_only_the_cli(self):
+        assert cold_start(["--help"]) == {"fermap", "fermap.cli", "fermap.pauli"}
+
+    @pytest.mark.parametrize(
+        "job",
+        [["--suite", "symbolic"], ["--dense-cap", "4", "--trials", "10"], ["--trials", "10"]],
+        ids=["symbolic", "partial", "desk"],
+    )
+    def test_verify_loads_no_analysis(self, job):
+        loaded = cold_start(["verify", *job])
+        assert "fermap.verify" in loaded
+        assert not loaded & {"fermap.analysis", "fermap.aux_fermion"}
+
+    @pytest.mark.parametrize(
+        "encoding", [["jw"], ["bk"], ["sbk"], ["forest", "--segments", "6,6"]],
+        ids=["jw", "bk", "sbk", "forest"],
+    )
+    def test_tree_encode_loads_only_synthesis(self, encoding):
+        loaded = cold_start(["encode", "--w", "3", "--h", "2", "--encoding", *encoding])
+        assert "fermap.encodings" in loaded
+        assert not loaded & {"fermap.analysis", "fermap.aux_fermion", "fermap.lsfs",
+                             "fermap.verify"}

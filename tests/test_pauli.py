@@ -50,6 +50,17 @@ def pauli_strings(draw, n=5):
     return random_string(draw, n)
 
 
+AMPS = st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False)
+
+
+def random_operator(data, n):
+    """A sum of up to five random strings on n qubits with random coefficients."""
+    op = QubitOperator.zero(n)
+    for string in data.draw(st.lists(pauli_strings(n), max_size=5)):
+        op = op + QubitOperator.from_paulistring(string, data.draw(AMPS))
+    return op
+
+
 def dense(string):
     return QubitOperator.from_paulistring(string).to_dense()
 
@@ -251,12 +262,8 @@ class TestDense:
     @given(st.data())
     def test_apply_matches_dense_product(self, data):
         n = data.draw(st.integers(1, 5))
-        strings = data.draw(st.lists(pauli_strings(n), max_size=5))
-        amps = st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False)
-        op = QubitOperator.zero(n)
-        for string in strings:
-            op = op + QubitOperator.from_paulistring(string, data.draw(amps))
-        vector = data.draw(st.dictionaries(st.integers(0, (1 << n) - 1), amps, max_size=6))
+        op = random_operator(data, n)
+        vector = data.draw(st.dictionaries(st.integers(0, (1 << n) - 1), AMPS, max_size=6))
         dense_vector = np.zeros(1 << n, dtype=complex)
         dense_vector[list(vector)] = list(vector.values())
         image = op.apply(vector)
@@ -264,6 +271,20 @@ class TestDense:
         got = np.zeros(1 << n, dtype=complex)
         got[list(image)] = list(image.values())
         assert np.allclose(got, op.to_dense() @ dense_vector, rtol=1e-12, atol=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_apply_keeps_column_tags_apart(self, data):
+        """No term acts at or above bit n, so states tagged b | c << n keep their tag c:
+        one apply over every column is each column's own apply, shifted, sums unchanged."""
+        n = data.draw(st.integers(1, 5))
+        op = random_operator(data, n)
+        column = st.dictionaries(st.integers(0, (1 << n) - 1), AMPS, max_size=4)
+        columns = data.draw(st.dictionaries(st.integers(0, 9), column, max_size=4))
+        tagged = {b | c << n: amp for c, col in columns.items() for b, amp in col.items()}
+        images = {c: op.apply(col) for c, col in columns.items()}
+        expected = {s | c << n: amp for c, image in images.items() for s, amp in image.items()}
+        assert op.apply(tagged) == expected
 
     def test_apply_drops_cancelled_amplitudes(self):
         x = QubitOperator.from_paulistring(ps(1, [(0, "X")]))
