@@ -26,7 +26,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import aux_fermion, lsfs
 from .encodings import EncodingSpec, encode_model, hopping_op, model_encoding, sbk_row_segments
-from .models import FermionOperator, LatticeSpec, hubbard_terms
+from .models import FermionOperator, LatticeSpec, hubbard_terms, versioned_csv
 from .pauli import QubitOperator
 
 CSV_SCHEMA_RECT = "encoding,term_class,w,h,measured,formula,exactness"
@@ -43,16 +43,6 @@ def ceil_log2(n: int) -> int:
     if n < 1:
         raise ValueError("log of non-positive size")
     return (n - 1).bit_length()
-
-
-def versioned_csv(tag: str, header: str, rows: Iterable[Sequence]) -> str:
-    """``# fermap <tag> v1: <header>``, the header, then one line per row.
-
-    ``None`` cells are written blank.
-    """
-    lines = [f"# fermap {tag} v1: {header}", header]
-    lines += [",".join("" if v is None else str(v) for v in row) for row in rows]
-    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)

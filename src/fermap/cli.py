@@ -225,15 +225,14 @@ def _cmd_encode(args) -> int:
     out = args.out or ("lsfs_operator.json" if kind == "lsfs" else None)
     _emit(_meta_json(meta, operator), out)
     if kind == "lsfs":
-        from .analysis import versioned_csv
+        from .models import versioned_csv
         stabs = lsfs.stabilizers(layout)
         items = ",\n  ".join(s.to_json_text(2) for s in stabs)
         head = {"n_qubits": layout.n_edges, "count": len(stabs)}
         text = _json_with_last(head, "stabilizers", f"[\n  {items}\n ]" if stabs else "[]")
         _write_atomic(Path(out).with_suffix(".stabilizers.json"), text)
-        rows = []
-        for plq, loop in zip(layout.plaquettes(), layout.loops):
-            rows.append((" ".join(str(v) for v in plq), loop.weight, int(loop.phase.real)))
+        rows = [(" ".join(str(v) for v in plq), (x | z).bit_count(), 1 - exp)
+                for plq, (x, z, exp) in zip(layout.plaquettes(), layout.loops)]
         text = versioned_csv("plaquette-report", "plaquette,weight,sign", rows)
         _write_atomic(Path(out).with_suffix(".plaquettes.csv"), text)
     return 0
@@ -241,6 +240,7 @@ def _cmd_encode(args) -> int:
 
 def _cmd_analyze(args) -> int:
     from . import analysis
+    from .models import versioned_csv
     kind = args.encoding.lower()
     _reject_unread_flags(args, kind)
     lattice = _load_model(args)
@@ -258,7 +258,7 @@ def _cmd_analyze(args) -> int:
         per_class = analysis.measure(name, lattice, args.segment_size)
         rows += [(name, klass, per_class[klass]) for klass in sorted(per_class)]
     header = "encoding,term_class,measured"
-    _emit(analysis.versioned_csv("measured-locality", header, rows), args.out)
+    _emit(versioned_csv("measured-locality", header, rows), args.out)
     return 0
 
 
@@ -320,7 +320,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_plan_aux(args) -> int:
-    from . import analysis, aux_fermion
+    from . import aux_fermion
+    from .models import versioned_csv
     dim, w, h = _lattice_flags(args, "plans")
     plan = aux_fermion.plan_hypercubic(dim, w) if dim is not None else aux_fermion.plan(w, h)
     profile = aux_fermion.locality_profile(plan)
@@ -340,7 +341,7 @@ def _cmd_plan_aux(args) -> int:
         return 0
     header = "site,degree,path_degree,nonlocal_degree,aux"
     columns = (plan.degree, plan.path_degree, plan.nonlocal_degree, plan.aux_per_site)
-    text = analysis.versioned_csv("aux-plan", header, zip(range(plan.n_sites), *columns))
+    text = versioned_csv("aux-plan", header, zip(range(plan.n_sites), *columns))
     text += f"# total_qubits={plan.total_qubits} formula={plan.formula_qubits}\n"
     _emit(text, args.out)
     return 0

@@ -12,11 +12,12 @@ Vertices are the row-major site ids (r * w + c) of
 with every horizontal edge first, each kind in the lattice's row-major
 order; this fixes deterministic operator serialization.  Each layout
 builds one incidence table (vertex -> neighbour -> edge qubit) once and
-from it one table: the phase-free A strings per edge qubit and B crosses
-per vertex (``generators``), and one loop per plaquette (``loops``).
-Every generator, the stabilizers, the plaquette report and the algebra
-oracle in fermap.verify read it.  A directional edge that would leave
-the lattice contributes an identity factor.
+from it one table of raw masks: (x, z) of the phase-free A string per
+edge qubit and z of the B cross per vertex (``generators``), and one
+(x, z, phase_exp) loop per plaquette (``loops``).  Every reader takes
+the ints; only ``a_op``, ``b_op`` and ``stabilizers`` build strings, to
+make operators.  A directional edge that would leave the lattice
+contributes an identity factor.
 
 Fermion terms are encoded by ``encodings.encode_model`` under an
 ``LsfsSpec``, which is a pair table: ``LsfsSpec.pairs`` holds, once per
@@ -39,7 +40,6 @@ delta/2 times every plaquette loop of each block.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 
 from .encodings import encode_model
@@ -83,19 +83,18 @@ class EdgeLayout:
         return table
 
     @functools.cached_property
-    def generators(self) -> tuple[tuple[PauliString, ...], tuple[PauliString, ...]]:
-        """Phase-free A strings per edge qubit and B crosses per vertex.
+    def generators(self) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+        """Masks (x, z) of the phase-free A string per edge qubit, z of the B cross per vertex.
 
         A(u, v) has X on its edge and Z on every edge (l, u) with l < v and
         (s, v) with s < u; B_k has Z on every edge incident to k.
         """
-        n, table, a = self.n_edges, self.incidence, []
+        table, a = self.incidence, []
         for qubit, (u, v) in enumerate(self.edges()):
             z = sum(1 << e for l, e in table[u].items() if l < v)
             z |= sum(1 << e for s, e in table[v].items() if s < u)
-            a.append(PauliString(n, 1 << qubit, z))
-        b = (PauliString(n, 0, sum(1 << e for e in row.values())) for row in table)
-        return tuple(a), tuple(b)
+            a.append((1 << qubit, z))
+        return tuple(a), tuple(sum(1 << e for e in row.values()) for row in table)
 
     def edge_index(self, u: int, v: int) -> int:
         """Qubit index of the edge {u, v}; raises on non-edges."""
@@ -117,13 +116,16 @@ class EdgeLayout:
         return out
 
     @functools.cached_property
-    def loops(self) -> tuple[PauliString, ...]:
-        """A(ab) A(bc) A(cd) A(da) per plaquette, phase kept and unchecked, so the
+    def loops(self) -> tuple[tuple[int, int, int], ...]:
+        """A(ab) A(bc) A(cd) A(da) per plaquette as (x, z, phase_exp), phase unchecked so the
         oracle can name a bad loop; the eps_jk cancel (two steps ascend, two descend)."""
-        a_strings, table, loops = self.generators[0], self.incidence, []
+        a_masks, table, loops = self.generators[0], self.incidence, []
         for plq in self.plaquettes():
-            cycle = zip(plq, plq[1:] + plq[:1])
-            loops.append(functools.reduce(operator.mul, (a_strings[table[j][k]] for j, k in cycle)))
+            x = z = exp = 0
+            for j, k in zip(plq, plq[1:] + plq[:1]):
+                x, z, step = _mul_masks(x, z, *a_masks[table[j][k]])
+                exp += step
+            loops.append((x, z, exp % 4))
         return tuple(loops)
 
 
@@ -135,20 +137,26 @@ def b_op(layout: EdgeLayout, k: int) -> QubitOperator:
     """Vertex generator: the cross of Z on all edges incident to k."""
     if not 0 <= k < layout.n_vertices:  # a negative k would index from the end
         raise IndexError(f"vertex {k} outside {layout.w}x{layout.h} lattice")
-    return QubitOperator.from_paulistring(layout.generators[1][k])
+    return QubitOperator.from_paulistring(PauliString(layout.n_edges, 0, layout.generators[1][k]))
 
 
 def a_op(layout: EdgeLayout, j: int, k: int) -> QubitOperator:
     """Edge generator eps_jk A(j, k): antisymmetric, squares to identity."""
-    string = layout.generators[0][layout.edge_index(j, k)]
-    return QubitOperator.from_paulistring(string, float(_epsilon(j, k)))
+    x, z = layout.generators[0][layout.edge_index(j, k)]
+    return QubitOperator.from_paulistring(PauliString(layout.n_edges, x, z), float(_epsilon(j, k)))
+
+
+def _hermitian_loops(layout: EdgeLayout) -> tuple[tuple[int, int, int], ...]:
+    """``layout.loops``, after checking that each is a +-1 string."""
+    if any(exp % 2 for _, _, exp in layout.loops):
+        raise AssertionError("plaquette loop produced a non-Hermitian phase")
+    return layout.loops
 
 
 def stabilizers(layout: EdgeLayout) -> list[QubitOperator]:
     """The layout's plaquette loops as operators; each must be a +-1 string."""
-    if any(loop.phase_exp % 2 for loop in layout.loops):
-        raise AssertionError("plaquette loop produced a non-Hermitian phase")
-    return [QubitOperator.from_paulistring(loop) for loop in layout.loops]
+    return [QubitOperator.from_paulistring(PauliString(layout.n_edges, *loop))
+            for loop in _hermitian_loops(layout)]
 
 
 @dataclass(frozen=True)
@@ -170,24 +178,23 @@ class LsfsSpec:
     @functools.cached_property
     def pairs(self) -> dict[tuple[int, int], tuple[int, int, complex]]:
         """Per directed edge (j, k), eps_jk A(jk) B_k as (x, z, coeff) on block 0's qubits."""
-        (a_strings, b_strings), table = self.layout.generators, {}
+        (a, b), table = self.layout.generators, {}
         for j, row in enumerate(self.layout.incidence):
             for k, qubit in row.items():
-                a, b = a_strings[qubit], b_strings[k]
-                x, z, exp = _mul_masks(a.x_mask, a.z_mask, b.x_mask, b.z_mask)
+                x, z, exp = _mul_masks(*a[qubit], 0, b[k])
                 table[j, k] = (x, z, _epsilon(j, k) * _PHASES[exp])
         return table
 
     def factor_maps(self, factors) -> list[dict]:
         """n_k is (1 - B_k) / 2 and c_j d_k on an edge is ``pairs[j, k]``, both shifted."""
         layout, pairs, maps, rest = self.layout, self.pairs, [], list(factors)
-        b_strings, n_v = layout.generators[1], layout.n_vertices
+        b, n_v = layout.generators[1], layout.n_vertices
         while rest:
             mode, flavor = rest.pop(0)
             block, j = divmod(mode, n_v)
             shift = block * layout.n_edges
             if flavor == NUMBER:
-                maps.append({(0, 0): 0.5 + 0j, (0, b_strings[j].z_mask << shift): -0.5 + 0j})
+                maps.append({(0, 0): 0.5 + 0j, (0, b[j] << shift): -0.5 + 0j})
                 continue
             k_mode, partner = rest.pop(0) if rest else (None, None)
             k = k_mode - block * n_v if (flavor, partner) == (MAJORANA_C, MAJORANA_D) else None
@@ -220,11 +227,10 @@ def single_spin_model(layout: EdgeLayout, t: float, eps: float = 0.0) -> Fermion
 def _penalized(spec: LsfsSpec, total: QubitOperator, delta: float) -> QubitOperator:
     """``total`` minus delta/2 times every plaquette loop of each spin block, block 0 first."""
     if delta != 0.0:
-        stabs, n_e = stabilizers(spec.layout), spec.layout.n_edges
+        loops, n_e = _hermitian_loops(spec.layout), spec.layout.n_edges
         for shift in range(0, spec.n_qubits, n_e):
-            for stab in stabs:
-                for (x, z), c in stab._terms.items():
-                    _add_terms(total._terms, [((x << shift, z << shift), -delta / 2 * c)])
+            terms = (((x << shift, z << shift), -delta / 2 * _PHASES[exp]) for x, z, exp in loops)
+            _add_terms(total._terms, terms)
     return total
 
 

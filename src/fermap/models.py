@@ -12,7 +12,8 @@ The module also hosts the Fock-space oracle: ``fock_column`` applies a
 model to one occupation-basis state with explicit antisymmetric sign
 bookkeeping, and the verification suite uses it as the reference
 representation independent of any Pauli-string pathway; ``fock_matrix``
-writes its columns into a dense matrix for the tests.
+writes its columns into a dense matrix for the tests.  Every command
+that writes a CSV loads this module, so the one CSV writer lives here.
 """
 
 from __future__ import annotations
@@ -263,3 +264,13 @@ def fock_matrix(op: FermionOperator, cap: int = DENSE_CAP_DEFAULT):
         for row, amp in fock_column(op, src).items():
             total[row, src] = amp
     return total
+
+
+def versioned_csv(tag: str, header: str, rows: Iterable[Sequence]) -> str:
+    """``# fermap <tag> v1: <header>``, the header, then one line per row.
+
+    ``None`` cells are written blank.
+    """
+    lines = [f"# fermap {tag} v1: {header}", header]
+    lines += [",".join("" if v is None else str(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"

@@ -10,8 +10,8 @@ touches floating point.
 
 A ``QubitOperator`` keys each term by the ``(x_mask, z_mask)`` pair of a
 phase-free letter string; a string's phase is folded into the
-coefficient when the string enters the operator.  Products of keys
-follow one phase rule (``_mul_masks``), shared with ``PauliString``.
+coefficient when the string enters the operator.  Products of masks follow
+one phase rule (``_mul_masks``), shared by operators, strings and LSFS tables.
 
 Long sums are accumulated in place (``QubitOperator._add_in_place``):
 the coefficients and term order of chained ``+``, without copying the
@@ -153,11 +153,6 @@ class PauliString:
         """The global phase as an exact complex fourth root of unity."""
         return _PHASES[self.phase_exp]
 
-    @property
-    def weight(self) -> int:
-        """Number of qubits acted on non-trivially."""
-        return (self.x_mask | self.z_mask).bit_count()
-
     def ops(self) -> tuple[tuple[int, str], ...]:
         """Non-identity (qubit, letter) pairs in qubit order."""
         return tuple(_ops(self.x_mask, self.z_mask))
@@ -168,11 +163,6 @@ class PauliString:
         _check_same_size(self, other)
         x, z, exp = _mul_masks(self.x_mask, self.z_mask, other.x_mask, other.z_mask)
         return PauliString(self.n_qubits, x, z, self.phase_exp + other.phase_exp + exp)
-
-    def commutes(self, other: "PauliString") -> bool:
-        """True iff the symplectic inner product of the two strings is even."""
-        _check_same_size(self, other)
-        return _commutes(self.x_mask, self.z_mask, other.x_mask, other.z_mask)
 
     def __str__(self) -> str:
         prefix = {0: "", 1: "i*", 2: "-", 3: "-i*"}[self.phase_exp]

@@ -1,9 +1,9 @@
 """Independent correctness oracles for the encodings.
 
 Two kinds of check live here.  Symbolic checks read the encodings' own
-tables (the forests' Majorana masks, the LSFS edge generators) and
-test their (anti)commutation in the exact Pauli algebra, where any
-violated relation is a hard failure.  Fock checks compare encoded
+mask tables (the forests' Majorana masks, the LSFS generator and loop
+masks) and test their (anti)commutation in the exact Pauli algebra,
+where any violated relation is a hard failure.  Fock checks compare encoded
 operators with their fermion models state by state, through one sparse
 action per side (``models.fock_column`` on occupation states,
 ``QubitOperator.apply`` on qubits, once per forest operator on every
@@ -28,7 +28,7 @@ from . import lsfs
 from .encodings import EncodingSpec, encode_model
 from .models import LOWER, MAJORANA_C, MAJORANA_D, RAISE, FermionOperator, LatticeSpec
 from .models import fock_column, hubbard
-from .pauli import DENSE_CAP_DEFAULT, PauliString, QubitOperator, _commutes
+from .pauli import _PHASES, DENSE_CAP_DEFAULT, QubitOperator, _add_terms, _commutes
 
 SPECTRUM_TOL = 1e-9
 PENALTY_TOL = 1e-12
@@ -133,14 +133,16 @@ def check_car_random_forests(
 
 
 def check_lsfs_algebra(layout: lsfs.EdgeLayout) -> CheckResult:
-    """Exact LSFS algebra check on the layout's generator and loop tables.
+    """Exact LSFS algebra check on the layout's generator and loop masks.
 
     The strings are phase-free, hence Hermitian with square 1, and the real
     eps_jk signs of ``lsfs.a_op`` change no relation, so what can fail is
-    whether two strings commute, tested once per pair.  Fermionic edge and
-    vertex operators obey: A(e), A(e') anticommute iff e and e' share one
-    vertex; A(e), B_k anticommute iff k is on e; the B_k commute and
-    multiply to 1 (each edge qubit takes Z from both ends).  The strings
+    whether two strings commute, tested once per pair on the masks by
+    ``pauli._commutes``.  Fermionic edge and vertex operators obey: A(e),
+    A(e') anticommute iff e and e' share one vertex; A(e), B_k anticommute
+    iff k is on e; the B_k commute and multiply to 1 (each edge qubit takes
+    Z from both ends).  The B_k are Z-only masks, so they always commute and
+    only their product, the XOR of the z masks, is tested.  The strings
     cannot obey the last relation, that A multiplied around a closed loop
     is +-1; so each loop in ``layout.loops`` must be a real-phase string
     commuting with every generator and loop (implied by the pairs, checked
@@ -153,26 +155,23 @@ def check_lsfs_algebra(layout: lsfs.EdgeLayout) -> CheckResult:
 
     def body():
         failures: dict[str, list[str]] = {}  # relation -> every instance it breaks
-        a_strings, b_strings = layout.generators
-        edges = layout.edges()
-        for (e1, s1), (e2, s2) in itertools.combinations(zip(edges, a_strings), 2):
-            if s1.commutes(s2) != (len(set(e1) & set(e2)) != 1):
+        (a, b), edges = layout.generators, layout.edges()
+        for (e1, (x1, z1)), (e2, (x2, z2)) in itertools.combinations(zip(edges, a), 2):
+            if _commutes(x1, z1, x2, z2) != (len(set(e1) & set(e2)) != 1):
                 failures.setdefault("A-A", []).append(f"A{e1} vs A{e2} rule broken")
-        for (e, s), (k, b) in itertools.product(zip(edges, a_strings), enumerate(b_strings)):
-            if s.commutes(b) != (k not in e):
+        for (e, (x, z)), (k, zb) in itertools.product(zip(edges, a), enumerate(b)):
+            if _commutes(x, z, 0, zb) != (k not in e):
                 failures.setdefault("A-B", []).append(f"A{e} vs B{k} rule broken")
-        for (k1, b1), (k2, b2) in itertools.combinations(enumerate(b_strings), 2):
-            if not b1.commutes(b2):
-                failures.setdefault("B-B", []).append(f"B{k1} vs B{k2} do not commute")
-        if functools.reduce(operator.mul, b_strings) != PauliString.identity(layout.n_edges):
+        if functools.reduce(operator.xor, b) != 0:
             failures["B product"] = ["product of all B != 1"]
+        table = [*a, *((0, z) for z in b), *((x, z) for x, z, _ in layout.loops)]
         basis: list[int] = []  # X masks, each reduced by those before it (GF(2) elimination)
-        for plq, loop in zip(layout.plaquettes(), layout.loops):
-            if loop.phase_exp % 2:
+        for plq, (x, z, exp) in zip(layout.plaquettes(), layout.loops):
+            if exp % 2:
                 failures.setdefault("loop phase", []).append(f"loop {plq} not a +/-1 string")
-            if not all(loop.commutes(g) for g in a_strings + b_strings + layout.loops):
+            if not all(_commutes(x, z, xg, zg) for xg, zg in table):
                 failures.setdefault("loop-table", []).append(f"loop {plq} fails to commute")
-            x = functools.reduce(lambda x, b: min(x, x ^ b), basis, loop.x_mask)
+            x = functools.reduce(lambda x, v: min(x, x ^ v), basis, x)
             if x:
                 basis.append(x)
         cycle_rank = layout.n_edges - layout.n_vertices + 1
@@ -267,7 +266,7 @@ def lsfs_sector_match(
         n_e, loops = layout.n_edges, lsfs.stabilizers(layout)
         one = QubitOperator.identity(n_e)
         projector = functools.reduce(operator.mul, (0.5 * (one + s) for s in loops), one)
-        code_dim = round(projector.terms.get(PauliString.identity(n_e), 0).real * 2**n_e)
+        code_dim = round(projector._terms.get((0, 0), 0).real * 2**n_e)
         vacuum = projector.apply({0: 1})
         norm = math.sqrt(sum(abs(amp) ** 2 for amp in vacuum.values()))
         psi, queue = {0: {q: amp / norm for q, amp in vacuum.items()}}, [0]
@@ -324,15 +323,15 @@ def penalty_gap_check(
         if not layout.plaquettes():
             return False, float("inf"), "no plaquettes to penalize"
         ham = lsfs.single_spin_hamiltonian(layout, t, eps)
-        for plq, loop in zip(layout.plaquettes(), layout.loops):
-            if loop.phase_exp % 2 or not all(loop.commutes(term) for term in ham.terms):
+        for plq, (x, z, exp) in zip(layout.plaquettes(), layout.loops):
+            if exp % 2 or not all(_commutes(x, z, *key) for key in ham._terms):
                 return False, 1.0, f"loop {plq} is not a conserved +/-1 string"
         worst = 0.0
         for value in (delta, 2.0 * delta):
-            terms = (QubitOperator.from_paulistring(loop, -value / 2.0) for loop in layout.loops)
-            penalty = functools.reduce(operator.add, terms)
-            diff = lsfs.single_spin_hamiltonian(layout, t, eps, value) - ham - penalty
-            worst = max([worst, *map(abs, diff.terms.values())])
+            penalty = (((x, z), value / 2.0 * _PHASES[exp]) for x, z, exp in layout.loops)
+            diff = lsfs.single_spin_hamiltonian(layout, t, eps, value) - ham
+            _add_terms(diff._terms, penalty)  # minus the expected -value/2 sum_p S_p
+            worst = max([worst, *map(abs, diff._terms.values())])
         return worst <= PENALTY_TOL, worst, f"each violated loop costs {delta:g}"
 
     return _timed(label, body)

@@ -1303,3 +1303,13 @@ class TestImportScope:
         assert "fermap.encodings" in loaded
         assert not loaded & {"fermap.analysis", "fermap.aux_fermion", "fermap.lsfs",
                              "fermap.verify"}
+
+    @pytest.mark.parametrize(
+        "spin", [[], ["--spin", "single", "--u", "0"]], ids=["two-spin", "single-spin"]
+    )
+    def test_lsfs_encode_loads_no_analysis(self, spin, tmp_path):
+        """The plaquette CSV is written by ``models.versioned_csv``, which LSFS loads anyway."""
+        job = ["encode", "--w", "3", "--h", "3", "--encoding", "lsfs", *spin]
+        loaded = cold_start([*job, "--out", str(tmp_path / "lsfs.json")])
+        assert "fermap.lsfs" in loaded
+        assert not loaded & {"fermap.analysis", "fermap.aux_fermion", "fermap.verify"}

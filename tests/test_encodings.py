@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from test_pauli import is_hermitian
+from test_pauli import is_hermitian, weight
 
 from fermap import lsfs
 from fermap.encodings import (
@@ -212,13 +212,13 @@ class TestNumberOp:
         for j in range(4):
             expected = QubitOperator.identity(4, 0.5) + single(4, [(j, "Z")], -0.5)
             assert number_op(spec, j) == expected
-            assert max(ps.weight for ps, _ in number_op(spec, j) if ps.weight) == 1
+            assert max(weight(ps) for ps, _ in number_op(spec, j) if weight(ps)) == 1
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_bk_root_weight(self, d):
         n = 2**d
         spec = EncodingSpec.bravyi_kitaev(n)
-        z_weights = [ps.weight for ps, _ in number_op(spec, n - 1) if ps.weight]
+        z_weights = [weight(ps) for ps, _ in number_op(spec, n - 1) if weight(ps)]
         assert z_weights == [d + 1]
 
     @pytest.mark.parametrize("n", [2, 4, 6])
@@ -260,7 +260,7 @@ class TestHoppingOp:
         # The root's X factors cancel between the two Majorana strings,
         # so the measured weight lands below the depth+root-children sum.
         spec = EncodingSpec.bravyi_kitaev(16)
-        weights = sorted(ps.weight for ps, _ in hopping_op(spec, 0, 15))
+        weights = sorted(weight(ps) for ps, _ in hopping_op(spec, 0, 15))
         assert weights == [5, 7]
         assert (
             max(

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from test_pauli import is_hermitian
+from test_pauli import commutes, is_hermitian, weight
 from test_transpile import embedded
 
 from fermap.encodings import encode_model
@@ -35,11 +35,13 @@ def pauli(layout, pairs, coeff=1.0):
 
 
 def loop_product(layout, quad):
-    """A(ab) A(bc) A(cd) A(da) multiplied here from the generator table."""
+    """A(ab) A(bc) A(cd) A(da) multiplied here as strings from the generator
+    masks, returned as the (x, z, phase_exp) of a loop table entry."""
     product = PauliString.identity(layout.n_edges)
     for j, k in zip(quad, [*quad[1:], quad[0]]):
-        product = product * layout.generators[0][layout.edge_index(j, k)]
-    return product
+        x, z = layout.generators[0][layout.edge_index(j, k)]
+        product = product * PauliString(layout.n_edges, x, z)
+    return product.x_mask, product.z_mask, product.phase_exp
 
 
 def table_loop(layout, quad):
@@ -174,11 +176,11 @@ class TestGenerators:
     def test_b_weights_by_degree(self):
         lay = EdgeLayout(3, 3)
         ps, _ = string_of(b_op(lay, 4))
-        assert ps.weight == 4  # interior
+        assert weight(ps) == 4  # interior
         ps, _ = string_of(b_op(lay, 0))
-        assert ps.weight == 2  # corner
+        assert weight(ps) == 2  # corner
         ps, _ = string_of(b_op(lay, 1))
-        assert ps.weight == 3  # boundary
+        assert weight(ps) == 3  # boundary
 
     def test_product_of_all_b_is_identity(self):
         for w, h in [(2, 2), (3, 3), (4, 3)]:
@@ -226,20 +228,22 @@ class TestGenerators:
     def test_top_row_edge_is_shorter(self):
         lay = EdgeLayout(4, 4)
         ps, _ = string_of(a_op(lay, 1, 2))
-        assert ps.weight < string_of(a_op(lay, 9, 10))[0].weight
+        assert weight(ps) < weight(string_of(a_op(lay, 9, 10))[0])
 
     @pytest.mark.parametrize("w,h", [(2, 1), (3, 3), (5, 2)])
     def test_generator_table_is_built_once_and_read(self, w, h):
         lay = EdgeLayout(w, h)
-        a_strings, b_strings = lay.generators
+        a_masks, b_masks = lay.generators
         assert lay.generators is lay.generators
-        assert len(a_strings) == lay.n_edges and len(b_strings) == lay.n_vertices
+        assert len(a_masks) == lay.n_edges and len(b_masks) == lay.n_vertices
         for qubit, (u, v) in enumerate(lay.edges()):
-            assert a_strings[qubit].phase_exp == 0
-            assert a_op(lay, u, v) == QubitOperator.from_paulistring(a_strings[qubit], -1.0)
-            assert a_op(lay, v, u) == QubitOperator.from_paulistring(a_strings[qubit], 1.0)
-        for k, cross in enumerate(b_strings):
-            assert b_op(lay, k) == QubitOperator.from_paulistring(cross)
+            x, z = a_masks[qubit]  # a phase-free (x, z) pair, X on its own qubit only
+            assert x == 1 << qubit
+            string = PauliString(lay.n_edges, x, z)
+            assert a_op(lay, u, v) == QubitOperator.from_paulistring(string, -1.0)
+            assert a_op(lay, v, u) == QubitOperator.from_paulistring(string, 1.0)
+        for k, z in enumerate(b_masks):
+            assert b_op(lay, k) == QubitOperator.from_paulistring(PauliString(lay.n_edges, 0, z))
 
     def test_non_edge_pair_rejected(self):
         with pytest.raises(ValueError):
@@ -253,12 +257,12 @@ class TestGenerators:
         for e1, s1 in edge_strings.items():
             for e2, s2 in edge_strings.items():
                 shared = len(set(e1) & set(e2))
-                assert s1.commutes(s2) == (shared != 1)
+                assert commutes(s1, s2) == (shared != 1)
             for l, bs in b_strings.items():
-                assert s1.commutes(bs) == (l not in e1)
+                assert commutes(s1, bs) == (l not in e1)
         for b1 in b_strings.values():
             for b2 in b_strings.values():
-                assert b1.commutes(b2)
+                assert commutes(b1, b2)
 
 
 class TestStabilizers:
@@ -267,7 +271,7 @@ class TestStabilizers:
 
     def test_figure_stabilizer(self):
         lay = EdgeLayout(4, 4)
-        ps = table_loop(lay, (5, 6, 10, 9))
+        ps = PauliString(lay.n_edges, *table_loop(lay, (5, 6, 10, 9)))
         assert ps.phase == 1.0
         assert dict(ps.ops()) == {
             lay.edge_index(5, 6): "X",
@@ -277,7 +281,7 @@ class TestStabilizers:
             lay.edge_index(6, 7): "Z",
             lay.edge_index(8, 9): "Z",
         }
-        assert ps.weight == 6
+        assert weight(ps) == 6
 
     def test_orientation_and_start_invariance(self):
         lay = EdgeLayout(4, 4)
@@ -304,8 +308,10 @@ class TestStabilizers:
             * (-1.0 * a_op(lay, c, d))
             * (-1.0 * a_op(lay, d, a))
         )
-        assert flipped == QubitOperator.from_paulistring(loop_product(lay, (a, b, c, d)))
-        assert flipped == QubitOperator.from_paulistring(table_loop(lay, (a, b, c, d)))
+        product = PauliString(lay.n_edges, *loop_product(lay, (a, b, c, d)))
+        assert flipped == QubitOperator.from_paulistring(product)
+        loop = PauliString(lay.n_edges, *table_loop(lay, (a, b, c, d)))
+        assert flipped == QubitOperator.from_paulistring(loop)
 
     def test_squares_to_identity_and_hermitian(self):
         lay = EdgeLayout(4, 3)
@@ -322,9 +328,9 @@ class TestStabilizers:
             s_ps, _ = string_of(stab)
             for gen in gens:
                 g_ps, _ = string_of(gen)
-                assert s_ps.commutes(g_ps)
+                assert commutes(s_ps, g_ps)
             for other in stabs:
-                assert s_ps.commutes(string_of(other)[0])
+                assert commutes(s_ps, string_of(other)[0])
 
     @pytest.mark.parametrize("w,h", [(2, 5), (5, 2), (4, 3)])
     def test_every_plaquette_accepted_in_any_cyclic_order(self, w, h):
@@ -367,7 +373,7 @@ class TestHopping:
     def test_vertical_expansion_weights(self):
         lay = EdgeLayout(4, 4)
         hop = hopping_term(lay, 6, 10)  # interior vertical edge
-        weights = sorted(ps.weight for ps, _ in hop)
+        weights = sorted(weight(ps) for ps, _ in hop)
         assert weights == [1, 7]
 
     def test_symmetric_in_arguments(self):
@@ -423,13 +429,13 @@ class TestPairTable:
 
     @pytest.mark.parametrize("w,h", [(w, h) for w in range(2, 6) for h in range(2, 5)])
     def test_pairs_are_signed_string_products(self, w, h):
-        # One entry per directed edge: eps_jk times a_strings[q] * b_strings[k], phase in coeff.
+        # One entry per directed edge: eps_jk times A(q) * B_k as strings, phase in coeff.
         lay = EdgeLayout(w, h)
-        a_strings, b_strings = lay.generators
-        expected = {}
+        a_masks, b_masks = lay.generators
+        expected, n = {}, lay.n_edges
         for q, (u, v) in enumerate(lay.edges()):
             for j, k in ((u, v), (v, u)):
-                pair = a_strings[q] * b_strings[k]
+                pair = PauliString(n, *a_masks[q]) * PauliString(n, 0, b_masks[k])
                 expected[j, k] = (pair.x_mask, pair.z_mask, (1 if j > k else -1) * pair.phase)
         assert LsfsSpec(lay, 2).pairs == expected
         assert len(expected) == 2 * lay.n_edges

@@ -171,17 +171,17 @@ class TestLsfsAlgebra:
         original = EdgeLayout.__dict__["generators"].func
 
         def mutated(layout):
-            a_strings, b_strings = map(list, original(layout))
+            a_masks, b_masks = map(list, original(layout))
             if mutation == "interior-a-drops-a-z":
                 q = layout.edge_index(w + 1, w + 2)
-                x, z = a_strings[q].x_mask, a_strings[q].z_mask
-                a_strings[q] = PauliString(layout.n_edges, x, z & ~(1 << z.bit_length() - 1))
+                x, z = a_masks[q]
+                a_masks[q] = (x, z & ~(1 << z.bit_length() - 1))
             elif mutation == "b0-drops-a-qubit":
-                z = b_strings[0].z_mask
-                b_strings[0] = PauliString(layout.n_edges, 0, z & (z - 1))
+                z = b_masks[0]
+                b_masks[0] = z & (z - 1)
             else:
-                a_strings[0], a_strings[1] = a_strings[1], a_strings[0]
-            return tuple(a_strings), tuple(b_strings)
+                a_masks[0], a_masks[1] = a_masks[1], a_masks[0]
+            return tuple(a_masks), tuple(b_masks)
 
         monkeypatch.setattr(EdgeLayout, "generators", property(mutated))
         result = check_lsfs_algebra(EdgeLayout(w, w))
@@ -217,6 +217,41 @@ class TestLsfsAlgebra:
         result = check_lsfs_algebra(EdgeLayout(3, 3))
         assert result.status == "fail"
         assert result.detail == "loop rank 1, cycle space 4", result.detail
+
+
+class TestNoStrings:
+    """The LSFS tables and their readers work on raw masks and build no ``PauliString``."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        strings, post_init = [], PauliString.__post_init__
+
+        def counting(string):
+            strings.append(string)
+            post_init(string)
+
+        monkeypatch.setattr(PauliString, "__post_init__", counting)
+        return strings
+
+    @pytest.mark.parametrize(
+        "job",
+        [
+            lambda: EdgeLayout(4, 3).generators,
+            lambda: EdgeLayout(4, 3).loops,
+            lambda: LsfsSpec(EdgeLayout(4, 3), 2).pairs,
+            lambda: check_lsfs_algebra(EdgeLayout(4, 4)).passed,
+            lambda: penalty_gap_check(2, 2, delta=10.0).passed,
+        ],
+        ids=["generators", "loops", "pairs", "check_lsfs_algebra", "penalty_gap_check"],
+    )
+    def test_builds_none(self, job, built):
+        assert job()
+        assert len(built) == 0
+
+    def test_counter_sees_the_operator_boundary(self, built):
+        # stabilizers wraps each of the 3x3 layout's four loops once.
+        assert len(stabilizers(EdgeLayout(3, 3))) == 4
+        assert len(built) == 4
 
 
 class TestSpectraMatch:
@@ -326,10 +361,10 @@ class TestPenalty:
         original = EdgeLayout.__dict__["loops"].func
 
         def broken(layout):
-            (loop,) = original(layout)
+            ((x, z, exp),) = original(layout)
             if mutation == "single-x":
-                return (PauliString(layout.n_edges, 1, 0),)
-            return (PauliString(layout.n_edges, loop.x_mask, loop.z_mask, loop.phase_exp + 1),)
+                return ((1, 0, 0),)
+            return ((x, z, (exp + 1) % 4),)
 
         monkeypatch.setattr(EdgeLayout, "loops", property(broken))
         result = penalty_gap_check(2, 2, delta=10.0)
@@ -436,7 +471,8 @@ class TestSuite:
         shipped = lsfs.single_spin_hamiltonian
 
         def scaled(layout, t, eps=0.0, delta=0.0):
-            extra = QubitOperator.from_paulistring(layout.loops[0], -delta / 2.0 * 1e-9)
+            loop = PauliString(layout.n_edges, *layout.loops[0])
+            extra = QubitOperator.from_paulistring(loop, -delta / 2.0 * 1e-9)
             return shipped(layout, t, eps, delta) + extra if delta else shipped(layout, t, eps)
 
         monkeypatch.setattr(lsfs, "single_spin_hamiltonian", scaled)
