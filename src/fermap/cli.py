@@ -80,11 +80,11 @@ def _load_model(args):
             lat = data["lattice"]
             if lat["kind"] == "rectangle":
                 ordering = data.get("ordering", "snake")
-                spec = LatticeSpec.rectangle(int(lat["w"]), int(lat["h"]), ordering)
+                spec = LatticeSpec.rectangle(_entry(lat, "w", int), _entry(lat, "h", int), ordering)
             elif lat["kind"] == "hypercube":
                 if "ordering" in data:
                     raise ConfigError("hypercube models take no ordering: sites are row-major")
-                spec = LatticeSpec.hypercube(int(lat["dim"]), int(lat["w"]))
+                spec = LatticeSpec.hypercube(_entry(lat, "dim", int), _entry(lat, "w", int))
             else:
                 raise ConfigError(f"unknown lattice kind {lat['kind']!r}")
             if "u" in data:  # the lower-case spelling of U; "U" wins if both are set
@@ -93,7 +93,7 @@ def _load_model(args):
                 if key in data and hasattr(args, flag):
                     if getattr(args, flag) is not None:
                         raise ConfigError(f"--model sets {key}; drop --{flag}")
-                    setattr(args, flag, float(data[key]))
+                    setattr(args, flag, _entry(data, key, float))
             return spec
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"malformed model config: {exc}") from exc
@@ -101,6 +101,17 @@ def _load_model(args):
     if dim is not None:
         return LatticeSpec.hypercube(dim, w)
     return LatticeSpec.rectangle(w, h, args.ordering or "snake")
+
+
+def _entry(table: dict, key: str, kind):
+    """``kind(table[key])`` for a JSON number, whole if ``kind`` is int: a bool, a string
+    or a fraction raises instead of being coerced."""
+    value = table[key]
+    number = kind(value)  # first, so inf, NaN and huge ints keep their messages
+    if type(value) not in (int, float) or kind is int and number != value:
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{key} must be {noun}, not {json.dumps(value)}")
+    return number
 
 
 # Each coupling's flag, --model key and default.

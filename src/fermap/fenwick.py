@@ -129,7 +129,9 @@ class FenwickForest:
         return sum(b << j for j, b in enumerate(vals))  # bits[j] at bit j
 
     def encode(self, occupancies: Sequence[int]) -> tuple[int, ...]:
-        """Map occupancies n to stored partial sums x, x_j = n_j + sum_{k in F(j)} x_k mod 2."""
+        """Map occupancies n to stored partial sums x, x_j = n_j + sum_{k in F(j)} x_k mod 2.
+
+        No ``src/`` caller: the tests' reference for ``verify.codewords``' Majorana walk."""
         x = self._check_bits(occupancies)
         for j, kids in enumerate(self.children_mask):  # children precede parents
             x ^= ((x & kids).bit_count() & 1) << j  # bit j turns from n_j to x_j

@@ -3,13 +3,14 @@
 Two kinds of check live here.  Symbolic checks read the encodings' own
 mask tables (the forests' Majorana masks, the LSFS generator and loop
 masks) and test their (anti)commutation in the exact Pauli algebra,
-where any violated relation is a hard failure.  Fock checks compare encoded
-operators with their fermion models state by state, through one sparse
-action per side (``models.fock_column`` on occupation states,
-``QubitOperator.apply`` on qubits, once per forest operator on every
-basis state at once), at fixed tolerances: 1e-9 for amplitudes, 1e-12
-for penalty coefficients.  They are skipped, not failed, past the dense
-cap, which bounds the states they enumerate.
+where any violated relation is a hard failure.  Fock checks run one walk:
+``codewords`` reaches Fock states from a seed by one-term moves and gives
+each a qubit codeword psi_s, and ``fock_match`` checks that the psi_s are
+orthonormal codewords on which an encoded operator acts as its model's
+``models.fock_column``, with one ``QubitOperator.apply``.  Forests walk all
+2^n states by the c_j, LSFS its even sector by the edge pairs c_j d_k.
+Tolerances are 1e-9 for amplitudes and 1e-12 for penalty coefficients.  The
+desk checks are skipped, not failed, past the dense cap on what they walk.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Callable, Optional
 
 from . import lsfs
 from .encodings import EncodingSpec, encode_model
-from .models import LOWER, MAJORANA_C, MAJORANA_D, RAISE, FermionOperator, LatticeSpec
+from .models import LOWER, MAJORANA_C, MAJORANA_D, NUMBER, RAISE, FermionOperator, LatticeSpec
 from .models import fock_column, hubbard
 from .pauli import _PHASES, DENSE_CAP_DEFAULT, QubitOperator, _add_terms, _commutes
 
@@ -187,7 +188,7 @@ def check_lsfs_algebra(layout: lsfs.EdgeLayout) -> CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# Fock checks.
+# Fock checks: one codeword walk and one comparison.
 # ---------------------------------------------------------------------------
 
 
@@ -201,6 +202,55 @@ def _skipped(name: str, needed: int, cap: int) -> CheckResult:
     )
 
 
+def codewords(spec, seed: Optional[FermionOperator], moves, loops=()) -> dict[int, dict]:
+    """Codeword psi_s of each Fock state s that the one-term ``moves`` reach from the seed's.
+
+    A one-term seed (None for the vacuum) picks the start state; its psi is the
+    encoded seed on the qubit vacuum, projected onto the ``loops``' +1 space and
+    normalized.  A move P with ``fock_column(P, s)`` = {t: alpha != 0} sets
+    psi_t = P psi_s / alpha on the first visit of t."""
+    start, vector = 0, {0: 1}
+    if seed is not None:
+        (start,), vector = fock_column(seed, 0), encode_model(spec, seed).apply(vector)
+    one = QubitOperator.identity(spec.n_qubits)
+    projector = functools.reduce(operator.mul, (0.5 * (one + s) for s in loops), one)
+    vector = projector.apply(vector)
+    norm = math.sqrt(sum(abs(amp) ** 2 for amp in vector.values()))
+    psi, queue = {start: {q: amp / norm for q, amp in vector.items()}}, [start]
+    encoded = [encode_model(spec, move) for move in moves]
+    for s in queue:
+        for move, qubit_move in zip(moves, encoded):
+            for t, alpha in fock_column(move, s).items():
+                if alpha and t not in psi:
+                    psi[t] = {q: amp / alpha for q, amp in qubit_move.apply(psi[s]).items()}
+                    queue.append(t)
+    return psi
+
+
+def fock_match(spec, psi: dict, op: QubitOperator, columns, loops=()) -> float:
+    """Largest residual of ``op`` against the Fock ``columns`` carried through ``psi``.
+
+    Each psi_s must have norm 1, be fixed by every loop and keep no norm off
+    the basis states where each encoded n_j = (1 - Z^z_j) / 2 reads bit j of
+    s, so the psi_s are orthonormal; one ``apply`` to every q | s << n_qubits
+    must give sum_r columns[s][r] psi_r at s."""
+    n, worst = spec.n_qubits, 0.0
+    numbers = spec.factor_maps([(j, NUMBER) for j in range(spec.n_modes)])
+    z_masks = [z for terms in numbers for _, z in terms if z]
+    for s, vec in psi.items():
+        stray = sum(abs(amp) ** 2 for q, amp in vec.items()
+                    if any((q & z).bit_count() % 2 != s >> j & 1 for j, z in enumerate(z_masks)))
+        norm = sum(abs(amp) ** 2 for amp in vec.values())
+        loop_errors = [_distance(loop.apply(vec), vec) for loop in loops]
+        worst = max(worst, abs(norm - 1), math.sqrt(stray), *loop_errors)
+    image = op.apply({q | s << n: amp for s, vec in psi.items() for q, amp in vec.items()})
+    # Exact zeros go: a hop's two halves cancel off the walked sector.  Distinct psi_r
+    # have disjoint supports (checked above), so each entry has one source.
+    expected = {q | s << n: amp * x for s in psi for r, amp in columns[s].items() if amp
+                for q, x in psi[r].items()}
+    return max(worst, _distance(image, expected))
+
+
 def spectra_match(
     lattice: LatticeSpec,
     spec_a: EncodingSpec,
@@ -210,32 +260,18 @@ def spectra_match(
     cap: int = DENSE_CAP_DEFAULT,
     name: Optional[str] = None,
 ) -> CheckResult:
-    """A model under two encodings equals its Fock matrix entry by entry.
-
-    Fock state s (n_j = bit j of s) maps to the qubit basis state
-    ``code[s]``, whose bit j is bit j of ``spec.forest.encode(n)``, so the
-    encoded operator applied to ``code[s]`` must be Fock column s with
-    every row r read at ``code[r]``.  No term acts at or above bit n, so one
-    ``apply`` to every ``code[s] | s << n`` keeps column s apart, its sums
-    in the same term order, for one ``_distance`` to the tagged Fock entries.
-    """
+    """A model under two forests equals its Fock matrix entry by entry, on the
+    codewords of all 2^n states, walked from the vacuum by the c_j."""
     label = name or f"spectra-{spec_a.kind}-vs-{spec_b.kind}"
     if lattice.n_modes > cap:
         return _skipped(label, lattice.n_modes, cap)
 
     def body():
-        model = hubbard(lattice, t, u)
-        n = lattice.n_modes
-        columns = [fock_column(model, s) for s in range(1 << n)]
-        worst = 0.0
-        for spec in (spec_a, spec_b):
-            occupancies = ([s >> j & 1 for j in range(n)] for s in range(1 << n))
-            codes = map(spec.forest.encode, occupancies)
-            code = [sum(bit << j for j, bit in enumerate(x)) for x in codes]
-            image = encode_model(spec, model).apply({c | s << n: 1 for s, c in enumerate(code)})
-            fock = {code[r] | s << n: amp
-                    for s, column in enumerate(columns) for r, amp in column.items()}
-            worst = max(worst, _distance(image, fock))
+        n, model = lattice.n_modes, hubbard(lattice, t, u)
+        columns = [fock_column(model, s) for s in range(1 << n)]  # shared by both specs
+        moves = [FermionOperator.term(n, 1.0, ((j, MAJORANA_C),)) for j in range(n)]
+        worst = max(fock_match(spec, codewords(spec, None, moves), encode_model(spec, model),
+                               columns) for spec in (spec_a, spec_b))
         return worst <= SPECTRUM_TOL, worst, ""
 
     return _timed(label, body)
@@ -248,52 +284,27 @@ def lsfs_sector_match(
     eps: float = 0.0,
     cap: int = DENSE_CAP_DEFAULT,
 ) -> CheckResult:
-    """Loop-stabilized codespace equals the even-parity sector, state by state.
-
-    psi_0 is the vacuum (every B_k = +1) projected onto the loops' +1 space.
-    A directed edge pair c_j d_k sends Fock state s to alpha |s'>, and the
-    first visit of s' in a breadth-first search sets psi_s' = P psi_s / alpha,
-    P the encoded pair.  The psi_s must fill the codespace (dimension: the
-    projector's trace), be orthonormal and loop-fixed, and carry the encoded
-    Hamiltonian as the Fock matrix of ``lsfs.single_spin_model`` does.
-    """
+    """``single_spin_hamiltonian`` equals ``single_spin_model`` on the even sector, walked
+    from the projected vacuum by the edge pairs c_j d_k; the walk must fill the codespace,
+    whose dimension is the trace of the loops' projector."""
     label = f"lsfs-sector-{w}x{h}"
     layout = lsfs.EdgeLayout(w, h)
     if max(layout.n_edges, w * h) > cap:
         return _skipped(label, max(layout.n_edges, w * h), cap)
 
     def body():
-        n_e, loops = layout.n_edges, lsfs.stabilizers(layout)
-        one = QubitOperator.identity(n_e)
+        spec, loops, n_v = lsfs.LsfsSpec(layout), lsfs.stabilizers(layout), layout.n_vertices
+        one = QubitOperator.identity(layout.n_edges)
         projector = functools.reduce(operator.mul, (0.5 * (one + s) for s in loops), one)
-        code_dim = round(projector._terms.get((0, 0), 0).real * 2**n_e)
-        vacuum = projector.apply({0: 1})
-        norm = math.sqrt(sum(abs(amp) ** 2 for amp in vacuum.values()))
-        psi, queue = {0: {q: amp / norm for q, amp in vacuum.items()}}, [0]
-        pairs = [FermionOperator.term(layout.n_vertices, 1.0, ((j, MAJORANA_C), (k, MAJORANA_D)))
+        code_dim = round(projector._terms.get((0, 0), 0).real * 2**layout.n_edges)
+        pairs = [FermionOperator.term(n_v, 1.0, ((j, MAJORANA_C), (k, MAJORANA_D)))
                  for u, v in layout.edges() for j, k in ((u, v), (v, u))]
-        encoded = [encode_model(lsfs.LsfsSpec(layout), pair) for pair in pairs]
-        for s in queue:
-            for pair, qubit_pair in zip(pairs, encoded):
-                ((target, alpha),) = fock_column(pair, s).items()
-                if target not in psi:
-                    psi[target] = {q: amp / alpha for q, amp in qubit_pair.apply(psi[s]).items()}
-                    queue.append(target)
+        psi = codewords(spec, None, pairs, loops)
         if code_dim != len(psi):
             return False, float("inf"), f"dims {code_dim} vs {len(psi)}"
-
-        ham = lsfs.single_spin_hamiltonian(layout, t, eps)
-        model, worst = lsfs.single_spin_model(layout, t, eps), 0.0
-        for s, vec in psi.items():
-            for r, other in psi.items():
-                dot = sum(amp.conjugate() * other.get(q, 0) for q, amp in vec.items())
-                worst = max(worst, abs(dot - (r == s)))
-            worst = max([worst] + [_distance(loop.apply(vec), vec) for loop in loops])
-            image: dict[int, complex] = {}
-            for r, amp in fock_column(model, s).items():
-                for q, x in psi[r].items():
-                    image[q] = image.get(q, 0j) + amp * x
-            worst = max(worst, _distance(ham.apply(vec), image))
+        model = lsfs.single_spin_model(layout, t, eps)
+        columns = {s: fock_column(model, s) for s in psi}
+        worst = fock_match(spec, psi, lsfs.single_spin_hamiltonian(layout, t, eps), columns, loops)
         return worst <= SPECTRUM_TOL, worst, f"codespace dim {code_dim}"
 
     return _timed(label, body)
@@ -377,25 +388,10 @@ def run_suite(
         check_lsfs_algebra(lsfs.EdgeLayout(4, 4)),
     ]
     if not symbolic_only:
-        lattice = LatticeSpec.rectangle(2, 2, "snake")
-        checks.append(
-            spectra_match(
-                lattice,
-                EncodingSpec.jordan_wigner(8),
-                EncodingSpec.bravyi_kitaev(8),
-                cap=cap,
-                name="spectra-2x2-jw-vs-bk",
-            )
-        )
-        checks.append(
-            spectra_match(
-                lattice,
-                EncodingSpec.jordan_wigner(8),
-                EncodingSpec.from_segments([2, 2, 2, 2]),
-                cap=cap,
-                name="spectra-2x2-jw-vs-sbk",
-            )
-        )
+        lattice, jw = LatticeSpec.rectangle(2, 2, "snake"), EncodingSpec.jordan_wigner(8)
+        bk, sbk = EncodingSpec.bravyi_kitaev(8), EncodingSpec.from_segments([2, 2, 2, 2])
+        checks.append(spectra_match(lattice, jw, bk, cap=cap, name="spectra-2x2-jw-vs-bk"))
+        checks.append(spectra_match(lattice, jw, sbk, cap=cap, name="spectra-2x2-jw-vs-sbk"))
         checks.append(lsfs_sector_match(2, 2, t=1.0, cap=cap))
         checks.append(lsfs_sector_match(2, 3, t=1.0, eps=0.5, cap=cap))
         checks.append(penalty_gap_check(2, 2, delta=10.0, cap=cap))

@@ -861,6 +861,27 @@ class TestInputRule:
         assert capsys.readouterr() == ("", f"fermap: {message}\n")
 
     @pytest.mark.parametrize(
+        "lattice, couplings, message",
+        [
+            ({"w": 2.7, "h": 2}, {}, "w must be an integer, not 2.7"),
+            ({"w": True, "h": 3}, {}, "w must be an integer, not true"),
+            ({"w": 2, "h": 2}, {"t": True}, "t must be a number, not true"),
+            ({"w": 2, "h": 2}, {"U": "3"}, 'U must be a number, not "3"'),
+        ],
+        ids=["fractional-side", "bool-side", "bool-coupling", "string-coupling"],
+    )
+    def test_model_entry_that_needs_coercion_exits_2(
+        self, lattice, couplings, message, tmp_path, capsys
+    ):
+        # Each of these used to encode: a 2-wide lattice, a 1x3 strip, t = 1.0, U = 3.0.
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"lattice": {"kind": "rectangle", **lattice}, **couplings}))
+        out = tmp_path / "op.json"
+        assert run(["encode", "--model", str(model), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"fermap: malformed model config: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "command, flags",
         [("encode", ["--delta", "1"]), ("analyze", ["--segment-size", "1"])],
     )

@@ -1,19 +1,26 @@
 """The verification suite: symbolic sweeps and sparse Fock oracles."""
 
+import functools
 import json
+import math
+import operator
+import random
 
 import pytest
 from test_encodings import lowering, raising
 
 from fermap import encodings, lsfs
-from fermap.encodings import EncodingSpec
-from fermap.lsfs import EdgeLayout, LsfsSpec, stabilizers
-from fermap.models import LOWER, MAJORANA_C, MAJORANA_D, NUMBER, RAISE, LatticeSpec
+from fermap.encodings import EncodingSpec, encode_model, model_encoding
+from fermap.lsfs import EdgeLayout, LsfsSpec, hubbard_lsfs, stabilizers
+from fermap.models import LOWER, MAJORANA_C, MAJORANA_D, NUMBER, RAISE, FermionOperator
+from fermap.models import LatticeSpec, fock_column, hubbard
 from fermap.pauli import PauliString, QubitOperator
 from fermap.verify import (
     check_car,
     check_car_random_forests,
     check_lsfs_algebra,
+    codewords,
+    fock_match,
     lsfs_sector_match,
     penalty_gap_check,
     random_forest_spec,
@@ -293,6 +300,19 @@ class TestSpectraMatch:
         assert result.status == "skipped"
         assert "32" in result.detail
 
+    def test_corrupted_majorana_mask_fails(self):
+        # d_5 of BK gains a Z on qubit 0, so n_5 = (1 - Z^(z_c ^ z_d)) / 2 reads
+        # qubit 0 too: codewords leave their sector (residual 1), and the U = 2
+        # density term on mode 5 misses by 2.
+        spec = EncodingSpec.bravyi_kitaev(8)
+        table = list(spec.majoranas)
+        x, z_c, z_d = table[5]
+        table[5] = (x, z_c, z_d ^ 1)
+        spec.__dict__["majoranas"] = tuple(table)  # the cached_property's slot
+        lattice = LatticeSpec.rectangle(2, 2, "snake")
+        result = spectra_match(lattice, EncodingSpec.jordan_wigner(8), spec)
+        assert (result.status, result.max_residual) == ("fail", 2.0)
+
 
 class TestSectorMatch:
     def test_2x2_hopping(self):
@@ -305,6 +325,12 @@ class TestSectorMatch:
 
     def test_2x3(self):
         assert lsfs_sector_match(2, 3, t=1.3, eps=0.4).passed
+
+    def test_3x3_at_the_cap(self):
+        # 12 edge qubits, the default dense cap; 256 even-sector states.
+        result = lsfs_sector_match(3, 3, t=0.7, eps=0.3)
+        assert (result.status, result.detail) == ("pass", "codespace dim 256")
+        assert result.max_residual <= 1e-12
 
     def test_cap_skip(self):
         assert lsfs_sector_match(4, 4, cap=12).status == "skipped"
@@ -331,12 +357,116 @@ class TestSectorMatch:
         assert result.status == "fail"
         assert result.max_residual == pytest.approx(residual)
 
+    def test_scaled_pairs_fail_the_norm(self, monkeypatch):
+        # 2 c_j d_k keeps each codeword in its sector and loop-fixed, and at t = 0
+        # no term reads the pairs; the 4-particle codeword is two moves out, so
+        # its norm is 4 and the residual 4^2 - 1.
+        factor_maps = LsfsSpec.factor_maps
+
+        def scaled(spec, factors):
+            maps = factor_maps(spec, factors)
+            return maps if factors[0][1] == NUMBER else [{k: 2 * c for k, c in maps[0].items()}]
+
+        monkeypatch.setattr(LsfsSpec, "factor_maps", scaled)
+        result = lsfs_sector_match(2, 2, t=0.0, eps=1.0)
+        assert result.status == "fail"
+        assert result.max_residual == pytest.approx(15.0)
+
     def test_missing_loop_fails_the_dimension(self, monkeypatch):
         # Without its second loop the 2x3 codespace is twice the even sector.
         original = lsfs.stabilizers
         monkeypatch.setattr(lsfs, "stabilizers", lambda layout: original(layout)[:1])
         result = lsfs_sector_match(2, 3, t=1.0, eps=0.5)
         assert (result.status, result.detail) == ("fail", "dims 64 vs 32")
+
+
+def majorana_moves(n):
+    return [FermionOperator.term(n, 1.0, ((j, MAJORANA_C),)) for j in range(n)]
+
+
+def sector_walk(lattice, n_down, n_up):
+    """The a^dag...a^dag seed of one (n_down, n_up) state and the spin-conserving hops."""
+    n, mode = lattice.n_modes, lattice.mode_index
+    seed = FermionOperator.term(
+        n, 1.0, [(mode(site, spin), RAISE) for spin, count in ((0, n_down), (1, n_up))
+                 for site in range(count)])
+    hops = [FermionOperator.term(n, 1.0, ((mode(a, spin), RAISE), (mode(b, spin), LOWER)))
+            for i, j, _ in lattice.edges() for a, b in ((i, j), (j, i)) for spin in (0, 1)]
+    return seed, hops
+
+
+def two_spin_match(w, h, loops, t=0.7, u=1.9, eps=0.3, delta=5.0):
+    """(codespace dimension of ``loops``, states walked, residual) for the shipped
+    two-spin ``hubbard_lsfs``, walked by the edge pairs of both blocks from the vacuum."""
+    layout = EdgeLayout(w, h)
+    spec, n_v = LsfsSpec(layout, 2), layout.n_vertices
+    one = QubitOperator.identity(spec.n_qubits)
+    projector = functools.reduce(operator.mul, (0.5 * (one + s) for s in loops), one)
+    code_dim = round(projector.terms.get(PauliString.identity(spec.n_qubits), 0).real
+                     * 2**spec.n_qubits)
+    pairs = [FermionOperator.term(spec.n_modes, 1.0, ((j + o, MAJORANA_C), (k + o, MAJORANA_D)))
+             for o in (0, n_v) for a, b in layout.edges() for j, k in ((a, b), (b, a))]
+    psi = codewords(spec, None, pairs, loops)
+    # On the codespace each of the 2P loops is +1, so the penalty is the constant -delta P.
+    model = hubbard(LatticeSpec.rectangle(w, h, "row_major"), t, u, eps)
+    model += FermionOperator.term(model.n_modes, -delta * len(layout.loops), ())
+    columns = {s: fock_column(model, s) for s in psi}
+    residual = fock_match(spec, psi, hubbard_lsfs(w, h, t, u, eps, delta), columns, loops)
+    return code_dim, len(psi), residual
+
+
+def block_loops(layout, blocks):
+    """Each plaquette loop of the given spin blocks on the two-block register."""
+    n_q = 2 * layout.n_edges
+    return [QubitOperator.from_paulistring(PauliString(n_q, x << shift, z << shift, exp))
+            for shift in (block * layout.n_edges for block in blocks)
+            for x, z, exp in layout.loops]
+
+
+class TestCodewordWalk:
+    """``codewords`` and ``fock_match`` called directly, past the 12-qubit dense cap."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [EncodingSpec.jordan_wigner(8), EncodingSpec.bravyi_kitaev(8),
+         EncodingSpec.from_segments([2, 2, 2, 2]), random_forest_spec(8, random.Random(4))],
+        ids=["jw", "bk", "sbk", "random"],
+    )
+    def test_majorana_walk_is_the_forest_code_map(self, spec):
+        # FenwickForest.encode is the independent reference: psi_s is exactly
+        # the basis state of s's stored partial sums, with amplitude 1.
+        n = spec.n_modes
+        code = {s: spec.forest.encode([s >> j & 1 for j in range(n)]) for s in range(1 << n)}
+        expected = {s: {sum(bit << j for j, bit in enumerate(x)): 1} for s, x in code.items()}
+        assert codewords(spec, None, majorana_moves(n)) == expected
+
+    @pytest.mark.parametrize(
+        "w, h, kind",
+        [(3, 3, "jw"), (3, 3, "bk"), (3, 3, "sbk"), (3, 3, "random"), (3, 4, "sbk")],
+    )
+    def test_forest_sector_past_the_cap(self, w, h, kind):
+        lattice = LatticeSpec.rectangle(w, h, "snake")
+        if kind == "random":
+            spec = random_forest_spec(lattice.n_modes, random.Random(7))
+        else:
+            spec = model_encoding(kind, lattice)
+        seed, hops = sector_walk(lattice, 2, 2)
+        psi = codewords(spec, seed, hops)
+        assert len(psi) == math.comb(lattice.n_sites, 2) ** 2  # 1,296 at 3x3, 4,356 at 3x4
+        model = hubbard(lattice, 0.7, 1.9, 0.3)
+        columns = {s: fock_column(model, s) for s in psi}
+        assert fock_match(spec, psi, encode_model(spec, model), columns) <= 1e-12
+
+    def test_two_spin_lsfs_2x3(self):
+        code_dim, walked, residual = two_spin_match(2, 3, block_loops(EdgeLayout(2, 3), (0, 1)))
+        assert (code_dim, walked) == (1024, 1024)
+        assert residual <= 1e-12
+
+    def test_two_spin_walk_with_one_blocks_loops_fails_the_dimension(self):
+        # The Fock walk still reaches 1,024 states; block 1's loops are missing
+        # from the projector, so the codespace is 4x larger.
+        code_dim, walked, _ = two_spin_match(2, 3, block_loops(EdgeLayout(2, 3), (0,)))
+        assert (code_dim, walked) == (4096, 1024)
 
 
 class TestPenalty:
