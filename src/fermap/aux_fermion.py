@@ -78,9 +78,7 @@ class AuxPlan:
         return 2 * self.per_spin_qubits
 
 
-def _plan_from_path(
-    lattice: LatticeSpec, dims: Sequence[int], path: Sequence[int], formula: int
-) -> AuxPlan:
+def _plan_from_path(lattice: LatticeSpec, path: Sequence[int], formula: int) -> AuxPlan:
     n = lattice.n_sites
     adj: list[set[int]] = [set() for _ in range(n)]
     for a, b, _ in lattice.edges():
@@ -98,7 +96,7 @@ def _plan_from_path(
         raise AssertionError("path is not a subgraph of the lattice")
     aux = tuple((d + 1) // 2 for d in d_nl)
     return AuxPlan(
-        dims=tuple(dims),
+        dims=lattice.sides,
         path=tuple(path),
         degree=degree,
         path_degree=tuple(path_deg),
@@ -113,7 +111,7 @@ def plan(w: int, h: int) -> AuxPlan:
     if w < 2 or h < 2:
         raise ValueError("rectangular planning needs w, h >= 2")
     lattice = LatticeSpec.rectangle(w, h)
-    return _plan_from_path(lattice, (w, h), snake_path(w, h), 4 * w * h - 4)
+    return _plan_from_path(lattice, snake_path(w, h), 4 * w * h - 4)
 
 
 def plan_hypercubic(dim: int, w: int) -> AuxPlan:
@@ -127,7 +125,7 @@ def plan_hypercubic(dim: int, w: int) -> AuxPlan:
         raise ValueError("hypercubic planning needs dim >= 1 and w >= 2")
     lattice = LatticeSpec.hypercube(dim, w)
     path = snake_path_hypercubic(dim, w)
-    return _plan_from_path(lattice, (w,) * dim, path, 2 * dim * w**dim)
+    return _plan_from_path(lattice, path, 2 * dim * w**dim)
 
 
 def locality_profile(plan_: AuxPlan) -> dict[str, int]:

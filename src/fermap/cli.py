@@ -239,7 +239,8 @@ def _cmd_encode(args) -> int:
         from .models import versioned_csv
         stabs = lsfs.stabilizers(layout)
         items = ",\n  ".join(s.to_json_text(2) for s in stabs)
-        head = {"n_qubits": layout.n_edges, "count": len(stabs)}
+        head = {"blocks": 1 if args.spin == "single" else 2, "n_qubits": layout.n_edges,
+                "count": len(stabs)}
         text = _json_with_last(head, "stabilizers", f"[\n  {items}\n ]" if stabs else "[]")
         _write_atomic(Path(out).with_suffix(".stabilizers.json"), text)
         rows = [(" ".join(str(v) for v in plq), (x | z).bit_count(), 1 - exp)
@@ -255,14 +256,13 @@ def _cmd_analyze(args) -> int:
     kind = args.encoding.lower()
     _reject_unread_flags(args, kind)
     lattice = _load_model(args)
-    rectangle = lattice.kind == "rectangle"
     if kind != "all":
         names = [kind]
     else:  # the encodings that exist on this lattice
         names = ["jw", "bk", "sbk"]
-        if min((lattice.w, lattice.h) if rectangle else (lattice.w,)) >= 2:
+        if min(lattice.sides) >= 2:
             names.append("af")  # AF plans need every side >= 2
-        if rectangle and lattice.n_sites >= 2:
+        if lattice.kind == "rectangle" and lattice.n_sites >= 2:
             names.append("lsfs")  # an edge layout needs two vertices
     rows = []
     for name in names:

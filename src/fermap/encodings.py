@@ -26,6 +26,7 @@ Majorana pairs, (i/2)(c_j d_k + c_k d_j): two table products.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -111,9 +112,9 @@ def model_encoding(
     ``jw`` uses singleton trees, ``bk`` one tree per spin block, and
     ``sbk`` one tree per row chunk of ``segment_size`` (default: half
     rows, ``(width + 1) // 2``; the sweep finds that optimal only at
-    power-of-two widths).  Rows are rows of the *ordered* modes: runs of
-    the short side for snake rectangles, of ``w`` for row-major
-    rectangles, and slabs of w**(D-1) sites for (row-major) hypercubes.
+    power-of-two widths).  Rows are rows of the *ordered* modes: a row-major
+    row is every axis but the last (``w`` sites on a rectangle, a slab of
+    w**(D-1) on a hypercube), and a snake row is a run of the short side.
     """
     sites = lattice.n_sites
     if kind == "jw":
@@ -122,10 +123,8 @@ def model_encoding(
         return EncodingSpec.from_segments([sites, sites])
     if kind != "sbk":
         raise ValueError(f"unknown model encoding {kind!r}")
-    if lattice.kind == "hypercube":
-        width = lattice.w ** (lattice.dim - 1)
-    else:  # the snake raster runs along the short side
-        width = lattice.w if lattice.ordering == "row_major" else min(lattice.w, lattice.h)
+    sides = lattice.sides
+    width = math.prod(sides[:-1]) if lattice.ordering == "row_major" else min(sides)
     if segment_size is None:
         segment_size = max(1, (width + 1) // 2)
     per_spin = sbk_row_segments(width, sites // width, segment_size)

@@ -3,10 +3,11 @@
 Models are plain sums of factor products over spin-orbital modes: ladder
 (``+``, ``-``), number (``n``) and Majorana factors c_j = a_j + a^dag_j
 (``c``) and d_j = i (a^dag_j - a_j) (``d``); a hop is two Majorana pairs.
-A rectangular w x h lattice (w columns, h rows, row-major site ids) or a
-hypercubic lattice of dimension D and side w carries 2 * sites modes: the
-spin-down block occupies mode indices [0, sites) and spin-up occupies
-[sites, 2*sites).
+A lattice is its sides: (w, h) for a w x h rectangle (w columns, h rows)
+and (w,) * D for a hypercube of dimension D and side w.  Site ids are mixed
+radix over the sides, axis 0 fastest (r * w + c on a rectangle).  A lattice
+carries 2 * sites modes: the spin-down block occupies mode indices
+[0, sites) and spin-up occupies [sites, 2*sites).
 
 The module also hosts the Fock-space oracle: ``fock_column`` applies a
 model to one occupation-basis state with explicit antisymmetric sign
@@ -19,7 +20,7 @@ that writes a CSV loads this module, so the one CSV writer lives here.
 from __future__ import annotations
 
 import functools
-import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -112,44 +113,30 @@ class LatticeSpec:
         if self.kind == "hypercube" and self.ordering != "row_major":
             raise ValueError("hypercubes order their sites row-major only")
 
-    @property
+    @functools.cached_property
+    def sides(self) -> tuple[int, ...]:
+        """Side length per axis, (w, h) or (w,) * dim; site ids are mixed
+        radix over them, axis 0 fastest."""
+        return (self.w, self.h) if self.kind == "rectangle" else (self.w,) * self.dim
+
+    @functools.cached_property  # mode_index reads it once per factor
     def n_sites(self) -> int:
-        if self.kind == "rectangle":
-            return self.w * self.h
-        return self.w**self.dim
+        return math.prod(self.sides)
 
     @property
     def n_modes(self) -> int:
         return 2 * self.n_sites
 
-    # Canonical site ids: row-major r*w + c on rectangles, mixed-radix
-    # sum coord_a * w^a on hypercubes (axis 0 fastest).
-    def site_id(self, coords: Sequence[int]) -> int:
-        if self.kind == "rectangle":
-            r, c = coords
-            return r * self.w + c
-        return sum(coord * self.w**axis for axis, coord in enumerate(coords))
-
     def edges(self) -> list[tuple[int, int, str]]:
-        """Undirected interaction edges (i < j by site id) with a term class."""
-        out = []
-        if self.kind == "rectangle":
-            for r in range(self.h):
-                for c in range(self.w):
-                    here = self.site_id((r, c))
-                    if c + 1 < self.w:
-                        out.append((here, self.site_id((r, c + 1)), "horizontal"))
-                    if r + 1 < self.h:
-                        out.append((here, self.site_id((r + 1, c)), "vertical"))
-            return out
-        for coords in itertools.product(range(self.w), repeat=self.dim):
-            here = self.site_id(coords)
-            for axis in range(self.dim):
-                if coords[axis] + 1 < self.w:
-                    step = list(coords)
-                    step[axis] += 1
-                    out.append((here, self.site_id(step), f"axis{axis}"))
-        return out
+        """Undirected edges (i, i + stride of axis a) with a term class, by site i, then axis a.
+
+        Classes are ``horizontal``/``vertical`` on rectangles, ``axis{a}`` on hypercubes."""
+        sides = self.sides
+        names = (("horizontal", "vertical") if self.kind == "rectangle"
+                 else [f"axis{a}" for a in range(self.dim)])
+        axes = [(side, math.prod(sides[:a]), names[a]) for a, side in enumerate(sides)]
+        return [(i, i + stride, name) for i in range(self.n_sites)
+                for side, stride, name in axes if i // stride % side + 1 < side]
 
     @functools.cached_property
     def site_order(self) -> tuple[int, ...]:
@@ -163,12 +150,8 @@ class LatticeSpec:
         n = self.n_sites
         if self.ordering == "row_major" or self.w <= self.h:
             return tuple(range(n))
-        # Wide rectangle: transpose so consecutive indices run down columns.
-        order = [0] * n
-        for r in range(self.h):
-            for c in range(self.w):
-                order[r * self.w + c] = c * self.h + r
-        return tuple(order)
+        # Wide rectangle: transpose, so site r * w + c sits at c * h + r.
+        return tuple(i % self.w * self.h + i // self.w for i in range(n))
 
     def mode_index(self, site: int, spin: int) -> int:
         """Mode of (site, spin), spin 0 = down block, spin 1 = up block."""

@@ -13,10 +13,11 @@ phase-free letter string; a string's phase is folded into the
 coefficient when the string enters the operator.  Products of masks follow
 one phase rule (``_mul_masks``), shared by operators, strings and LSFS tables.
 
-Long sums are accumulated in place (``QubitOperator._add_in_place``):
-the coefficients and term order of chained ``+``, without copying the
-growing sum at every step.  One writer, ``QubitOperator.to_json_text``,
-serializes straight from the masks; tests pin its text byte for byte to
+Long sums are accumulated in place in one term map (``_add_terms``, as
+``encode_model`` and the LSFS penalty do): the coefficients and term order
+of chained ``+``, without copying the growing sum at every step.  One
+writer, ``QubitOperator.to_json_text``, serializes straight from the masks;
+tests pin its text byte for byte to
 ``json.dumps(to_json_dict(), sort_keys=True, indent=1)`` at any depth.
 
 The oracles apply operators to sparse states ``{basis state: amplitude}``
@@ -241,15 +242,11 @@ class QubitOperator:
     def __add__(self, other: "QubitOperator") -> "QubitOperator":
         if not isinstance(other, QubitOperator):
             return NotImplemented
+        _check_same_size(self, other)
         out = QubitOperator(self.n_qubits)
         out._terms = dict(self._terms)
-        return out._add_in_place(other)
-
-    def _add_in_place(self, other: "QubitOperator") -> "QubitOperator":
-        """``self + other`` written into ``self``: same sums, same term order."""
-        _check_same_size(self, other)
-        _add_terms(self._terms, other._terms.items())
-        return self
+        _add_terms(out._terms, other._terms.items())
+        return out
 
     def __sub__(self, other: "QubitOperator") -> "QubitOperator":
         return self + (-1.0) * other

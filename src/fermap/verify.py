@@ -202,28 +202,36 @@ def _skipped(name: str, needed: int, cap: int) -> CheckResult:
     )
 
 
+@functools.lru_cache(maxsize=1)  # spectra_match walks the same moves under two specs
+def _fock_walk(seed: Optional[FermionOperator], moves: tuple) -> tuple[int, dict]:
+    """Start state and {t: (s, move index, alpha)} of each first visit of t, breadth first."""
+    (start,) = (0,) if seed is None else fock_column(seed, 0)
+    queue, steps = [start], {}
+    for s in queue:
+        for i, move in enumerate(moves):
+            for t, alpha in fock_column(move, s).items():
+                if alpha and t != start and t not in steps:
+                    steps[t] = s, i, alpha
+                    queue.append(t)
+    return start, steps
+
+
 def codewords(spec, seed: Optional[FermionOperator], moves, loops=()) -> dict[int, dict]:
     """Codeword psi_s of each Fock state s that the one-term ``moves`` reach from the seed's.
 
     A one-term seed (None for the vacuum) picks the start state; its psi is the
-    encoded seed on the qubit vacuum, projected onto the ``loops``' +1 space and
-    normalized.  A move P with ``fock_column(P, s)`` = {t: alpha != 0} sets
+    encoded seed on the qubit vacuum, projected onto each loop's +1 space in turn
+    and normalized.  A move P with ``fock_column(P, s)`` = {t: alpha != 0} sets
     psi_t = P psi_s / alpha on the first visit of t."""
-    start, vector = 0, {0: 1}
-    if seed is not None:
-        (start,), vector = fock_column(seed, 0), encode_model(spec, seed).apply(vector)
-    one = QubitOperator.identity(spec.n_qubits)
-    projector = functools.reduce(operator.mul, (0.5 * (one + s) for s in loops), one)
-    vector = projector.apply(vector)
+    start, steps = _fock_walk(seed, tuple(moves))
+    vector = {0: 1} if seed is None else encode_model(spec, seed).apply({0: 1})
+    for loop in loops:
+        vector = (0.5 * (QubitOperator.identity(spec.n_qubits) + loop)).apply(vector)
     norm = math.sqrt(sum(abs(amp) ** 2 for amp in vector.values()))
-    psi, queue = {start: {q: amp / norm for q, amp in vector.items()}}, [start]
+    psi = {start: {q: amp / norm for q, amp in vector.items()}}
     encoded = [encode_model(spec, move) for move in moves]
-    for s in queue:
-        for move, qubit_move in zip(moves, encoded):
-            for t, alpha in fock_column(move, s).items():
-                if alpha and t not in psi:
-                    psi[t] = {q: amp / alpha for q, amp in qubit_move.apply(psi[s]).items()}
-                    queue.append(t)
+    for t, (s, i, alpha) in steps.items():
+        psi[t] = {q: amp / alpha for q, amp in encoded[i].apply(psi[s]).items()}
     return psi
 
 

@@ -196,6 +196,7 @@ class TestEncodeText:
         assert out.read_text() == dumps(expected)
         stabs = lsfs.stabilizers(layout)
         sidecar = {
+            "blocks": 2 if spin == "both" else 1,  # the loops hold in each spin block
             "count": len(stabs),
             "n_qubits": layout.n_edges,
             "stabilizers": [reference_json_dict(s) for s in stabs],
@@ -221,12 +222,15 @@ class TestEncodeText:
         stabs = lsfs.stabilizers(layout)
         assert sidecar["count"] == len(stabs) == len(sidecar["stabilizers"])
         assert sidecar["n_qubits"] == layout.n_edges
+        assert sidecar["blocks"] == 1
         read = [QubitOperator.from_json_dict(entry) for entry in sidecar["stabilizers"]]
         assert read == stabs
 
 
 # sha256 of every file the two commands write, recorded while operator JSON
-# still went through json.dumps; they hold the bytes fixed.
+# still went through json.dumps; they hold the bytes fixed.  The three
+# op.stabilizers.json entries were re-pinned when the sidecar gained its
+# "blocks" key (2 for the two-spin operator, 1 for --spin single).
 PINNED_SHA256 = {
     "jw-4x3-eps": (
         ["--w", "4", "--h", "3", "--eps", "0.3"],
@@ -239,7 +243,7 @@ PINNED_SHA256 = {
             "op.plaquettes.csv":
                 "0fb09b5281b5e8c3968c548184d18f21399ef56193b0e230d16bf194c70a51bf",
             "op.stabilizers.json":
-                "0fe6f5d6ef0ad4a4b542759cb765cf4b5b65e4968e8027b180770f9cadf2626f",
+                "e83042faf027c59e58ed52302d77208772745a2035abf0f2a82fb1da20732cef",
         },
     ),
     # Non-square LSFS lattices, recorded while EdgeLayout still numbered
@@ -254,7 +258,7 @@ PINNED_SHA256 = {
             "op.plaquettes.csv":
                 "b6109c3be064d955cecdec47320dc1c51856af7e2164157e16a61cac2d6235bc",
             "op.stabilizers.json":
-                "f9a168b91f01a51f555e9e9659da777ffa52747199f0480845fc49d3973da498",
+                "301917a809042b6201b255f8fc7d75b10ea532bdfb09f7db87ee58474701295d",
         },
     ),
     "lsfs-2x6-single": (
@@ -264,7 +268,7 @@ PINNED_SHA256 = {
             "op.plaquettes.csv":
                 "f9247aa42c400381bae6a85f724f9a355fca344b27451aea76f36da81267a229",
             "op.stabilizers.json":
-                "60fb4b041d3292d9b65bd4c29fda3d6a32a6796712ca4c05c5cf9da88371ccd2",
+                "7b760508e79e5b1682fdaf4e45bcee8e4efe593e98e4cbae533ca0b3d33107a8",
         },
     ),
 }

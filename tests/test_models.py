@@ -1,6 +1,7 @@
 """Lattice models, edge combinatorics, and the dense Fock oracle."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -38,7 +39,35 @@ def hermitian_conjugate(op):
     return FermionOperator(op.n_modes, terms)
 
 
+def reference_edges(sides, names):
+    """(i, j, names[a]) for each pair of sites whose coordinates differ by +1 on
+    axis a alone, by i, then a; site ids are sum_a coord_a * prod(sides[:a])."""
+    def site(coords):
+        return sum(x * math.prod(sides[:a]) for a, x in enumerate(coords))
+
+    out = []
+    for u, v in itertools.product(itertools.product(*map(range, sides)), repeat=2):
+        step = [y - x for x, y in zip(u, v)]
+        if sorted(step) == [0] * (len(sides) - 1) + [1]:
+            out.append((site(u), step.index(1), site(v)))
+    return [(i, j, names[a]) for i, a, j in sorted(out)]
+
+
 class TestLattice:
+    @pytest.mark.parametrize("w, h", itertools.product(range(1, 6), repeat=2))
+    def test_rectangle_edges_are_unit_steps(self, w, h):
+        # The exact list: LSFS qubit order and term order follow it.
+        expected = reference_edges((w, h), ("horizontal", "vertical"))
+        for ordering in ("snake", "row_major"):
+            assert LatticeSpec.rectangle(w, h, ordering).edges() == expected
+
+    @pytest.mark.parametrize("dim, w", itertools.product(range(1, 5), repeat=2))
+    def test_hypercube_edges_are_unit_steps(self, dim, w):
+        edges = LatticeSpec.hypercube(dim, w).edges()
+        reference = reference_edges((w,) * dim, [f"axis{a}" for a in range(dim)])
+        assert len(edges) == len(set(edges)) and set(edges) == set(reference)
+        assert edges == sorted(edges, key=lambda e: (e[0], int(e[2].removeprefix("axis"))))
+
     def test_rectangle_edges(self):
         spec = LatticeSpec.rectangle(2, 1)
         assert spec.edges() == [(0, 1, "horizontal")]

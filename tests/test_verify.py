@@ -9,7 +9,7 @@ import random
 import pytest
 from test_encodings import lowering, raising
 
-from fermap import encodings, lsfs
+from fermap import encodings, lsfs, verify
 from fermap.encodings import EncodingSpec, encode_model, model_encoding
 from fermap.lsfs import EdgeLayout, LsfsSpec, hubbard_lsfs, stabilizers
 from fermap.models import LOWER, MAJORANA_C, MAJORANA_D, NUMBER, RAISE, FermionOperator
@@ -467,6 +467,36 @@ class TestCodewordWalk:
         # from the projector, so the codespace is 4x larger.
         code_dim, walked, _ = two_spin_match(2, 3, block_loops(EdgeLayout(2, 3), (0,)))
         assert (code_dim, walked) == (4096, 1024)
+
+
+def counted(monkeypatch, owner, name):
+    """Replace ``owner.name`` by a wrapper that logs each call; return the log."""
+    calls, original = [], getattr(owner, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+class TestSharedFockSide:
+    """A check walks the Fock side once for all its specs, and builds the
+    loops' projector once."""
+
+    def test_spectra_match_walks_once_for_two_specs(self, monkeypatch):
+        verify._fock_walk.cache_clear()  # a walk left by another test would hide the count
+        calls = counted(monkeypatch, verify, "fock_column")
+        lattice = LatticeSpec.rectangle(2, 2, "snake")
+        jw, bk = EncodingSpec.jordan_wigner(8), EncodingSpec.bravyi_kitaev(8)
+        assert spectra_match(lattice, jw, bk).passed
+        assert len(calls) == 256 + 256 * 8  # the model's columns, then one walk by the c_j
+
+    def test_sector_match_builds_one_projector(self, monkeypatch):
+        calls = counted(monkeypatch, QubitOperator, "__mul__")
+        assert lsfs_sector_match(2, 3, eps=0.5).passed
+        assert len(calls) == len(EdgeLayout(2, 3).loops)  # one factor per loop, once
 
 
 class TestPenalty:
