@@ -21,13 +21,12 @@ each encoding's ``measure``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from . import aux_fermion, lsfs
 from .encodings import EncodingSpec, encode_model, hopping_op, model_encoding, sbk_row_segments
 from .models import FermionOperator, LatticeSpec, hubbard_terms, versioned_csv
-from .pauli import QubitOperator
+from .pauli import QubitOperator, _Value
 
 CSV_SCHEMA_RECT = "encoding,term_class,w,h,measured,formula,exactness"
 CSV_SCHEMA_HYPER = "encoding,term_class,D,w,measured,formula,exactness"
@@ -45,21 +44,22 @@ def ceil_log2(n: int) -> int:
     return (n - 1).bit_length()
 
 
-@dataclass(frozen=True)
-class ReportRow:
-    encoding: str
-    term_class: str
-    dims: tuple[int, int]
-    measured: Optional[int]
-    formula: Optional[int]
-    formula_expr: str
-    exactness: str
+class ReportRow(_Value):
+    __slots__ = ("encoding", "term_class", "dims", "measured", "formula", "formula_expr",
+                 "exactness")
+
+    def __init__(self, encoding: str, term_class: str, dims: tuple, measured: Optional[int],
+                 formula: Optional[int], formula_expr: str, exactness: str):
+        self.encoding, self.term_class, self.dims = encoding, term_class, dims
+        self.measured, self.formula = measured, formula
+        self.formula_expr, self.exactness = formula_expr, exactness
 
 
-@dataclass
-class LocalityReport:
-    kind: str  # "rectangle" | "hypercube"
-    rows: list[ReportRow]
+class LocalityReport(_Value):
+    __slots__ = ("kind", "rows")
+
+    def __init__(self, kind: str, rows: list[ReportRow]):  # kind: "rectangle" | "hypercube"
+        self.kind, self.rows = kind, rows
 
     def to_csv(self) -> str:
         schema = CSV_SCHEMA_RECT if self.kind == "rectangle" else CSV_SCHEMA_HYPER

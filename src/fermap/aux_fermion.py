@@ -9,10 +9,10 @@ the auxiliary operators themselves are not synthesized here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .models import LatticeSpec
+from .pauli import _Value
 
 
 def snake_path(w: int, h: int) -> tuple[int, ...]:
@@ -52,17 +52,18 @@ def snake_path_hypercubic(dim: int, w: int) -> tuple[int, ...]:
     )
 
 
-@dataclass(frozen=True)
-class AuxPlan:
-    """Resource plan for one two-spin lattice model."""
+class AuxPlan(_Value):
+    """Resource plan for one two-spin lattice model: ``dims`` is the lattice's
+    ``sides``, ``path`` its site order, and the other tuples run over sites."""
 
-    dims: tuple[int, ...]  # (w, h) for rectangles, (w,) * D for hypercubes
-    path: tuple[int, ...]
-    degree: tuple[int, ...]
-    path_degree: tuple[int, ...]
-    nonlocal_degree: tuple[int, ...]
-    aux_per_site: tuple[int, ...]
-    formula_qubits: int
+    __slots__ = ("dims", "path", "degree", "path_degree", "nonlocal_degree", "aux_per_site",
+                 "formula_qubits")
+
+    def __init__(self, dims: tuple, path: tuple, degree: tuple, path_degree: tuple,
+                 nonlocal_degree: tuple, aux_per_site: tuple, formula_qubits: int):
+        self.dims, self.path, self.degree, self.path_degree = dims, path, degree, path_degree
+        self.nonlocal_degree, self.aux_per_site = nonlocal_degree, aux_per_site
+        self.formula_qubits = formula_qubits
 
     @property
     def n_sites(self) -> int:

@@ -11,6 +11,12 @@ uses, and only those, from its flag or ``--model`` entry (never both), else
 from FERMAP_T, _U, _EPS, _DELTA, _DENSE_CAP or _SEED, else its default.  A
 non-finite t, U, eps or delta exits 2 before anything is written.
 
+Start-up is much of a short job: each command imports only the layers it
+runs, none loads numpy or the data-class module (see ``fermap.pauli``), and
+``json`` (~3 ms) loads only where JSON is read or written (``encode``,
+``verify``, JSON ``plan-aux``, ``--model``), never in ``tables``, ``sweep``,
+``fig6`` or CSV ``analyze``.
+
 Exit codes: 0 success (including a partial verify run with skipped
 checks), 1 verification failure, 2 usage or configuration error.
 """
@@ -18,7 +24,6 @@ checks), 1 verification failure, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -68,6 +73,7 @@ def _load_model(args):
     replace encode's coupling flags, which must then not be given."""
     from .models import LatticeSpec
     if args.model:
+        import json
         flags = ("w", "h", "dim", "ordering")
         given = [f"--{flag}" for flag in flags if getattr(args, flag) is not None]
         if given:
@@ -109,6 +115,7 @@ def _entry(table: dict, key: str, kind):
     value = table[key]
     number = kind(value)  # first, so inf, NaN and huge ints keep their messages
     if type(value) not in (int, float) or kind is int and number != value:
+        import json
         noun = "an integer" if kind is int else "a number"
         raise ValueError(f"{key} must be {noun}, not {json.dumps(value)}")
     return number
@@ -170,6 +177,7 @@ def _parse_segments(raw: str) -> list[int]:
 def _json_with_last(head: dict, key: str, text: str) -> str:
     """``json.dumps(head | {key: value}, sort_keys=True, indent=1) + "\\n"``
     from ``text``, the value's text at depth 1; ``key`` sorts after ``head``'s."""
+    import json
     start = json.dumps(head, sort_keys=True, indent=1)[:-2]  # drop "\n}"
     return f'{start},\n "{key}": {text}\n}}\n'
 
@@ -337,6 +345,7 @@ def _cmd_plan_aux(args) -> int:
     plan = aux_fermion.plan_hypercubic(dim, w) if dim is not None else aux_fermion.plan(w, h)
     profile = aux_fermion.locality_profile(plan)
     if args.format == "json":
+        import json
         payload = {
             "dims": list(plan.dims),
             "path": list(plan.path),

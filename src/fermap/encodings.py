@@ -27,20 +27,21 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .fenwick import FenwickForest
 from .models import LOWER, MAJORANA_C, MAJORANA_D, NUMBER, FermionOperator, LatticeSpec
 from .models import hopping_pair
-from .pauli import PauliString, QubitOperator, _add_terms, _mul_terms
+from .pauli import PauliString, QubitOperator, _add_terms, _mul_terms, _Value
 
 
-@dataclass(frozen=True)
-class EncodingSpec:
+class EncodingSpec(_Value):
     """An encoding family member: its Fenwick forest, read as a Majorana table."""
 
-    forest: FenwickForest
+    __slots__ = ("forest", "__dict__")
+
+    def __init__(self, forest: FenwickForest):
+        self.forest = forest
 
     @classmethod
     def jordan_wigner(cls, n_modes: int) -> "EncodingSpec":

@@ -10,16 +10,16 @@ int bitmasks; the set queries read their bits out as sorted tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
+
+from .pauli import _Value
 
 
 def _members(mask: int) -> tuple[int, ...]:
     return tuple(q for q in range(mask.bit_length()) if mask >> q & 1)
 
 
-@dataclass(frozen=True)
-class FenwickForest:
+class FenwickForest(_Value):
     """Immutable parent/child structure over ``n_sites`` sites.
 
     Bit q of ``children_mask[j]``, ``ancestor_mask[j]`` and ``parity_mask[j]``
@@ -27,16 +27,18 @@ class FenwickForest:
     ``build`` fills them in ``connect(left, right, below, above)``, which
     roots [left, right] at ``right``: the sums stored at ``below`` give the
     parity of the sites before ``left``, and ``above`` is U(right), so at
-    a singleton j they are P(j) and U(j).
+    a singleton j they are P(j) and U(j).  ``segments`` holds half-open
+    [start, stop) ranges.
     """
 
-    n_sites: int
-    parent: tuple[Optional[int], ...]
-    segments: tuple[tuple[int, int], ...]  # half-open [start, stop) ranges
-    roots: tuple[int, ...]
-    children_mask: tuple[int, ...] = field(repr=False)
-    ancestor_mask: tuple[int, ...] = field(repr=False)
-    parity_mask: tuple[int, ...] = field(repr=False)
+    __slots__ = ("n_sites", "parent", "segments", "roots",
+                 "children_mask", "ancestor_mask", "parity_mask")
+
+    def __init__(self, n_sites: int, parent: tuple, segments: tuple, roots: tuple,
+                 children_mask: tuple, ancestor_mask: tuple, parity_mask: tuple):
+        self.n_sites, self.parent, self.segments, self.roots = n_sites, parent, segments, roots
+        self.children_mask, self.ancestor_mask = children_mask, ancestor_mask
+        self.parity_mask = parity_mask
 
     @classmethod
     def build(

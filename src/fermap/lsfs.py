@@ -40,25 +40,23 @@ delta/2 times every plaquette loop of each block.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .encodings import encode_model
 from .models import MAJORANA_C, MAJORANA_D, NUMBER, FermionOperator, LatticeSpec, hopping_pair
 from .models import hubbard, hubbard_terms
 from .pauli import _PHASES, DENSE_CAP_DEFAULT, DenseCapError, PauliString, QubitOperator, _mul_masks
-from .pauli import _add_terms
+from .pauli import _add_terms, _Value
 
 
-@dataclass(frozen=True)
-class EdgeLayout:
+class EdgeLayout(_Value):
     """Edge-qubit layout of a single-spin w x h rectangular lattice."""
 
-    w: int
-    h: int
+    __slots__ = ("w", "h", "__dict__")
 
-    def __post_init__(self):
-        if self.w < 1 or self.h < 1 or self.w * self.h < 2:
+    def __init__(self, w: int, h: int):
+        if w < 1 or h < 1 or w * h < 2:
             raise ValueError("layout needs at least two vertices")
+        self.w, self.h = w, h
 
     @property
     def n_vertices(self) -> int:
@@ -159,13 +157,14 @@ def stabilizers(layout: EdgeLayout) -> list[QubitOperator]:
             for loop in _hermitian_loops(layout)]
 
 
-@dataclass(frozen=True)
-class LsfsSpec:
+class LsfsSpec(_Value):
     """The layout's pair table for ``encode_model`` over ``n_spins`` blocks:
     mode v + s V is vertex v of block s, on edge qubits [s E, (s + 1) E)."""
 
-    layout: EdgeLayout
-    n_spins: int = 1
+    __slots__ = ("layout", "n_spins", "__dict__")
+
+    def __init__(self, layout: EdgeLayout, n_spins: int = 1):
+        self.layout, self.n_spins = layout, n_spins
 
     @property
     def n_modes(self) -> int:

@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .pauli import DENSE_CAP_DEFAULT, DenseCapError
+from .pauli import DENSE_CAP_DEFAULT, DenseCapError, _Value
 
 RAISE = "+"
 LOWER = "-"
@@ -37,22 +36,19 @@ Factor = tuple[int, str]
 Term = tuple[complex, tuple[Factor, ...]]
 
 
-@dataclass(frozen=True)
-class FermionOperator:
+class FermionOperator(_Value):
     """A sum of products of site-indexed ladder, number and Majorana factors."""
 
-    n_modes: int
-    terms: tuple[Term, ...]
+    __slots__ = ("n_modes", "terms")
 
-    def __post_init__(self):
-        for coeff, factors in self.terms:
+    def __init__(self, n_modes: int, terms: tuple[Term, ...]):
+        for coeff, factors in terms:
             for mode, flavor in factors:
-                if not 0 <= mode < self.n_modes:
-                    raise IndexError(
-                        f"mode {mode} outside register of {self.n_modes}"
-                    )
+                if not 0 <= mode < n_modes:
+                    raise IndexError(f"mode {mode} outside register of {n_modes}")
                 if flavor not in _FLAVORS:
                     raise ValueError(f"unknown factor flavor {flavor!r}")
+        self.n_modes, self.terms = n_modes, terms
 
     @classmethod
     def zero(cls, n_modes: int) -> "FermionOperator":
@@ -83,15 +79,19 @@ class FermionOperator:
         return len(self.terms)
 
 
-@dataclass(frozen=True)
-class LatticeSpec:
+class LatticeSpec(_Value):
     """Rectangular or hypercubic lattice with a site ordering and spin layout."""
 
-    kind: str  # "rectangle" | "hypercube"
-    w: int
-    h: int = 1
-    dim: int = 2
-    ordering: str = "snake"
+    __slots__ = ("kind", "w", "h", "dim", "ordering", "__dict__")
+
+    def __init__(self, kind: str, w: int, h: int = 1, dim: int = 2, ordering: str = "snake"):
+        if kind not in ("rectangle", "hypercube"):
+            raise ValueError(f"unknown lattice kind {kind!r}")
+        if ordering not in ("row_major", "snake"):
+            raise ValueError(f"unknown ordering {ordering!r}")
+        if kind == "hypercube" and ordering != "row_major":
+            raise ValueError("hypercubes order their sites row-major only")
+        self.kind, self.w, self.h, self.dim, self.ordering = kind, w, h, dim, ordering
 
     @classmethod
     def rectangle(cls, w: int, h: int, ordering: str = "snake") -> "LatticeSpec":
@@ -104,14 +104,6 @@ class LatticeSpec:
         if dim < 1 or w < 1:
             raise ValueError("hypercube needs dim >= 1 and side >= 1")
         return cls(kind="hypercube", w=w, h=1, dim=dim, ordering="row_major")
-
-    def __post_init__(self):
-        if self.kind not in ("rectangle", "hypercube"):
-            raise ValueError(f"unknown lattice kind {self.kind!r}")
-        if self.ordering not in ("row_major", "snake"):
-            raise ValueError(f"unknown ordering {self.ordering!r}")
-        if self.kind == "hypercube" and self.ordering != "row_major":
-            raise ValueError("hypercubes order their sites row-major only")
 
     @functools.cached_property
     def sides(self) -> tuple[int, ...]:

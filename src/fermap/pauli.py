@@ -24,12 +24,15 @@ The oracles apply operators to sparse states ``{basis state: amplitude}``
 (``QubitOperator.apply``); ``to_dense`` writes its columns into a matrix
 of at most ``DENSE_CAP_DEFAULT`` qubits by default, for the tests.  numpy
 is imported there and in ``models.fock_matrix`` alone, and no command
-reaches either: importing it costs more than the rest of ``fermap``.
+reaches either: importing it costs more than the rest of ``fermap``.  Nor
+does any command load the standard library's data-class module (it pulls in
+``inspect``, ``ast``, ``dis`` and ``tokenize``, ~12 ms a launch): the value
+classes are plain slotted classes whose ``__init__`` runs their checks, and
+``_Value`` gives them equality, hash and repr over their fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 DENSE_CAP_DEFAULT = 12
@@ -99,26 +102,43 @@ def _check_same_size(a, b):
         )
 
 
-@dataclass(frozen=True, slots=True)
-class PauliString:
+class _Value:
+    """Equality, hash and repr over the fields a plain class names in ``__slots__``
+    (a ``"__dict__"`` slot holds only cached properties); ``__init__`` sets each once."""
+
+    __slots__ = ()
+
+    def _fields(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__ if name != "__dict__"}
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self._fields().values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._fields().items())
+        return f"{type(self).__name__}({fields})"
+
+
+class PauliString(_Value):
     """A signed tensor product of single-qubit Pauli operators.
 
     The represented operator is ``i**phase_exp`` times the product of the
     I/X/Y/Z letters encoded by the masks.
     """
 
-    n_qubits: int
-    x_mask: int
-    z_mask: int
-    phase_exp: int = 0
+    __slots__ = ("n_qubits", "x_mask", "z_mask", "phase_exp")
 
-    def __post_init__(self):
-        if self.n_qubits < 0:
+    def __init__(self, n_qubits: int, x_mask: int, z_mask: int, phase_exp: int = 0):
+        if n_qubits < 0:
             raise ValueError("n_qubits must be non-negative")
-        full = (1 << self.n_qubits) - 1
-        if self.x_mask & ~full or self.z_mask & ~full:
+        full = (1 << n_qubits) - 1
+        if x_mask & ~full or z_mask & ~full:
             raise DimensionError("mask has bits beyond n_qubits")
-        object.__setattr__(self, "phase_exp", self.phase_exp % 4)
+        self.n_qubits, self.x_mask, self.z_mask = n_qubits, x_mask, z_mask
+        self.phase_exp = phase_exp % 4
 
     @classmethod
     def identity(cls, n_qubits: int) -> "PauliString":

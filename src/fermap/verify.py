@@ -22,33 +22,32 @@ import math
 import operator
 import random
 import time
-from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 from . import lsfs
 from .encodings import EncodingSpec, encode_model
 from .models import LOWER, MAJORANA_C, MAJORANA_D, NUMBER, RAISE, FermionOperator, LatticeSpec
 from .models import fock_column, hubbard
-from .pauli import _PHASES, DENSE_CAP_DEFAULT, QubitOperator, _add_terms, _commutes
+from .pauli import _PHASES, DENSE_CAP_DEFAULT, QubitOperator, _add_terms, _commutes, _Value
 
 SPECTRUM_TOL = 1e-9
 PENALTY_TOL = 1e-12
 
 
-@dataclass
-class CheckResult:
-    name: str
-    status: str  # "pass" | "fail" | "skipped"
-    max_residual: float
-    wall_time_s: float
-    detail: str = ""
+class CheckResult(_Value):
+    __slots__ = ("name", "status", "max_residual", "wall_time_s", "detail")
+
+    def __init__(self, name: str, status: str, max_residual: float, wall_time_s: float,
+                 detail: str = ""):  # status: "pass" | "fail" | "skipped"
+        self.name, self.status, self.max_residual = name, status, max_residual
+        self.wall_time_s, self.detail = wall_time_s, detail
 
     @property
     def passed(self) -> bool:
         return self.status == "pass"
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._fields()
 
 
 def _timed(name: str, body: Callable[[], tuple[bool, float, str]]) -> CheckResult:
@@ -361,9 +360,11 @@ def penalty_gap_check(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SuiteReport:
-    checks: list[CheckResult] = field(default_factory=list)
+class SuiteReport(_Value):
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: list[CheckResult]):
+        self.checks = checks
 
     @property
     def status(self) -> str:

@@ -197,13 +197,13 @@ class TestBlockZeroStream:
     @staticmethod
     def built(monkeypatch):
         pieces = []
-        post_init = FermionOperator.__post_init__
+        init = FermionOperator.__init__
 
-        def counting(op):
+        def counting(op, *args, **kwargs):
+            init(op, *args, **kwargs)
             pieces.append(op)
-            post_init(op)
 
-        monkeypatch.setattr(FermionOperator, "__post_init__", counting)
+        monkeypatch.setattr(FermionOperator, "__init__", counting)
         return pieces
 
     def test_table_I_builds_one_stream(self, monkeypatch):

@@ -1235,21 +1235,23 @@ class TestGoldenText:
 # Runs fermap.cli.main in a fresh interpreter, fails if numpy was loaded, and
 # prints the fermap modules that were.
 COLD_START = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 from fermap.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     try:
         rc = main(sys.argv[1:])
     except SystemExit as exc:
         rc = exc.code
+loaded = sorted(sys.modules)  # before this harness imports json to print them
 assert rc == 0, f"exit code {rc}"
 assert "numpy" not in sys.modules, "numpy was imported"
-print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "fermap")))
+import json
+print(json.dumps(loaded))
 """
 
 
 def cold_start(job) -> set[str]:
-    """The fermap modules a fresh ``fermap.cli.main(job)`` loads."""
+    """The modules a fresh ``fermap.cli.main(job)`` loads."""
     root = Path(__file__).resolve().parents[1]
     argv = [sys.executable, "-c", COLD_START, *job]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
@@ -1307,7 +1309,31 @@ class TestImportScope:
     """Each command imports the layers it runs and no other."""
 
     def test_help_loads_only_the_cli(self):
-        assert cold_start(["--help"]) == {"fermap", "fermap.cli", "fermap.pauli"}
+        loaded = {name for name in cold_start(["--help"]) if name.split(".")[0] == "fermap"}
+        assert loaded == {"fermap", "fermap.cli", "fermap.pauli"}
+
+    @pytest.mark.parametrize(
+        "job",
+        [
+            ["--help"],
+            *(["encode", "--w", "3", "--h", "2", "--encoding", *encoding] for encoding in
+              (["jw"], ["bk"], ["sbk"], ["forest", "--segments", "6,6"], ["lsfs"])),
+            ["tables", "--w", "4", "--h", "4"],
+            ["sweep", "--w", "8"],
+            ["fig6", "--w-max", "4"],
+            ["analyze", "--w", "3", "--h", "3"],
+            ["plan-aux", "--w", "3", "--h", "3"],
+            ["verify", "--trials", "10"],
+        ],
+        ids=["help", "encode-jw", "encode-bk", "encode-sbk", "encode-forest", "encode-lsfs",
+             "tables", "sweep", "fig6", "analyze", "plan-aux", "verify"],
+    )
+    def test_no_command_loads_dataclasses(self, job, tmp_path):
+        """No class is a data class, so no command pays for ``dataclasses`` and the
+        ``inspect`` it loads; only commands that read or write JSON load ``json``."""
+        loaded = cold_start(job if job == ["--help"] else [*job, "--out", str(tmp_path / "o")])
+        assert not loaded & {"dataclasses", "inspect"}
+        assert ("json" in loaded) == (job[0] in ("encode", "plan-aux", "verify"))
 
     @pytest.mark.parametrize(
         "job",

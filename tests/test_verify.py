@@ -231,13 +231,13 @@ class TestNoStrings:
 
     @pytest.fixture
     def built(self, monkeypatch):
-        strings, post_init = [], PauliString.__post_init__
+        strings, init = [], PauliString.__init__
 
-        def counting(string):
+        def counting(string, *args, **kwargs):
+            init(string, *args, **kwargs)
             strings.append(string)
-            post_init(string)
 
-        monkeypatch.setattr(PauliString, "__post_init__", counting)
+        monkeypatch.setattr(PauliString, "__init__", counting)
         return strings
 
     @pytest.mark.parametrize(
