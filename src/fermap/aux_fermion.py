@@ -15,6 +15,16 @@ from .models import LatticeSpec
 from .pauli import _Value
 
 
+def _raster(sides: Sequence[int]) -> list[int]:
+    """Reflected raster over mixed-radix ``sides``, axis 0 fastest as in ``LatticeSpec``:
+    each step along an axis repeats the path over the axes before it, reversed on odd steps."""
+    path, stride = [0], 1
+    for side in sides:
+        path = [v + i * stride for i in range(side) for v in (path[::-1] if i % 2 else path)]
+        stride *= side
+    return path
+
+
 def snake_path(w: int, h: int) -> tuple[int, ...]:
     """Boustrophedon visit order of the w x h grid, row-major vertex ids.
 
@@ -25,31 +35,14 @@ def snake_path(w: int, h: int) -> tuple[int, ...]:
     """
     if w < 1 or h < 1:
         raise ValueError("grid dimensions must be at least 1")
-    path = []
-    for i, r in enumerate(range(h - 1, -1, -1)):
-        cols = range(w) if i % 2 == 0 else range(w - 1, -1, -1)
-        path.extend(r * w + c for c in cols)
-    return tuple(path)
+    return tuple((h - 1 - v // w) * w + v % w for v in _raster((w, h)))  # rows mirrored
 
 
 def snake_path_hypercubic(dim: int, w: int) -> tuple[int, ...]:
     """Reflected-raster Hamiltonian path through the w^dim hypercube."""
     if dim < 1 or w < 1:
         raise ValueError("need dim >= 1 and w >= 1")
-
-    def walk(d: int) -> list[tuple[int, ...]]:
-        if d == 0:
-            return [()]
-        inner = walk(d - 1)
-        out = []
-        for i in range(w):
-            block = inner if i % 2 == 0 else inner[::-1]
-            out.extend(coords + (i,) for coords in block)
-        return out
-
-    return tuple(
-        sum(c * w**axis for axis, c in enumerate(coords)) for coords in walk(dim)
-    )
+    return tuple(_raster((w,) * dim))
 
 
 class AuxPlan(_Value):

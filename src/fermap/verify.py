@@ -10,7 +10,7 @@ orthonormal codewords on which an encoded operator acts as its model's
 ``models.fock_column``, with one ``QubitOperator.apply``.  Forests walk all
 2^n states by the c_j, LSFS its even sector by the edge pairs c_j d_k.
 Tolerances are 1e-9 for amplitudes and 1e-12 for penalty coefficients.  The
-desk checks are skipped, not failed, past the dense cap on what they walk.
+one runner, ``_timed``, skips a desk check, not fails it, past the dense cap.
 """
 
 from __future__ import annotations
@@ -50,7 +50,12 @@ class CheckResult(_Value):
         return self._fields()
 
 
-def _timed(name: str, body: Callable[[], tuple[bool, float, str]]) -> CheckResult:
+def _timed(name: str, body: Callable[[], tuple[bool, float, str]], needed: int = 0,
+           cap: float = math.inf) -> CheckResult:
+    """Runs and times ``body``, or skips the check if it walks ``needed`` qubits past ``cap``."""
+    if needed > cap:
+        detail = f"needs {needed} qubits, dense cap {cap}"
+        return CheckResult(name, "skipped", float("nan"), 0.0, detail)
     start = time.perf_counter()
     ok, residual, detail = body()
     elapsed = time.perf_counter() - start
@@ -73,7 +78,7 @@ def _distance(u: dict, v: dict) -> float:
     return max((abs(u.get(k, 0) - v.get(k, 0)) for k in u.keys() | v.keys()), default=0.0)
 
 
-def check_car(spec: EncodingSpec, name: Optional[str] = None) -> CheckResult:
+def check_car(spec: EncodingSpec) -> CheckResult:
     """Exact CAR check on the spec's Majorana table.
 
     CAR holds iff the 2n phase-free (Hermitian, squaring to I) strings
@@ -100,7 +105,7 @@ def check_car(spec: EncodingSpec, name: Optional[str] = None) -> CheckResult:
                     return False, worst, f"mode {j}"
         return True, 0.0, ""
 
-    return _timed(name or f"car-{spec.kind}-n{spec.n_modes}", body)
+    return _timed(f"car-{spec.kind}-n{spec.n_modes}", body)
 
 
 def random_forest_spec(n_modes: int, rng: random.Random) -> EncodingSpec:
@@ -191,16 +196,6 @@ def check_lsfs_algebra(layout: lsfs.EdgeLayout) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def _skipped(name: str, needed: int, cap: int) -> CheckResult:
-    return CheckResult(
-        name=name,
-        status="skipped",
-        max_residual=float("nan"),
-        wall_time_s=0.0,
-        detail=f"needs {needed} qubits, dense cap {cap}",
-    )
-
-
 @functools.lru_cache(maxsize=1)  # spectra_match walks the same moves under two specs
 def _fock_walk(seed: Optional[FermionOperator], moves: tuple) -> tuple[int, dict]:
     """Start state and {t: (s, move index, alpha)} of each first visit of t, breadth first."""
@@ -269,9 +264,6 @@ def spectra_match(
 ) -> CheckResult:
     """A model under two forests equals its Fock matrix entry by entry, on the
     codewords of all 2^n states, walked from the vacuum by the c_j."""
-    label = name or f"spectra-{spec_a.kind}-vs-{spec_b.kind}"
-    if lattice.n_modes > cap:
-        return _skipped(label, lattice.n_modes, cap)
 
     def body():
         n, model = lattice.n_modes, hubbard(lattice, t, u)
@@ -281,7 +273,7 @@ def spectra_match(
                                columns) for spec in (spec_a, spec_b))
         return worst <= SPECTRUM_TOL, worst, ""
 
-    return _timed(label, body)
+    return _timed(name or f"spectra-{spec_a.kind}-vs-{spec_b.kind}", body, lattice.n_modes, cap)
 
 
 def lsfs_sector_match(
@@ -294,10 +286,7 @@ def lsfs_sector_match(
     """``single_spin_hamiltonian`` equals ``single_spin_model`` on the even sector, walked
     from the projected vacuum by the edge pairs c_j d_k; the walk must fill the codespace,
     whose dimension is the trace of the loops' projector."""
-    label = f"lsfs-sector-{w}x{h}"
     layout = lsfs.EdgeLayout(w, h)
-    if max(layout.n_edges, w * h) > cap:
-        return _skipped(label, max(layout.n_edges, w * h), cap)
 
     def body():
         spec, loops, n_v = lsfs.LsfsSpec(layout), lsfs.stabilizers(layout), layout.n_vertices
@@ -314,7 +303,7 @@ def lsfs_sector_match(
         worst = fock_match(spec, psi, lsfs.single_spin_hamiltonian(layout, t, eps), columns, loops)
         return worst <= SPECTRUM_TOL, worst, f"codespace dim {code_dim}"
 
-    return _timed(label, body)
+    return _timed(f"lsfs-sector-{w}x{h}", body, max(layout.n_edges, w * h), cap)
 
 
 def penalty_gap_check(
@@ -332,10 +321,7 @@ def penalty_gap_check(
     the one without must be -delta/2 sum_p S_p key by key, at delta and at
     2 delta; so flipping one conserved S_p to -1 costs exactly delta.
     """
-    label = f"penalty-{w}x{h}-delta{delta:g}"
     layout = lsfs.EdgeLayout(w, h)
-    if layout.n_edges > cap:
-        return _skipped(label, layout.n_edges, cap)
 
     def body():
         if not layout.plaquettes():
@@ -352,7 +338,7 @@ def penalty_gap_check(
             worst = max([worst, *map(abs, diff._terms.values())])
         return worst <= PENALTY_TOL, worst, f"each violated loop costs {delta:g}"
 
-    return _timed(label, body)
+    return _timed(f"penalty-{w}x{h}-delta{delta:g}", body, layout.n_edges, cap)
 
 
 # ---------------------------------------------------------------------------

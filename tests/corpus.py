@@ -130,6 +130,7 @@ CASES = {
     # plan-aux: rectangles and hypercubes, JSON and CSV.
     "plan-aux-3x3-json": "plan-aux --w 3 --h 3",
     "plan-aux-5x4-csv": "plan-aux --w 5 --h 4 --format csv --out p.csv",
+    "plan-aux-4x3-csv": "plan-aux --w 4 --h 3 --format csv",
     "plan-aux-2x6-json": "plan-aux --w 6 --h 2 --out p.json",
     "plan-aux-cube-3x3-json": "plan-aux --dim 3 --w 3",
     "plan-aux-4d-2-csv": "plan-aux --dim 4 --w 2 --format csv",
@@ -207,27 +208,39 @@ def load_pins() -> dict:
     return json.loads(PINS.read_text())
 
 
+def run_all(root: Path) -> dict:
+    """The record of every case, each run in its own new directory under ``root``."""
+    records = {}
+    for name, line in CASES.items():
+        (root / name).mkdir()
+        records[name] = run_case(line, root / name)
+    return records
+
+
+def differing(pins: dict, records: dict) -> list[str]:
+    return sorted(name for name in pins.keys() | records.keys()
+                  if pins.get(name) != records.get(name))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repin", action="store_true", help="rewrite the pins")
     args = parser.parse_args(argv)
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-    old = load_pins() if PINS.exists() else {}
-    new = {}
-    for name, line in CASES.items():
-        with tempfile.TemporaryDirectory() as workdir:
-            new[name] = run_case(line, Path(workdir))
-    changed = sorted(name for name in old.keys() | new.keys() if old.get(name) != new.get(name))
+    pins = load_pins() if PINS.exists() else {}
+    with tempfile.TemporaryDirectory() as root:
+        records = run_all(Path(root))
+    changed = differing(pins, records)
     for name in changed:
-        print(f"{'changed' if name in old and name in new else 'new' if name in new else 'gone'}: "
-              f"{name}")
+        state = "gone" if name not in records else "new" if name not in pins else "changed"
+        print(f"{name}: {state}")
     if args.repin:
-        PINS.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
-        print(f"{len(new)} cases pinned, {len(changed)} changed")
+        PINS.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
+        print(f"{len(records)} cases pinned, {len(changed)} changed")
         return 0
-    print(f"{len(new)} cases, {len(changed)} differ from the pins")
+    print(f"{len(records)} cases, {len(changed)} differ from the pins")
     return 1 if changed else 0
 
 
 if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     sys.exit(main())

@@ -1232,8 +1232,7 @@ class TestGoldenText:
         assert (tmp_path / written).read_text() == expected
 
 
-# Runs fermap.cli.main in a fresh interpreter, fails if numpy was loaded, and
-# prints the fermap modules that were.
+# Runs fermap.cli.main in a fresh interpreter and prints the modules it loaded.
 COLD_START = """
 import contextlib, io, sys
 from fermap.cli import main
@@ -1244,7 +1243,6 @@ with contextlib.redirect_stdout(io.StringIO()):
         rc = exc.code
 loaded = sorted(sys.modules)  # before this harness imports json to print them
 assert rc == 0, f"exit code {rc}"
-assert "numpy" not in sys.modules, "numpy was imported"
 import json
 print(json.dumps(loaded))
 """
@@ -1258,28 +1256,6 @@ def cold_start(job) -> set[str]:
     proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return set(json.loads(proc.stdout))
-
-
-class TestColdStart:
-    @pytest.mark.parametrize(
-        "job",
-        [
-            ["--help"],
-            ["encode", "--w", "2", "--h", "2", "--encoding", "jw"],
-            ["encode", "--w", "2", "--h", "2", "--encoding", "lsfs"],
-            ["tables", "--w", "4", "--h", "3", "--format", "csv"],
-            ["sweep", "--w", "8"],
-            ["fig6", "--w-min", "2", "--w-max", "3"],
-            ["analyze", "--w", "3", "--h", "2"],
-            ["plan-aux", "--w", "3", "--h", "3"],
-            ["verify", "--trials", "20"],
-        ],
-        ids=["help", "encode-jw", "encode-lsfs", "tables", "sweep", "fig6", "analyze",
-             "plan-aux", "verify"],
-    )
-    def test_no_numpy_outside_dense_kernels(self, job, tmp_path):
-        """Only dense matrices need numpy, and no command renders one."""
-        cold_start(job if job == ["--help"] else [*job, "--out", str(tmp_path / "out")])
 
 
 class TestBenchTracer:
@@ -1305,62 +1281,43 @@ class TestBenchTracer:
         assert json.loads((tmp_path / "trace.json").read_text())["rc"] == 0
 
 
+_CLI = {"cli", "pauli"}
+_SYNTHESIS = _CLI | {"models", "fenwick", "encodings"}
+_ANALYSIS = _SYNTHESIS | {"lsfs", "aux_fermion", "analysis"}
+_LSFS_ENCODE = ["encode", "--w", "3", "--h", "3", "--encoding", "lsfs"]
+
+# One cold start per distinct job: the job and the fermap modules it loads.
+COLD_START_JOBS = {
+    "help": (["--help"], _CLI),
+    **{f"encode-{encoding[0]}": (["encode", "--w", "3", "--h", "2", "--encoding", *encoding],
+                                 _SYNTHESIS)
+       for encoding in (["jw"], ["bk"], ["sbk"], ["forest", "--segments", "6,6"])},
+    "encode-lsfs": (_LSFS_ENCODE, _SYNTHESIS | {"lsfs"}),
+    "encode-lsfs-single": ([*_LSFS_ENCODE, "--spin", "single", "--u", "0"], _SYNTHESIS | {"lsfs"}),
+    "tables": (["tables", "--w", "4", "--h", "4"], _ANALYSIS),
+    "sweep": (["sweep", "--w", "8"], _ANALYSIS),
+    "fig6": (["fig6", "--w-max", "4"], _ANALYSIS),
+    "analyze": (["analyze", "--w", "3", "--h", "3"], _ANALYSIS),
+    "plan-aux": (["plan-aux", "--w", "3", "--h", "3"], _CLI | {"models", "aux_fermion"}),
+    "verify": (["verify", "--trials", "10"], _SYNTHESIS | {"lsfs", "verify"}),
+    "verify-symbolic": (["verify", "--suite", "symbolic"], _SYNTHESIS | {"lsfs", "verify"}),
+    "verify-partial": (["verify", "--dense-cap", "4", "--trials", "10"],
+                       _SYNTHESIS | {"lsfs", "verify"}),
+}
+
+
 class TestImportScope:
     """Each command imports the layers it runs and no other."""
 
-    def test_help_loads_only_the_cli(self):
-        loaded = {name for name in cold_start(["--help"]) if name.split(".")[0] == "fermap"}
-        assert loaded == {"fermap", "fermap.cli", "fermap.pauli"}
-
-    @pytest.mark.parametrize(
-        "job",
-        [
-            ["--help"],
-            *(["encode", "--w", "3", "--h", "2", "--encoding", *encoding] for encoding in
-              (["jw"], ["bk"], ["sbk"], ["forest", "--segments", "6,6"], ["lsfs"])),
-            ["tables", "--w", "4", "--h", "4"],
-            ["sweep", "--w", "8"],
-            ["fig6", "--w-max", "4"],
-            ["analyze", "--w", "3", "--h", "3"],
-            ["plan-aux", "--w", "3", "--h", "3"],
-            ["verify", "--trials", "10"],
-        ],
-        ids=["help", "encode-jw", "encode-bk", "encode-sbk", "encode-forest", "encode-lsfs",
-             "tables", "sweep", "fig6", "analyze", "plan-aux", "verify"],
-    )
-    def test_no_command_loads_dataclasses(self, job, tmp_path):
-        """No class is a data class, so no command pays for ``dataclasses`` and the
-        ``inspect`` it loads; only commands that read or write JSON load ``json``."""
+    @pytest.mark.parametrize("case", sorted(COLD_START_JOBS))
+    def test_no_command_loads_dataclasses(self, case, tmp_path):
+        """A fresh run loads exactly its ``fermap`` layers.  It never loads numpy (only
+        the tests' dense matrices need it), nor ``dataclasses`` and the ``inspect`` it
+        loads (no class is a data class); it loads ``json`` exactly where JSON is read
+        or written."""
+        job, layers = COLD_START_JOBS[case]
         loaded = cold_start(job if job == ["--help"] else [*job, "--out", str(tmp_path / "o")])
-        assert not loaded & {"dataclasses", "inspect"}
+        assert {name for name in loaded if name.split(".")[0] == "fermap"} == {
+            "fermap", *(f"fermap.{layer}" for layer in layers)}
+        assert not loaded & {"numpy", "dataclasses", "inspect"}
         assert ("json" in loaded) == (job[0] in ("encode", "plan-aux", "verify"))
-
-    @pytest.mark.parametrize(
-        "job",
-        [["--suite", "symbolic"], ["--dense-cap", "4", "--trials", "10"], ["--trials", "10"]],
-        ids=["symbolic", "partial", "desk"],
-    )
-    def test_verify_loads_no_analysis(self, job):
-        loaded = cold_start(["verify", *job])
-        assert "fermap.verify" in loaded
-        assert not loaded & {"fermap.analysis", "fermap.aux_fermion"}
-
-    @pytest.mark.parametrize(
-        "encoding", [["jw"], ["bk"], ["sbk"], ["forest", "--segments", "6,6"]],
-        ids=["jw", "bk", "sbk", "forest"],
-    )
-    def test_tree_encode_loads_only_synthesis(self, encoding):
-        loaded = cold_start(["encode", "--w", "3", "--h", "2", "--encoding", *encoding])
-        assert "fermap.encodings" in loaded
-        assert not loaded & {"fermap.analysis", "fermap.aux_fermion", "fermap.lsfs",
-                             "fermap.verify"}
-
-    @pytest.mark.parametrize(
-        "spin", [[], ["--spin", "single", "--u", "0"]], ids=["two-spin", "single-spin"]
-    )
-    def test_lsfs_encode_loads_no_analysis(self, spin, tmp_path):
-        """The plaquette CSV is written by ``models.versioned_csv``, which LSFS loads anyway."""
-        job = ["encode", "--w", "3", "--h", "3", "--encoding", "lsfs", *spin]
-        loaded = cold_start([*job, "--out", str(tmp_path / "lsfs.json")])
-        assert "fermap.lsfs" in loaded
-        assert not loaded & {"fermap.analysis", "fermap.aux_fermion", "fermap.verify"}

@@ -1,14 +1,9 @@
 """Every output in the corpus (``tests/corpus.py``) matches its pin byte for byte."""
 
-from corpus import CASES, load_pins, run_case
+from corpus import differing, load_pins, run_all
 
 
 def test_every_case_matches_its_pin(tmp_path):
     """``python tests/corpus.py --repin`` rewrites the pins after an intended change."""
-    pins, records = load_pins(), {}
-    for name, line in CASES.items():
-        (tmp_path / name).mkdir()
-        records[name] = run_case(line, tmp_path / name)
-    changed = sorted(name for name in pins.keys() | records.keys()
-                     if pins.get(name) != records.get(name))
+    changed = differing(load_pins(), run_all(tmp_path))
     assert not changed, f"outputs differ from the pins: {changed}"

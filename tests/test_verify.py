@@ -532,6 +532,28 @@ class TestPenalty:
         assert result.detail == "loop (0, 1, 3, 2) is not a conserved +/-1 string"
 
 
+class TestDenseCap:
+    @pytest.mark.parametrize(
+        "check, size",
+        [
+            (functools.partial(spectra_match, LatticeSpec.rectangle(2, 2, "snake"),
+                               EncodingSpec.jordan_wigner(8), EncodingSpec.bravyi_kitaev(8)), 8),
+            (functools.partial(lsfs_sector_match, 2, 2), 4),
+            (functools.partial(lsfs_sector_match, 2, 3), 7),
+            (functools.partial(penalty_gap_check, 2, 2), 4),
+        ],
+        ids=["spectra-2x2", "lsfs-sector-2x2", "lsfs-sector-2x3", "penalty-2x2"],
+    )
+    def test_runs_at_the_size_it_walks_and_skips_below(self, check, size):
+        """A Fock check runs when the cap equals the qubits it walks, and one qubit
+        less skips it with no residual and no time."""
+        assert check(cap=size).status == "pass"
+        skipped = check(cap=size - 1)
+        assert (skipped.status, skipped.wall_time_s, skipped.detail) == (
+            "skipped", 0.0, f"needs {size} qubits, dense cap {size - 1}")
+        assert math.isnan(skipped.max_residual)
+
+
 class TestSuite:
     def test_symbolic_suite(self):
         report = run_suite(symbolic_only=True, forest_trials=10)
