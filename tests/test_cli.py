@@ -1286,7 +1286,8 @@ _SYNTHESIS = _CLI | {"models", "fenwick", "encodings"}
 _ANALYSIS = _SYNTHESIS | {"lsfs", "aux_fermion", "analysis"}
 _LSFS_ENCODE = ["encode", "--w", "3", "--h", "3", "--encoding", "lsfs"]
 
-# One cold start per distinct job: the job and the fermap modules it loads.
+# One cold start per distinct job: the job and the fermap modules it loads.  Every test
+# below reads the launch of its row through `cold_loads`.
 COLD_START_JOBS = {
     "help": (["--help"], _CLI),
     **{f"encode-{encoding[0]}": (["encode", "--w", "3", "--h", "2", "--encoding", *encoding],
@@ -1306,18 +1307,72 @@ COLD_START_JOBS = {
 }
 
 
+@pytest.fixture(scope="module")
+def cold_loads(tmp_path_factory):
+    """The modules each ``COLD_START_JOBS`` row loads, launched once per module run."""
+    loaded = {}
+
+    def loads(case):
+        if case not in loaded:
+            job, _ = COLD_START_JOBS[case]
+            out = tmp_path_factory.mktemp(case) / "o"
+            loaded[case] = cold_start(job if job == ["--help"] else [*job, "--out", str(out)])
+        return loaded[case]
+
+    return loads
+
+
+def fermap_modules(loaded) -> set[str]:
+    return {name for name in loaded if name.split(".")[0] == "fermap"}
+
+
 class TestImportScope:
     """Each command imports the layers it runs and no other."""
 
     @pytest.mark.parametrize("case", sorted(COLD_START_JOBS))
-    def test_no_command_loads_dataclasses(self, case, tmp_path):
+    def test_no_command_loads_dataclasses(self, case, cold_loads):
         """A fresh run loads exactly its ``fermap`` layers.  It never loads numpy (only
         the tests' dense matrices need it), nor ``dataclasses`` and the ``inspect`` it
         loads (no class is a data class); it loads ``json`` exactly where JSON is read
         or written."""
         job, layers = COLD_START_JOBS[case]
-        loaded = cold_start(job if job == ["--help"] else [*job, "--out", str(tmp_path / "o")])
-        assert {name for name in loaded if name.split(".")[0] == "fermap"} == {
-            "fermap", *(f"fermap.{layer}" for layer in layers)}
+        loaded = cold_loads(case)
+        assert fermap_modules(loaded) == {"fermap", *(f"fermap.{layer}" for layer in layers)}
         assert not loaded & {"numpy", "dataclasses", "inspect"}
         assert ("json" in loaded) == (job[0] in ("encode", "plan-aux", "verify"))
+
+    def test_help_loads_only_the_cli(self, cold_loads):
+        assert fermap_modules(cold_loads("help")) == {"fermap", "fermap.cli", "fermap.pauli"}
+
+    @pytest.mark.parametrize("case", ["verify-symbolic", "verify-partial", "verify"],
+                             ids=["symbolic", "partial", "desk"])
+    def test_verify_loads_no_analysis(self, case, cold_loads):
+        loaded = cold_loads(case)
+        assert "fermap.verify" in loaded
+        assert not loaded & {"fermap.analysis", "fermap.aux_fermion"}
+
+    @pytest.mark.parametrize("encoding", ["jw", "bk", "sbk", "forest"])
+    def test_tree_encode_loads_only_synthesis(self, encoding, cold_loads):
+        loaded = cold_loads(f"encode-{encoding}")
+        assert "fermap.encodings" in loaded
+        assert not loaded & {"fermap.analysis", "fermap.aux_fermion", "fermap.lsfs",
+                             "fermap.verify"}
+
+    @pytest.mark.parametrize("case", ["encode-lsfs", "encode-lsfs-single"],
+                             ids=["two-spin", "single-spin"])
+    def test_lsfs_encode_loads_no_analysis(self, case, cold_loads):
+        """The plaquette CSV is written by ``models.versioned_csv``, which LSFS loads anyway."""
+        loaded = cold_loads(case)
+        assert "fermap.lsfs" in loaded
+        assert not loaded & {"fermap.analysis", "fermap.aux_fermion", "fermap.verify"}
+
+
+class TestColdStart:
+    @pytest.mark.parametrize(
+        "case",
+        ["help", "encode-jw", "encode-lsfs", "tables", "sweep", "fig6", "analyze", "plan-aux",
+         "verify"],
+    )
+    def test_no_numpy_outside_dense_kernels(self, case, cold_loads):
+        """Only dense matrices need numpy, and no command renders one."""
+        assert "numpy" not in cold_loads(case)
