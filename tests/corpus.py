@@ -74,6 +74,17 @@ CASES = {
     "encode-env-couplings":
         "FERMAP_T=2 FERMAP_U=0.5 FERMAP_EPS=0.1 encode --w 2 --h 2 --out op.json",
     "encode-env-delta-lsfs": "FERMAP_DELTA=3 encode --w 2 --h 2 --encoding lsfs --out op.json",
+    # encode: negative couplings (and a negative zero) on every term kind.
+    "encode-bk-5x4-negative": "encode --w 5 --h 4 --encoding bk --t -0.7 --u -2.5 --eps -0.3",
+    "encode-sbk-4x3-negative":
+        "encode --w 4 --h 3 --encoding sbk --t -1.25 --u -0.5 --eps -0.75 --out op.json",
+    "encode-forest-3x2-negative": "encode --w 3 --h 2 --encoding forest --segments 5,3,4 "
+                                  "--t -0.3 --u -3 --eps -1.5 --out op.json",
+    "encode-jw-3x3-negative-zero": "encode --w 3 --h 3 --t -0.0 --u -1 --eps -0.0 --out op.json",
+    "encode-lsfs-3x2-negative-delta":
+        "encode --w 3 --h 2 --encoding lsfs --t -0.8 --u -1.5 --eps -0.2 --delta -4 --out op.json",
+    "encode-lsfs-3x3-single-negative": "encode --w 3 --h 3 --encoding lsfs --spin single --u 0 "
+                                       "--t -0.6 --eps -0.9 --delta -2.5 --out op.json",
     # encode: each exit-2 message class.
     "error-unknown-encoding": "encode --w 2 --h 2 --encoding parity",
     "error-unread-flag": "encode --w 2 --h 2 --encoding jw --delta 5",
