@@ -377,7 +377,8 @@ def _add_lattice_flags(sub, replaces="--w, --h, --dim, --ordering"):
     sub.add_argument("--w", type=int, help="lattice width")
     sub.add_argument("--h", type=int, help="lattice height")
     sub.add_argument("--dim", type=int, help="hypercube dimension (with --w)")
-    sub.add_argument("--ordering", choices=("snake", "row_major"), help="default: snake")
+    sub.add_argument("--ordering", choices=("snake", "row_major"),
+                     help="default: snake, a raster along the short side (not a boustrophedon)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -8,17 +8,15 @@ a single tree is the Bravyi-Kitaev transform, and arbitrary segment
 lists interpolate between them.
 
 Majorana convention: c_j = a_j + a^dag_j and d_j = i (a^dag_j - a_j),
-so a_j = (c_j + i d_j) / 2 and number/hopping operators follow from the
-exact Pauli algebra.
+the Majoranas 2j and 2j + 1 of a ``models.FermionOperator`` monomial.
 
 Every encoding is a table of raw masks: a forest spec ORs, once, the
 masks (x, z_c, z_d) of every mode's c_j and d_j from the forest's masks
 (``EncodingSpec.majoranas``); ``lsfs.LsfsSpec`` keeps one (x, z, coeff)
 per directed edge for its Majorana pairs.  One synthesis path serves
-every spec: ``encode_model`` multiplies each term's factors as mask-keyed
-term maps ``{(x_mask, z_mask): coeff}`` that the spec reads from its
-table, and sums the terms into one operator in place.  A hop is two
-Majorana pairs, (i/2)(c_j d_k + c_k d_j): two table products.
+every spec: ``encode_model`` asks the spec for each monomial's string
+(``monomial``, a fold of table entries with ``pauli._mul_masks`` in
+written order) and sums the terms into one operator in place.
 ``model_encoding`` picks a lattice model's forest, ``majorana_c``/
 ``majorana_d`` build one entry's string, and ``hopping_op`` one hop.
 """
@@ -30,9 +28,8 @@ import math
 from typing import Optional, Sequence
 
 from .fenwick import FenwickForest
-from .models import LOWER, MAJORANA_C, MAJORANA_D, NUMBER, FermionOperator, LatticeSpec
-from .models import hopping_pair
-from .pauli import PauliString, QubitOperator, _add_terms, _mul_terms, _Value
+from .models import FermionOperator, LatticeSpec, hopping_pair
+from .pauli import _PHASES, PauliString, QubitOperator, _add_terms, _mul_masks, _Value
 
 
 class EncodingSpec(_Value):
@@ -63,9 +60,6 @@ class EncodingSpec(_Value):
     def n_qubits(self) -> int:
         return self.n_modes
 
-    def factor_maps(self, factors) -> list[dict]:
-        return [_ladder_terms(self, mode, flavor) for mode, flavor in factors]
-
     @property
     def kind(self) -> str:
         """The forest's shape: "jw" if every tree is a singleton, "bk" if
@@ -86,6 +80,15 @@ class EncodingSpec(_Value):
             (ancestors | 1 << j, parity, parity & ~children | 1 << j)
             for j, (ancestors, parity, children) in enumerate(masks)
         )
+
+    def monomial(self, indices) -> tuple[int, int, complex]:
+        """Masks (x, z) and phase of the product of the Majoranas at ``indices``, in order."""
+        x = z = exp = 0
+        for index in indices:
+            x_j, z_c, z_d = self.majoranas[index >> 1]
+            x, z, step = _mul_masks(x, z, x_j, z_d if index & 1 else z_c)
+            exp += step
+        return x, z, _PHASES[exp % 4]
 
 
 def sbk_row_segments(width: int, n_rows: int, segment_size: int) -> list[int]:
@@ -146,38 +149,23 @@ def majorana_d(spec: EncodingSpec, j: int) -> QubitOperator:
     return QubitOperator.from_paulistring(PauliString(spec.n_qubits, x, z_d))
 
 
-def _ladder_terms(spec: EncodingSpec, j: int, flavor: str) -> dict:
-    """Term map of a_j, a^dag_j, n_j, c_j or d_j, straight from j's Majorana masks."""
-    x, z_c, z_d = spec.majoranas[j]
-    if flavor == MAJORANA_C:
-        return {(x, z_c): 1 + 0j}
-    if flavor == MAJORANA_D:
-        return {(x, z_d): 1 + 0j}
-    if flavor == NUMBER:  # (1 - Z on F(j) and j) / 2
-        return {(0, 0): 0.5 + 0j, (0, z_c ^ z_d): -0.5 + 0j}
-    # (c_j +- i d_j) / 2; a +0.0 real part, as ``QubitOperator(n, {d: -0.5j})`` folds it.
-    d_coeff = complex(0.0, 0.5 if flavor == LOWER else -0.5)
-    return {(x, z_c): 0.5 + 0j, (x, z_d): d_coeff}
-
-
 def hopping_op(spec: EncodingSpec, j: int, k: int) -> QubitOperator:
     """a^dag_j a_k + a^dag_k a_j = (i/2)(c_k d_j + c_j d_k)."""
     return encode_model(spec, hopping_pair(spec.n_modes, j, k))
 
 
 def encode_model(spec, model: FermionOperator) -> QubitOperator:
-    """Map a FermionOperator to qubits under any spec, factor by factor.
+    """Map a FermionOperator to qubits under any spec, one string per term.
 
-    The spec sets the register (``n_qubits``) and maps each term's factors
-    (``factor_maps``) in the order written, with no normal ordering, so the
-    caller is expected to supply physical (conjugate-paired) operators.
+    The spec sets the register (``n_qubits``) and maps each term's
+    monomial to one phased string (``monomial``) in the order written,
+    with no normal ordering.
     """
     n = spec.n_modes
     if model.n_modes > n:
         raise IndexError(f"model has {model.n_modes} modes, encoding only {n}")
     total = QubitOperator.zero(spec.n_qubits)
-    for coeff, factors in model.terms:
-        maps = spec.factor_maps(factors)
-        acc = functools.reduce(_mul_terms, maps or [{(0, 0): 1 + 0j}])
-        _add_terms(total._terms, ((key, coeff * c) for key, c in acc.items()))
+    for coeff, monomial in model.terms:
+        x, z, phase = spec.monomial(monomial)
+        _add_terms(total._terms, (((x, z), coeff * phase),))
     return total

@@ -16,19 +16,20 @@ from it one table of raw masks: (x, z) of the phase-free A string per
 edge qubit and z of the B cross per vertex (``generators``), and one
 (x, z, phase_exp) loop per plaquette (``loops``).  Every reader takes
 the ints; only ``a_op``, ``b_op`` and ``stabilizers`` build strings, to
-make operators.  A directional edge that would leave the lattice
-contributes an identity factor.
+make operators.
 
 Fermion terms are encoded by ``encodings.encode_model`` under an
 ``LsfsSpec``, which is a pair table: ``LsfsSpec.pairs`` holds, once per
 directed edge (j, k), the masks and coefficient of the Majorana pair
-c_j d_k = eps_jk A(jk) B_k, with the phase of that string product, and
-the factor maps shift its entries into their spin block; n_k is
-(1 - B_k) / 2.  A hop (i/2)(c_j d_k + c_k d_j) then expands, on a
-horizontal edge, to (1/2) Y_k^right (Z_k^down Z_{k+1}^up - Z_k^up
-Z_k^left Z_{k+1}^right Z_{k+1}^down); the lattice is bipartite, so the
-codespace spectrum is insensitive to the global sign of eps (the Fock
-oracle in fermap.verify pins the equivalence).
+c_j d_k = eps_jk A(jk) B_k, with the phase of that string product.
+``LsfsSpec.monomial`` folds a monomial's pairs from that table, each
+shifted into its spin block, with c_k d_k = i B_k at every vertex, so
+n_k = (1 + i c_k d_k) / 2 is (1 - B_k) / 2.  A hop
+(i/2)(c_j d_k + c_k d_j) then expands, on a horizontal edge, to
+(1/2) Y_k^right (Z_k^down Z_{k+1}^up - Z_k^up Z_k^left Z_{k+1}^right
+Z_{k+1}^down); the lattice is bipartite, so the codespace spectrum is
+insensitive to the global sign of eps (the Fock oracle in fermap.verify
+pins the equivalence).
 
 Both Hamiltonians take that one path from the one Hubbard builder on the
 row-major lattice: ``single_spin_hamiltonian`` encodes block 0 of
@@ -42,8 +43,8 @@ from __future__ import annotations
 import functools
 
 from .encodings import encode_model
-from .models import MAJORANA_C, MAJORANA_D, NUMBER, FermionOperator, LatticeSpec, hopping_pair
-from .models import hubbard, hubbard_terms
+from .models import FermionOperator, LatticeSpec, hopping_pair, hubbard, hubbard_terms
+from .models import number_product
 from .pauli import _PHASES, DENSE_CAP_DEFAULT, DenseCapError, PauliString, QubitOperator, _mul_masks
 from .pauli import _add_terms, _Value
 
@@ -184,31 +185,29 @@ class LsfsSpec(_Value):
                 table[j, k] = (x, z, _epsilon(j, k) * _PHASES[exp])
         return table
 
-    def factor_maps(self, factors) -> list[dict]:
-        """n_k is (1 - B_k) / 2 and c_j d_k on an edge is ``pairs[j, k]``, both shifted."""
-        layout, pairs, maps, rest = self.layout, self.pairs, [], list(factors)
-        b, n_v = layout.generators[1], layout.n_vertices
-        while rest:
-            mode, flavor = rest.pop(0)
-            block, j = divmod(mode, n_v)
-            shift = block * layout.n_edges
-            if flavor == NUMBER:
-                maps.append({(0, 0): 0.5 + 0j, (0, b[j] << shift): -0.5 + 0j})
-                continue
-            k_mode, partner = rest.pop(0) if rest else (None, None)
-            k = k_mode - block * n_v if (flavor, partner) == (MAJORANA_C, MAJORANA_D) else None
-            pair = pairs.get((j, k))  # also None for a k in another block
-            if pair is None:
-                raise ValueError(f"LSFS encodes n_k and c_j d_k on an edge, not {factors}")
-            x, z, coeff = pair
-            maps.append({(x << shift, z << shift): coeff})
-        return maps
+    def monomial(self, indices) -> tuple[int, int, complex]:
+        """Product of the pairs c_j d_k of ``indices``, in order: ``pairs[j, k]`` on an edge
+        and i B_k for j = k, each shifted into the spin block of j and k."""
+        if len(indices) % 2:
+            raise ValueError(f"LSFS encodes products of pairs c_j d_k, not {indices}")
+        n_v, b = self.layout.n_vertices, self.layout.generators[1]
+        x = z = exp = 0
+        coeff = 1 + 0j
+        for c, d in zip(indices[::2], indices[1::2]):
+            block, j = divmod(c >> 1, n_v)
+            k = (d >> 1) - block * n_v  # outside [0, n_v) for a d_k in another block
+            pair = (0, b[k], 1j) if j == k else self.pairs.get((j, k))
+            if c & 1 or not d & 1 or pair is None:
+                raise ValueError(f"LSFS encodes c_j d_k on an edge or a vertex, not {indices}")
+            shift = block * self.layout.n_edges
+            x, z, step = _mul_masks(x, z, pair[0] << shift, pair[1] << shift)
+            exp, coeff = exp + step, coeff * pair[2]
+        return x, z, coeff * _PHASES[exp % 4]
 
 
 def number_term(layout: EdgeLayout, k: int) -> QubitOperator:
     """Occupation of vertex k: (1 - B_k) / 2."""
-    model = FermionOperator.term(layout.n_vertices, 1.0, ((k, NUMBER),))
-    return encode_model(LsfsSpec(layout), model)
+    return encode_model(LsfsSpec(layout), number_product(layout.n_vertices, (k,), 1.0))
 
 
 def hopping_term(layout: EdgeLayout, j: int, k: int) -> QubitOperator:

@@ -1,8 +1,11 @@
 """Fermionic lattice Hamiltonians and the combinatorics shared by encoders.
 
-Models are plain sums of factor products over spin-orbital modes: ladder
-(``+``, ``-``), number (``n``) and Majorana factors c_j = a_j + a^dag_j
-(``c``) and d_j = i (a^dag_j - a_j) (``d``); a hop is two Majorana pairs.
+Models are sums of Majorana monomials over spin-orbital modes, the normal
+form of Bravyi and Kitaev (Ann. Phys. 298, 210 (2002)).  Majorana 2j is
+c_j = a_j + a^dag_j and 2j + 1 is d_j = i (a^dag_j - a_j); a term is
+(coeff, monomial), the monomial a tuple of Majorana indices in written
+order, never sorted.  A hop is two monomials c_i d_j and c_j d_i, the
+number operator n_j = (1 + i c_j d_j) / 2 is two and n_i n_j is four.
 A lattice is its sides: (w, h) for a w x h rectangle (w columns, h rows)
 and (w,) * D for a hypercube of dimension D and side w.  Site ids are mixed
 radix over the sides, axis 0 fastest (r * w + c on a rectangle).  A lattice
@@ -25,29 +28,19 @@ from typing import Iterable, Sequence
 
 from .pauli import DENSE_CAP_DEFAULT, DenseCapError, _Value
 
-RAISE = "+"
-LOWER = "-"
-NUMBER = "n"
-MAJORANA_C = "c"
-MAJORANA_D = "d"
-_FLAVORS = (RAISE, LOWER, NUMBER, MAJORANA_C, MAJORANA_D)
-
-Factor = tuple[int, str]
-Term = tuple[complex, tuple[Factor, ...]]
+Term = tuple[complex, tuple[int, ...]]
 
 
 class FermionOperator(_Value):
-    """A sum of products of site-indexed ladder, number and Majorana factors."""
+    """A sum of Majorana monomials: (coeff, indices), index 2j = c_j and 2j + 1 = d_j."""
 
     __slots__ = ("n_modes", "terms")
 
     def __init__(self, n_modes: int, terms: tuple[Term, ...]):
-        for coeff, factors in terms:
-            for mode, flavor in factors:
-                if not 0 <= mode < n_modes:
-                    raise IndexError(f"mode {mode} outside register of {n_modes}")
-                if flavor not in _FLAVORS:
-                    raise ValueError(f"unknown factor flavor {flavor!r}")
+        for coeff, monomial in terms:
+            for index in monomial:
+                if not 0 <= index < 2 * n_modes:
+                    raise IndexError(f"Majorana {index} outside register of {n_modes} modes")
         self.n_modes, self.terms = n_modes, terms
 
     @classmethod
@@ -56,9 +49,9 @@ class FermionOperator(_Value):
 
     @classmethod
     def term(
-        cls, n_modes: int, coeff: complex, factors: Iterable[Factor]
+        cls, n_modes: int, coeff: complex, monomial: Iterable[int]
     ) -> "FermionOperator":
-        return cls(n_modes, ((complex(coeff), tuple(factors)),))
+        return cls(n_modes, ((complex(coeff), tuple(monomial)),))
 
     def __add__(self, other: "FermionOperator") -> "FermionOperator":
         if not isinstance(other, FermionOperator):
@@ -80,7 +73,8 @@ class FermionOperator(_Value):
 
 
 class LatticeSpec(_Value):
-    """Rectangular or hypercubic lattice with a site ordering and spin layout."""
+    """Rectangular or hypercubic lattice with a site ordering and spin layout; ``snake`` is a
+    raster along the short side, not the boustrophedon of ``aux_fermion.snake_path``."""
 
     __slots__ = ("kind", "w", "h", "dim", "ordering", "__dict__")
 
@@ -111,7 +105,7 @@ class LatticeSpec(_Value):
         radix over them, axis 0 fastest."""
         return (self.w, self.h) if self.kind == "rectangle" else (self.w,) * self.dim
 
-    @functools.cached_property  # mode_index reads it once per factor
+    @functools.cached_property  # mode_index reads it once per mode
     def n_sites(self) -> int:
         return math.prod(self.sides)
 
@@ -157,8 +151,17 @@ def hopping_pair(n_modes: int, i: int, j: int, coeff: complex = 1.0) -> FermionO
     if i == j:
         raise ValueError("hopping needs two distinct modes")
     pair = 0.5j * coeff
-    c, d = MAJORANA_C, MAJORANA_D
-    return FermionOperator(n_modes, ((pair, ((i, c), (j, d))), (pair, ((j, c), (i, d)))))
+    return FermionOperator(n_modes, ((pair, (2 * i, 2 * j + 1)), (pair, (2 * j, 2 * i + 1))))
+
+
+def number_product(n_modes: int, modes: Sequence[int], coeff: complex) -> FermionOperator:
+    """coeff * n_a n_b ... over distinct ``modes``, each n_j = (1 + i c_j d_j) / 2 expanded
+    factor by factor: every term so far, then that term times i c_j d_j."""
+    terms = [(complex(coeff / 2 ** len(modes)), ())]
+    for m in modes:
+        pair = (2 * m, 2 * m + 1)
+        terms = [t for c, mono in terms for t in ((c, mono), (1j * c, mono + pair))]
+    return FermionOperator(n_modes, tuple(terms))
 
 
 def hubbard_terms(
@@ -179,12 +182,11 @@ def hubbard_terms(
                 out.append((klass, hop))
     for site in range(spec.n_sites):
         if u != 0.0:
-            pair = ((spec.mode_index(site, 1), NUMBER), (spec.mode_index(site, 0), NUMBER))
-            out.append(("density-density", FermionOperator.term(n, u, pair)))
+            pair = (spec.mode_index(site, 1), spec.mode_index(site, 0))
+            out.append(("density-density", number_product(n, pair, u)))
         if eps != 0.0:
             for spin in spins:
-                number = ((spec.mode_index(site, spin), NUMBER),)
-                out.append(("onsite", FermionOperator.term(n, eps, number)))
+                out.append(("onsite", number_product(n, (spec.mode_index(site, spin),), eps)))
     return out
 
 
@@ -200,32 +202,27 @@ def hubbard(spec: LatticeSpec, t: float, u: float, eps: float = 0.0) -> FermionO
 # Fock-space oracle.
 #
 # Basis state s has occupancy n_j = bit j of s.  A term acts on one basis
-# state at a time, its rightmost factor first: a factor kills the state
-# (a_j needs n_j = 1, a^dag_j needs n_j = 0, n_j keeps an occupied one,
-# c_j and d_j keep all; d_j multiplies by i if n_j = 0 and by -i if
-# n_j = 1), and every factor but n_j then multiplies by (-1)^(number of
-# occupied modes below j) and flips bit j.  This is a direct occupation-
-# number construction and shares no code with the Pauli-string pathway.
+# state at a time, its rightmost Majorana first, and no Majorana kills a
+# state: d_j multiplies by i if n_j = 0 and by -i if n_j = 1, then c_j and
+# d_j alike multiply by (-1)^(number of occupied modes below j) and flip
+# bit j.  This is a direct occupation-number construction and shares no
+# code with the Pauli-string pathway.
 # ---------------------------------------------------------------------------
 
 
 def fock_column(op: FermionOperator, state: int) -> dict[int, complex]:
     """Column ``state`` of the Fock matrix of ``op``, as {row state: amplitude}."""
     column: dict[int, complex] = {}
-    for coeff, factors in op.terms:
+    for coeff, monomial in op.terms:
         s, amp = state, coeff
-        for mode, flavor in reversed(factors):
-            occupied = s >> mode & 1 == 1
-            if flavor == MAJORANA_D:
-                amp *= -1j if occupied else 1j
-            elif flavor != MAJORANA_C and occupied == (flavor == RAISE):
-                break  # a^dag_j kills an occupied mode, a_j and n_j an empty one
-            if flavor != NUMBER:
-                amp = -amp if (s & ((1 << mode) - 1)).bit_count() % 2 else amp
-                s ^= 1 << mode
-        else:
-            column[s] = column.get(s, 0j) + amp
-    return column
+        for index in reversed(monomial):
+            mode = index >> 1
+            if index & 1:
+                amp *= -1j if s >> mode & 1 else 1j
+            amp = -amp if (s & ((1 << mode) - 1)).bit_count() % 2 else amp
+            s ^= 1 << mode
+        column[s] = column.get(s, 0j) + amp
+    return {s: amp for s, amp in column.items() if amp}
 
 
 def fock_matrix(op: FermionOperator, cap: int = DENSE_CAP_DEFAULT):

@@ -11,7 +11,8 @@ touches floating point.
 A ``QubitOperator`` keys each term by the ``(x_mask, z_mask)`` pair of a
 phase-free letter string; a string's phase is folded into the
 coefficient when the string enters the operator.  Products of masks follow
-one phase rule (``_mul_masks``), shared by operators, strings and LSFS tables.
+one phase rule (``_mul_masks``), shared by operators, strings and the
+encoders' monomial folds.
 
 Long sums are accumulated in place in one term map (``_add_terms``, as
 ``encode_model`` and the LSFS penalty do): the coefficients and term order
@@ -63,16 +64,6 @@ def _mul_masks(xa: int, za: int, xb: int, zb: int) -> tuple[int, int, int]:
 def _commutes(xa: int, za: int, xb: int, zb: int) -> bool:
     """True iff the two strings' symplectic inner product is even."""
     return not ((xa & zb) ^ (za & xb)).bit_count() % 2
-
-
-def _mul_terms(a: dict, b: dict) -> dict:
-    """Product of two ``{(x_mask, z_mask): coeff}`` maps, exact zeros dropped."""
-    out = {}
-    for (xa, za), ca in a.items():
-        for (xb, zb), cb in b.items():
-            x, z, exp = _mul_masks(xa, za, xb, zb)
-            out[x, z] = out.get((x, z), 0j) + ca * cb * _PHASES[exp]
-    return {key: c for key, c in out.items() if c}
 
 
 def _add_terms(terms: dict, items: Iterable[tuple[tuple[int, int], complex]]):
@@ -286,7 +277,11 @@ class QubitOperator:
             return NotImplemented
         _check_same_size(self, other)
         out = QubitOperator(self.n_qubits)
-        out._terms = _mul_terms(self._terms, other._terms)
+        for (xa, za), ca in self._terms.items():
+            for (xb, zb), cb in other._terms.items():
+                x, z, exp = _mul_masks(xa, za, xb, zb)
+                out._terms[x, z] = out._terms.get((x, z), 0j) + ca * cb * _PHASES[exp]
+        out._prune()
         return out
 
     def max_weight(self) -> int:

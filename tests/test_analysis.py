@@ -232,7 +232,8 @@ class TestBlockZeroStream:
         for lat in (LatticeSpec.rectangle(4, 3), LatticeSpec.rectangle(5, 3, "row_major"),
                     LatticeSpec.hypercube(3, 2)):
             both = hubbard_terms(lat, 1.0, 1.0)
-            block0 = [(k, p) for k, p in both if min(m for m, _ in p.terms[0][1]) < lat.n_sites]
+            block0 = [(k, p) for k, p in both
+                      if min(i for _, m in p.terms for i in m) // 2 < lat.n_sites]
             assert hubbard_terms(lat, 1.0, 1.0, spins=(0,)) == block0
 
 

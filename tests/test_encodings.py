@@ -16,17 +16,16 @@ from fermap.encodings import (
 )
 from fermap.fenwick import FenwickForest
 from fermap.models import (
-    LOWER,
-    NUMBER,
-    RAISE,
     FermionOperator,
     LatticeSpec,
     fock_matrix,
     hopping_pair,
     hubbard,
+    number_product,
 )
 from fermap.pauli import PauliString, QubitOperator
 from fermap.verify import random_forest_spec
+from ladders import LOWER, RAISE, ladder_operator, ladder_term
 
 
 def single(n, ops, coeff=1.0):
@@ -35,17 +34,17 @@ def single(n, ops, coeff=1.0):
 
 def number_op(spec, j):
     """n_j through the one synthesis path."""
-    return encode_model(spec, FermionOperator.term(spec.n_modes, 1.0, ((j, NUMBER),)))
+    return encode_model(spec, number_product(spec.n_modes, (j,), 1.0))
 
 
 def lowering(spec, j):
     """a_j = (c_j + i d_j) / 2, through the one synthesis path."""
-    return encode_model(spec, FermionOperator.term(spec.n_modes, 1.0, ((j, LOWER),)))
+    return encode_model(spec, ladder_term(spec.n_modes, 1.0, ((j, LOWER),)))
 
 
 def raising(spec, j):
     """a^dag_j = (c_j - i d_j) / 2, through the one synthesis path."""
-    return encode_model(spec, FermionOperator.term(spec.n_modes, 1.0, ((j, RAISE),)))
+    return encode_model(spec, ladder_term(spec.n_modes, 1.0, ((j, RAISE),)))
 
 
 class TestKind:
@@ -202,7 +201,7 @@ class TestLadder:
         n = 5
         spec = EncodingSpec.jordan_wigner(n)
         for j in range(n):
-            oracle = fock_matrix(FermionOperator.term(n, 1.0, ((j, LOWER),)))
+            oracle = fock_matrix(ladder_term(n, 1.0, ((j, LOWER),)))
             assert np.array_equal(lowering(spec, j).to_dense(), oracle)
 
 
@@ -279,11 +278,11 @@ class TestHoppingOp:
                     hop = hopping_op(spec, i, j)
                     assert is_hermitian(hop)
                     oracle = fock_matrix(
-                        FermionOperator(
+                        ladder_operator(
                             n,
                             (
-                                (1.0, ((i, "+"), (j, "-"))),
-                                (1.0, ((j, "+"), (i, "-"))),
+                                (1.0, ((i, RAISE), (j, LOWER))),
+                                (1.0, ((j, RAISE), (i, LOWER))),
                             ),
                         )
                     )
@@ -348,7 +347,7 @@ class TestEncodeModel:
     def test_model_too_large(self):
         enc = EncodingSpec.jordan_wigner(2)
         with pytest.raises(IndexError):
-            encode_model(enc, FermionOperator.term(4, 1.0, ((3, "n"),)))
+            encode_model(enc, FermionOperator.term(4, 1.0, (6, 7)))
 
 
 def fock_to_qubit_basis(forest):

@@ -19,7 +19,7 @@ from fermap.lsfs import (
     single_spin_hamiltonian,
     stabilizers,
 )
-from fermap.models import FermionOperator, LatticeSpec, fock_matrix, hubbard
+from fermap.models import FermionOperator, LatticeSpec, fock_matrix, hubbard, number_product
 from fermap.pauli import DenseCapError, PauliString, QubitOperator
 
 
@@ -403,28 +403,38 @@ class TestPairTable:
     @pytest.mark.parametrize(
         "factors",
         [
-            ((0, "-"),),  # a lone ladder factor
-            ((0, "+"), (1, "-")),  # a ladder hop
-            ((0, "c"),),  # c without d
-            ((0, "c"), (1, "c")),  # c followed by another c
-            ((1, "d"), (0, "c")),  # d before c
-            ((0, "c"), (4, "d")),  # c_j d_k off an edge (0 and 4 are diagonal)
-            ((0, "c"), (0, "d")),  # one vertex
-            ((0, "c"), (10, "d")),  # across spin blocks: vertex 0 down, vertex 1 up
-            ((9, "c"), (1, "d")),  # across spin blocks: vertex 0 up, vertex 1 down
+            (0,),  # a lone c: an odd monomial, which a pair fold would drop
+            (0, 3, 2),  # an edge pair, then a lone c
+            (0, 2),  # c followed by another c
+            (3, 0),  # d before c
+            (0, 9),  # c_j d_k off an edge (0 and 4 are diagonal)
+            (1, 0),  # d_k c_k at one vertex, d first
+            (0, 21),  # across spin blocks: vertex 0 down, vertex 1 up
+            (18, 3),  # across spin blocks: vertex 0 up, vertex 1 down
+            (0, 3, 3, 0),  # an edge pair, then the reversed pair d_1 c_0
         ],
     )
     def test_refuses_what_it_cannot_encode(self, factors):
         spec = LsfsSpec(EdgeLayout(3, 3), 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="LSFS encodes"):
             encode_model(spec, FermionOperator.term(spec.n_modes, 1.0, factors))
+
+    def test_vertex_pair_is_i_times_the_vertex_generator(self):
+        # c_k d_k = i B_k in each spin block, so n_k = (1 + i c_k d_k) / 2 = (1 - B_k) / 2.
+        lay = EdgeLayout(3, 2)
+        spec, n_v, n_e = LsfsSpec(lay, 2), lay.n_vertices, lay.n_edges
+        for offset, block in ((0, 0), (n_e, n_v)):
+            for k in range(n_v):
+                pair = FermionOperator.term(2 * n_v, 1.0, (2 * (k + block), 2 * (k + block) + 1))
+                expected = embedded(1j * b_op(lay, k), 2 * n_e, offset)
+                assert encode_model(spec, pair) == expected
 
     def test_pair_is_signed_edge_times_vertex_generator(self):
         lay = EdgeLayout(3, 3)
         spec = LsfsSpec(lay)
         for u, v in lay.edges():
             for j, k in ((u, v), (v, u)):
-                pair = encode_model(spec, FermionOperator.term(9, 1.0, ((j, "c"), (k, "d"))))
+                pair = encode_model(spec, FermionOperator.term(9, 1.0, (2 * j, 2 * k + 1)))
                 assert pair == a_op(lay, j, k) * b_op(lay, k)
 
     @pytest.mark.parametrize("w,h", [(w, h) for w in range(2, 6) for h in range(2, 5)])
@@ -446,12 +456,12 @@ class TestPairTable:
         assert (spec.n_modes, spec.n_qubits) == (2 * n_v, 2 * n_e)
         for offset, block in ((0, 0), (n_e, n_v)):
             for u, v in lay.edges():
-                hop = FermionOperator(2 * n_v, ((1.0, ((u + block, "c"), (v + block, "d"))),))
-                single = FermionOperator(n_v, ((1.0, ((u, "c"), (v, "d"))),))
+                hop = FermionOperator.term(2 * n_v, 1.0, (2 * (u + block), 2 * (v + block) + 1))
+                single = FermionOperator.term(n_v, 1.0, (2 * u, 2 * v + 1))
                 expected = embedded(encode_model(LsfsSpec(lay), single), 2 * n_e, offset)
                 assert encode_model(spec, hop) == expected
             for k in range(n_v):
-                n_k = FermionOperator.term(2 * n_v, 1.0, ((k + block, "n"),))
+                n_k = number_product(2 * n_v, (k + block,), 1.0)
                 assert encode_model(spec, n_k) == embedded(number_term(lay, k), 2 * n_e, offset)
 
 

@@ -9,19 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermap.models import (
-    LOWER,
-    MAJORANA_C,
-    MAJORANA_D,
-    NUMBER,
-    RAISE,
     FermionOperator,
     LatticeSpec,
     fock_matrix,
     hopping_pair,
     hubbard,
     hubbard_terms,
+    number_product,
 )
 from fermap.pauli import DenseCapError
+from ladders import LOWER, NUMBER, RAISE, ladder_term
 
 
 def total_number_matrix(n_modes):
@@ -30,12 +27,9 @@ def total_number_matrix(n_modes):
 
 
 def hermitian_conjugate(op):
-    """The adjoint term by term: conjugated coefficient, reversed flipped factors."""
-    flip = {RAISE: LOWER, LOWER: RAISE}  # n, c and d are Hermitian
-    terms = tuple(
-        (coeff.conjugate(), tuple((m, flip.get(fl, fl)) for m, fl in reversed(factors)))
-        for coeff, factors in op.terms
-    )
+    """The adjoint term by term: conjugated coefficient, reversed monomial (each
+    Majorana is Hermitian)."""
+    terms = tuple((coeff.conjugate(), monomial[::-1]) for coeff, monomial in op.terms)
     return FermionOperator(op.n_modes, terms)
 
 
@@ -153,10 +147,12 @@ class TestHubbard:
 
 class TestFermionOperator:
     def test_validation(self):
+        # Majorana indices run over [0, 2n): c_j is 2j, d_j is 2j + 1.
+        FermionOperator.term(2, 1.0, (0, 3))
         with pytest.raises(IndexError):
-            FermionOperator.term(2, 1.0, ((2, RAISE),))
-        with pytest.raises(ValueError):
-            FermionOperator.term(2, 1.0, ((0, "x"),))
+            FermionOperator.term(2, 1.0, (4,))
+        with pytest.raises(IndexError):
+            FermionOperator.term(2, 1.0, (1, -1))
 
     def test_hopping_pair_requires_distinct(self):
         with pytest.raises(ValueError):
@@ -165,17 +161,26 @@ class TestFermionOperator:
     @pytest.mark.parametrize("t", [1.0, -1.0, 0.73, -2.5e-3, 3.0e5])
     def test_majorana_hop_equals_ladder_hop(self, t):
         # hubbard() builds both sides of spectra_match, so this pins the
-        # sign of hopping_pair against a^dag_i a_j + a^dag_j a_i directly.
+        # sign of hopping_pair against a^dag_i a_j + a^dag_j a_i directly,
+        # on the numpy ladder matrices.
         for n in range(2, 7):
             for i, j in itertools.permutations(range(n), 2):
-                terms = ((i, RAISE), (j, LOWER)), ((j, RAISE), (i, LOWER))
-                ladder = FermionOperator(n, tuple((complex(t), f) for f in terms))
-                diff = fock_matrix(hopping_pair(n, i, j, t)) - fock_matrix(ladder)
+                ladder = sum(ladder_matrix(n, p, RAISE) @ ladder_matrix(n, q, LOWER)
+                             for p, q in ((i, j), (j, i)))
+                diff = fock_matrix(hopping_pair(n, i, j, t)) - t * ladder
                 assert np.max(np.abs(diff)) == 0
 
+    def test_number_products_equal_ladder_numbers(self):
+        # n_j = (1 + i c_j d_j) / 2 and n_i n_j, against the numpy ladder matrices.
+        n = 3
+        for modes in [(0,), (2,), (0, 1), (2, 0), (1, 2)]:
+            expected = 0.7 * np.linalg.multi_dot(
+                [np.eye(8)] + [ladder_matrix(n, m, NUMBER) for m in modes])
+            assert np.max(np.abs(fock_matrix(number_product(n, modes, 0.7)) - expected)) == 0
+
     def test_conjugate_reverses(self):
-        op = FermionOperator.term(3, 2j, ((0, RAISE), (1, LOWER)))
-        assert hermitian_conjugate(op).terms == ((-2j, ((1, RAISE), (0, LOWER))),)
+        op = FermionOperator.term(3, 2j, (0, 3))
+        assert hermitian_conjugate(op).terms == ((-2j, (3, 0)),)
 
 
 class TestFockOracle:
@@ -183,9 +188,9 @@ class TestFockOracle:
         n = 4
         for i in range(n):
             for j in range(n):
-                ai = fock_matrix(FermionOperator.term(n, 1.0, ((i, LOWER),)))
-                aj = fock_matrix(FermionOperator.term(n, 1.0, ((j, LOWER),)))
-                adj = fock_matrix(FermionOperator.term(n, 1.0, ((j, RAISE),)))
+                ai = fock_matrix(ladder_term(n, 1.0, ((i, LOWER),)))
+                aj = fock_matrix(ladder_term(n, 1.0, ((j, LOWER),)))
+                adj = fock_matrix(ladder_term(n, 1.0, ((j, RAISE),)))
                 anti = ai @ adj + adj @ ai
                 expected = np.eye(16) if i == j else np.zeros((16, 16))
                 assert np.max(np.abs(anti - expected)) < 1e-12
@@ -194,17 +199,15 @@ class TestFockOracle:
     def test_number_is_raise_lower(self):
         n = 3
         for j in range(n):
-            nj = fock_matrix(FermionOperator.term(n, 1.0, ((j, NUMBER),)))
-            pair = fock_matrix(
-                FermionOperator.term(n, 1.0, ((j, RAISE), (j, LOWER)))
-            )
+            nj = fock_matrix(number_product(n, (j,), 1.0))
+            pair = fock_matrix(ladder_term(n, 1.0, ((j, RAISE), (j, LOWER))))
             assert np.array_equal(nj, pair)
 
     def test_vacuum_and_filling(self):
         n = 3
         vac = np.zeros(8)
         vac[0] = 1.0
-        a0_dag = fock_matrix(FermionOperator.term(n, 1.0, ((0, RAISE),)))
+        a0_dag = fock_matrix(ladder_term(n, 1.0, ((0, RAISE),)))
         one = a0_dag @ vac
         assert one[1] == 1.0
         n_tot = total_number_matrix(n)
@@ -227,15 +230,7 @@ class TestOrderingLocality:
 
 
 def ladder_matrix(n_modes, mode, flavor):
-    """Dense 2^n x 2^n matrix of one ladder, number or Majorana factor.
-
-    c = a + a^dag and d = i (a^dag - a), from the ladder matrices.
-    """
-    if flavor == MAJORANA_C:
-        return ladder_matrix(n_modes, mode, LOWER) + ladder_matrix(n_modes, mode, RAISE)
-    if flavor == MAJORANA_D:
-        lower, raise_ = (ladder_matrix(n_modes, mode, f) for f in (LOWER, RAISE))
-        return 1j * (raise_ - lower)
+    """Dense 2^n x 2^n matrix of one ladder or number operator."""
     dim = 1 << n_modes
     states = np.arange(dim, dtype=np.uint64)
     bit = np.uint64(1 << mode)
@@ -251,14 +246,21 @@ def ladder_matrix(n_modes, mode, flavor):
     return mat
 
 
+def majorana_matrix(n_modes, index):
+    """c_j = a + a^dag (index 2j) or d_j = i (a^dag - a) (index 2j + 1), from the ladder
+    matrices."""
+    lower, raise_ = (ladder_matrix(n_modes, index >> 1, f) for f in (LOWER, RAISE))
+    return 1j * (raise_ - lower) if index & 1 else lower + raise_
+
+
 def ladder_product(op):
-    """Reference Fock matrix: each term as a product of factor matrices."""
+    """Reference Fock matrix: each term as a product of Majorana matrices."""
     dim = 1 << op.n_modes
     total = np.zeros((dim, dim), dtype=complex)
-    for coeff, factors in op.terms:
+    for coeff, monomial in op.terms:
         acc = np.eye(dim, dtype=complex)
-        for mode, flavor in factors:  # leftmost factor acts last
-            acc = acc @ ladder_matrix(op.n_modes, mode, flavor)
+        for index in monomial:  # leftmost Majorana acts last
+            acc = acc @ majorana_matrix(op.n_modes, index)
         total += coeff * acc
     return total
 
@@ -273,14 +275,13 @@ COEFFICIENTS = st.one_of(
 @st.composite
 def fermion_operators(draw):
     n = draw(st.integers(1, 6))
-    flavors = st.sampled_from([RAISE, LOWER, NUMBER, MAJORANA_C, MAJORANA_D])
-    factor = st.tuples(st.integers(0, n - 1), flavors)
-    term = st.tuples(COEFFICIENTS.map(complex), st.lists(factor, max_size=4).map(tuple))
+    monomial = st.lists(st.integers(0, 2 * n - 1), max_size=4).map(tuple)
+    term = st.tuples(COEFFICIENTS.map(complex), monomial)
     return FermionOperator(n, tuple(draw(st.lists(term, max_size=5))))
 
 
 class TestFockExactness:
-    """``fock_matrix`` equals the factor-matrix product byte for byte."""
+    """``fock_matrix`` equals the Majorana-matrix product byte for byte."""
 
     @settings(max_examples=300, deadline=None)
     @given(fermion_operators())

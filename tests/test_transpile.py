@@ -69,27 +69,13 @@ def naive_majorana(spec, j, flavor):
     return QubitOperator.from_paulistring(PauliString.from_ops(spec.n_modes, ops))
 
 
-def naive_factor(spec, mode, flavor):
-    n = spec.n_modes
-    if flavor in ("c", "d"):
-        return naive_majorana(spec, mode, flavor)
-    if flavor == "n":
-        children = reference(spec.forest)[0]
-        zs = [(q, "Z") for q in children[mode]] + [(mode, "Z")]
-        z_string = QubitOperator.from_paulistring(PauliString.from_ops(n, zs))
-        return plus(QubitOperator.identity(n, 0.5), (-0.5) * z_string)
-    sign = 0.5j if flavor == "-" else -0.5j
-    c, d = naive_majorana(spec, mode, "c"), naive_majorana(spec, mode, "d")
-    return plus(0.5 * c, sign * d)
-
-
 def naive_encode(spec, model):
     n = spec.n_modes
     total = QubitOperator.zero(n)
-    for coeff, factors in model.terms:
+    for coeff, monomial in model.terms:
         acc = QubitOperator.identity(n)
-        for mode, flavor in factors:
-            acc = times(acc, naive_factor(spec, mode, flavor))
+        for index in monomial:
+            acc = times(acc, naive_majorana(spec, index >> 1, "d" if index & 1 else "c"))
         total = plus(total, coeff * acc)
     return total
 
@@ -242,13 +228,14 @@ class TestExactness:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_encode_model_edge_terms(self, data):
-        """Terms of 0-3 factors: lone n_j or c_j, repeated modes, signed-zero coefficients."""
+        """Monomials of 0-4 Majoranas: lone c_j or d_j, repeated indices, signed-zero
+        coefficients."""
         n = data.draw(st.integers(1, 5))
         spec = random_forest_spec(n, random.Random(data.draw(st.integers(0, 99))))
         parts = st.sampled_from([0.0, -0.0, 0.5, -1.25]) | st.floats(-4, 4)
         coeffs = st.builds(complex, parts, parts) | parts
-        factors = st.tuples(st.integers(0, n - 1), st.sampled_from(["+", "-", "n", "c", "d"]))
-        terms = st.tuples(coeffs, st.lists(factors, max_size=3).map(tuple))
+        monomials = st.lists(st.integers(0, 2 * n - 1), max_size=4).map(tuple)
+        terms = st.tuples(coeffs, monomials)
         model = FermionOperator(n, tuple(data.draw(st.lists(terms, max_size=6))))
         assert_identical(encode_model(spec, model), naive_encode(spec, model))
 
@@ -351,9 +338,8 @@ class TestWorkCount:
         assert sum(builds.values()) == 1
 
     def test_hop_is_two_string_products(self, monkeypatch):
-        # A hop is two Majorana pairs, each one table product; the ladder
-        # form took 8, and 4 of them cancelled.  LSFS keeps each pair's
-        # product in its table, so its hops multiply nothing.
+        # A hop is two monomials c_i d_j and c_j d_i, each one string: a forest
+        # folds its two table entries from the identity, LSFS its one pair entry.
         products = Counter()
         mul_masks = pauli._mul_masks
 
@@ -361,13 +347,15 @@ class TestWorkCount:
             products["n"] += 1
             return mul_masks(*args)
 
-        monkeypatch.setattr(pauli, "_mul_masks", counted)
+        for module in (encodings, lsfs):
+            monkeypatch.setattr(module, "_mul_masks", counted)
         layout = lsfs.EdgeLayout(4, 3)
         specs = [EncodingSpec.jordan_wigner(12), EncodingSpec.bravyi_kitaev(12)]
         specs += [random_forest_spec(12, random.Random(7)), lsfs.LsfsSpec(layout)]
         for spec in specs:
-            hops = layout.edges() if isinstance(spec, lsfs.LsfsSpec) else [(0, 11), (3, 4), (5, 9)]
-            for i, j in hops:
+            is_lsfs = isinstance(spec, lsfs.LsfsSpec)
+            assert spec.pairs if is_lsfs else spec.majoranas  # tables built before counting
+            for i, j in layout.edges() if is_lsfs else [(0, 11), (3, 4), (5, 9)]:
                 products.clear()
                 encode_model(spec, hopping_pair(12, i, j, 0.7))
-                assert products["n"] == (0 if isinstance(spec, lsfs.LsfsSpec) else 2)
+                assert products["n"] == (2 if is_lsfs else 4)

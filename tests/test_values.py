@@ -19,8 +19,8 @@ CHECK = CheckResult("car", "pass", 0.0, 0.25, "ok")
 CASES = {
     PauliString: ({"n_qubits": 3, "x_mask": 1, "z_mask": 6, "phase_exp": 1},
                   {"n_qubits": 4, "x_mask": 3, "z_mask": 2, "phase_exp": 2}),
-    FermionOperator: ({"n_modes": 2, "terms": ((1 + 0j, ((0, "c"), (1, "d"))),)},
-                      {"n_modes": 3, "terms": ((2 + 0j, ((0, "c"), (1, "d"))),)}),
+    FermionOperator: ({"n_modes": 2, "terms": ((1 + 0j, (0, 3)),)},
+                      {"n_modes": 3, "terms": ((2 + 0j, (0, 3)),)}),
     LatticeSpec: ({"kind": "rectangle", "w": 3, "h": 2, "dim": 2, "ordering": "row_major"},
                   {"kind": "hypercube", "w": 4, "h": 1, "dim": 3, "ordering": "snake"}),
     FenwickForest: ({name: getattr(FOREST, name) for name in FenwickForest.__slots__},

@@ -5,15 +5,15 @@ import json
 import math
 import operator
 import random
+from collections import Counter
 
 import pytest
-from test_encodings import lowering, raising
+from ladders import LOWER, RAISE, ladder_term
 
-from fermap import encodings, lsfs, verify
+from fermap import lsfs, verify
 from fermap.encodings import EncodingSpec, encode_model, model_encoding
 from fermap.lsfs import EdgeLayout, LsfsSpec, hubbard_lsfs, stabilizers
-from fermap.models import LOWER, MAJORANA_C, MAJORANA_D, NUMBER, RAISE, FermionOperator
-from fermap.models import LatticeSpec, fock_column, hubbard
+from fermap.models import FermionOperator, LatticeSpec, fock_column, hubbard
 from fermap.pauli import PauliString, QubitOperator
 from fermap.verify import (
     check_car,
@@ -106,48 +106,6 @@ class TestCar:
             assert not result.passed
             assert result.detail.startswith("pair (")
             assert result.max_residual == 2.0
-
-    @pytest.mark.parametrize("flavor", [LOWER, RAISE])
-    @pytest.mark.parametrize(
-        "spec", [EncodingSpec.jordan_wigner(7), EncodingSpec.bravyi_kitaev(7),
-                 EncodingSpec.from_segments([2, 3, 4])], ids=["jw", "bk", "forest"],
-    )
-    def test_broken_ladder_map_names_its_mode(self, spec, flavor, monkeypatch):
-        # Only mode 3's a_3 (or a^dag_3) map is wrong: its d_j weight doubles.
-        ladder_terms = encodings._ladder_terms
-
-        def broken(spec, j, flavor_j):
-            terms = ladder_terms(spec, j, flavor_j)
-            if (j, flavor_j) != (3, flavor):
-                return terms
-            x, _, z_d = spec.majoranas[j]
-            return {**terms, (x, z_d): 2 * terms[x, z_d]}
-
-        monkeypatch.setattr(encodings, "_ladder_terms", broken)
-        x, z_c, z_d = spec.majoranas[3]
-        c, d = PauliString(spec.n_modes, x, z_c), PauliString(spec.n_modes, x, z_d)
-        sign, ladder = (1, lowering) if flavor == LOWER else (-1, raising)
-        diff = ladder(spec, 3) - QubitOperator(spec.n_modes, {c: 0.5, d: sign * 0.5j})
-        result = check_car(spec)
-        assert (result.status, result.detail) == ("fail", "mode 3")
-        assert result.max_residual == max(map(abs, diff.terms.values())) == 0.5
-
-    @pytest.mark.parametrize(
-        "spec", [EncodingSpec.jordan_wigner(7), EncodingSpec.bravyi_kitaev(7),
-                 EncodingSpec.from_segments([2, 3, 4])], ids=["jw", "bk", "forest"],
-    )
-    def test_mode_permuted_ladder_maps_fail(self, spec, monkeypatch):
-        # a_j is mapped to a_{j+1}: the sum over j is unchanged, each mode is not.
-        ladder_terms = encodings._ladder_terms
-
-        def permuted(spec, j, flavor):
-            if flavor in (LOWER, RAISE):
-                j = (j + 1) % spec.n_modes
-            return ladder_terms(spec, j, flavor)
-
-        monkeypatch.setattr(encodings, "_ladder_terms", permuted)
-        result = check_car(spec)
-        assert (result.status, result.detail, result.max_residual) == ("fail", "mode 0", 0.5)
 
 
 class TestLsfsAlgebra:
@@ -314,6 +272,30 @@ class TestSpectraMatch:
         assert (result.status, result.max_residual) == ("fail", 2.0)
 
 
+def patch_pairs(monkeypatch, change):
+    """Replace each ``LsfsSpec.pairs`` entry (x, z, coeff) of edge ``key`` by
+    ``change(key, x, z, coeff)``."""
+    build = LsfsSpec.__dict__["pairs"].func
+    table = property(lambda spec: {key: change(key, *entry) for key, entry in build(spec).items()})
+    monkeypatch.setattr(LsfsSpec, "pairs", table)
+
+
+def patch_monomial(monkeypatch, cls, sign):
+    """Multiply every string that ``cls.monomial`` returns by ``sign(indices)``."""
+    original = cls.monomial
+
+    def signed(spec, indices):
+        x, z, coeff = original(spec, indices)
+        return x, z, sign(indices) * coeff
+
+    monkeypatch.setattr(cls, "monomial", signed)
+
+
+def vertex_pairs(indices):
+    """How many of the monomial's pairs are c_k d_k, the i c_k d_k of an n_k."""
+    return sum(d == c + 1 and c % 2 == 0 for c, d in zip(indices[::2], indices[1::2]))
+
+
 class TestSectorMatch:
     def test_2x2_hopping(self):
         result = lsfs_sector_match(2, 2, t=1.0)
@@ -340,19 +322,14 @@ class TestSectorMatch:
         [("identity-pairs", 0.0, 1.0), ("pairs-leave-the-codespace", 1.0, 2**0.5)],
     )
     def test_pair_maps_unseen_by_the_hamiltonian(self, mutation, eps, residual, monkeypatch):
-        # At t = 0 no term reads the pair maps.  Identity pairs make every
-        # psi_s the vacuum (not orthonormal); a Z on edge qubit 0 with each
-        # pair keeps the occupations but anticommutes with the loop.
-        factor_maps = LsfsSpec.factor_maps
+        # At t = 0 no term reads the edge pair table, only the walk does.
+        # Identity pairs make every psi_s the vacuum (not orthonormal); a Z on
+        # edge qubit 0 with each pair keeps the occupations but anticommutes
+        # with the loop.
+        def broken(key, x, z, c):
+            return (0, 0, c) if mutation == "identity-pairs" else (x, z ^ 1, c)
 
-        def broken(spec, factors):
-            maps = factor_maps(spec, factors)
-            if factors[0][1] == NUMBER:
-                return maps
-            (((x, z), c),) = maps[0].items()
-            return [{(0, 0) if mutation == "identity-pairs" else (x, z ^ 1): c}]
-
-        monkeypatch.setattr(LsfsSpec, "factor_maps", broken)
+        patch_pairs(monkeypatch, broken)
         result = lsfs_sector_match(2, 2, t=0.0, eps=eps)
         assert result.status == "fail"
         assert result.max_residual == pytest.approx(residual)
@@ -361,13 +338,7 @@ class TestSectorMatch:
         # 2 c_j d_k keeps each codeword in its sector and loop-fixed, and at t = 0
         # no term reads the pairs; the 4-particle codeword is two moves out, so
         # its norm is 4 and the residual 4^2 - 1.
-        factor_maps = LsfsSpec.factor_maps
-
-        def scaled(spec, factors):
-            maps = factor_maps(spec, factors)
-            return maps if factors[0][1] == NUMBER else [{k: 2 * c for k, c in maps[0].items()}]
-
-        monkeypatch.setattr(LsfsSpec, "factor_maps", scaled)
+        patch_pairs(monkeypatch, lambda key, x, z, c: (x, z, 2 * c))
         result = lsfs_sector_match(2, 2, t=0.0, eps=1.0)
         assert result.status == "fail"
         assert result.max_residual == pytest.approx(15.0)
@@ -381,16 +352,16 @@ class TestSectorMatch:
 
 
 def majorana_moves(n):
-    return [FermionOperator.term(n, 1.0, ((j, MAJORANA_C),)) for j in range(n)]
+    return [FermionOperator.term(n, 1.0, (2 * j,)) for j in range(n)]
 
 
 def sector_walk(lattice, n_down, n_up):
     """The a^dag...a^dag seed of one (n_down, n_up) state and the spin-conserving hops."""
     n, mode = lattice.n_modes, lattice.mode_index
-    seed = FermionOperator.term(
+    seed = ladder_term(
         n, 1.0, [(mode(site, spin), RAISE) for spin, count in ((0, n_down), (1, n_up))
                  for site in range(count)])
-    hops = [FermionOperator.term(n, 1.0, ((mode(a, spin), RAISE), (mode(b, spin), LOWER)))
+    hops = [ladder_term(n, 1.0, ((mode(a, spin), RAISE), (mode(b, spin), LOWER)))
             for i, j, _ in lattice.edges() for a, b in ((i, j), (j, i)) for spin in (0, 1)]
     return seed, hops
 
@@ -404,7 +375,7 @@ def two_spin_match(w, h, loops, t=0.7, u=1.9, eps=0.3, delta=5.0):
     projector = functools.reduce(operator.mul, (0.5 * (one + s) for s in loops), one)
     code_dim = round(projector.terms.get(PauliString.identity(spec.n_qubits), 0).real
                      * 2**spec.n_qubits)
-    pairs = [FermionOperator.term(spec.n_modes, 1.0, ((j + o, MAJORANA_C), (k + o, MAJORANA_D)))
+    pairs = [FermionOperator.term(spec.n_modes, 1.0, (2 * (j + o), 2 * (k + o) + 1))
              for o in (0, n_v) for a, b in layout.edges() for j, k in ((a, b), (b, a))]
     psi = codewords(spec, None, pairs, loops)
     # On the codespace each of the 2P loops is +1, so the penalty is the constant -delta P.
@@ -493,6 +464,16 @@ class TestSharedFockSide:
         assert spectra_match(lattice, jw, bk).passed
         assert len(calls) == 256 + 256 * 8  # the model's columns, then one walk by the c_j
 
+    def test_suite_encodes_and_walks_jw_once(self, monkeypatch):
+        # The two spectra checks share JW: 8 moves and the model per forest, one walk each.
+        encodes = counted(monkeypatch, verify, "encode_model")
+        walks = counted(monkeypatch, verify, "codewords")
+        assert run_suite(forest_trials=2).status == "pass"
+        forests = [args[0].kind for args in encodes if isinstance(args[0], EncodingSpec)]
+        assert Counter(forests) == {"jw": 9, "bk": 9, "forest": 9}
+        walked = [args[0].kind for args in walks if isinstance(args[0], EncodingSpec)]
+        assert Counter(walked) == {"jw": 1, "bk": 1, "forest": 1}
+
     def test_sector_match_builds_one_projector(self, monkeypatch):
         calls = counted(monkeypatch, QubitOperator, "__mul__")
         assert lsfs_sector_match(2, 3, eps=0.5).passed
@@ -578,72 +559,34 @@ class TestSuite:
     def test_sign_flipped_number_operator_fails_spectra(self, monkeypatch):
         # n_j -> (1 + Z)/2 keeps every spectrum (particle-hole symmetry);
         # only the entrywise basis map sees it.
-        ladder_terms = encodings._ladder_terms
-
-        def flipped(spec, j, flavor):
-            terms = ladder_terms(spec, j, flavor)
-            if flavor != "n":
-                return terms
-            return {key: c if key == (0, 0) else -c for key, c in terms.items()}
-
-        monkeypatch.setattr(encodings, "_ladder_terms", flipped)
+        patch_monomial(monkeypatch, EncodingSpec, lambda indices: (-1) ** vertex_pairs(indices))
         report = run_suite(forest_trials=5)
         assert len(report.checks) == 11
         failed = [c.name for c in report.checks if c.status == "fail"]
         assert failed == ["spectra-2x2-jw-vs-bk", "spectra-2x2-jw-vs-sbk"]
 
     def test_swapped_ladder_operators_fail_car_and_spectra(self, monkeypatch):
-        # a <-> a^dag keeps CAR, so only the table's ladder equality and the
-        # entrywise spectra see it.  Hops are Majorana pairs, and a <-> a^dag
-        # is d -> -d on them.
-        ladder_terms = encodings._ladder_terms
-        swap = {LOWER: RAISE, RAISE: LOWER}
+        # a <-> a^dag is d -> -d.  The Majorana table keeps its masks, so CAR
+        # cannot see it; only the entrywise spectra do.
+        def d_sign(indices):
+            return (-1) ** sum(index % 2 for index in indices)
 
-        def swapped(spec, j, flavor):
-            terms = ladder_terms(spec, j, swap.get(flavor, flavor))
-            return {key: -c for key, c in terms.items()} if flavor == "d" else terms
-
-        monkeypatch.setattr(encodings, "_ladder_terms", swapped)
+        patch_monomial(monkeypatch, EncodingSpec, d_sign)
         report = run_suite(forest_trials=5)
         assert len(report.checks) == 11
-        failed = {c.name: c for c in report.checks if c.status == "fail"}
-        assert list(failed) == [
-            "car-jw-n7",
-            "car-bk-n7",
-            "car-random-forests-x5",
-            "spectra-2x2-jw-vs-bk",
-            "spectra-2x2-jw-vs-sbk",
-        ]
-        assert failed["car-jw-n7"].detail == "mode 0"
-        assert failed["car-jw-n7"].max_residual == 1.0
+        failed = [c.name for c in report.checks if c.status == "fail"]
+        assert failed == ["spectra-2x2-jw-vs-bk", "spectra-2x2-jw-vs-sbk"]
 
     def test_negated_edge_pair_fails_both_sectors(self, monkeypatch):
         # -A(0, 1) on edge (0, 1), both directions: pi flux through its plaquette.
-        factor_maps = LsfsSpec.factor_maps
-
-        def negated(spec, factors):
-            maps = factor_maps(spec, factors)
-            modes = [mode for mode, _ in factors]
-            if [flavor for _, flavor in factors] == [MAJORANA_C, MAJORANA_D] and {*modes} == {0, 1}:
-                return [{key: -c for key, c in maps[0].items()}]
-            return maps
-
-        monkeypatch.setattr(LsfsSpec, "factor_maps", negated)
+        patch_pairs(monkeypatch, lambda key, x, z, c: (x, z, -c if {*key} == {0, 1} else c))
         report = run_suite(forest_trials=5)
         failed = [c.name for c in report.checks if c.status == "fail"]
         assert failed == ["lsfs-sector-2x2", "lsfs-sector-2x3"]
 
     def test_flipped_lsfs_number_sign_fails_the_onsite_sector(self, monkeypatch):
         # n_k -> (1 + B_k) / 2; only lsfs-sector-2x3 has an onsite energy (eps 0.5).
-        factor_maps = LsfsSpec.factor_maps
-
-        def flipped(spec, factors):
-            maps = factor_maps(spec, factors)
-            if factors[0][1] != NUMBER:
-                return maps
-            return [{key: c if key == (0, 0) else -c for key, c in maps[0].items()}]
-
-        monkeypatch.setattr(LsfsSpec, "factor_maps", flipped)
+        patch_monomial(monkeypatch, LsfsSpec, lambda indices: (-1) ** vertex_pairs(indices))
         report = run_suite(forest_trials=5)
         failed = [c.name for c in report.checks if c.status == "fail"]
         assert failed == ["lsfs-sector-2x3"]
