@@ -15,8 +15,8 @@ masks (x, z_c, z_d) of every mode's c_j and d_j from the forest's masks
 (``EncodingSpec.majoranas``); ``lsfs.LsfsSpec`` keeps one (x, z, coeff)
 per directed edge for its Majorana pairs.  One synthesis path serves
 every spec: ``encode_model`` asks the spec for each monomial's string
-(``monomial``, a fold of table entries with ``pauli._mul_masks`` in
-written order) and sums the terms into one operator in place.
+(``monomial``: its first table entry, times each later one with
+``pauli._mul_masks`` in written order) and sums the terms in one ``_add_terms``.
 ``model_encoding`` picks a lattice model's forest, ``majorana_c``/
 ``majorana_d`` build one entry's string, and ``hopping_op`` one hop.
 """
@@ -82,11 +82,13 @@ class EncodingSpec(_Value):
         )
 
     def monomial(self, indices) -> tuple[int, int, complex]:
-        """Masks (x, z) and phase of the product of the Majoranas at ``indices``, in order."""
-        x = z = exp = 0
-        for index in indices:
-            x_j, z_c, z_d = self.majoranas[index >> 1]
-            x, z, step = _mul_masks(x, z, x_j, z_d if index & 1 else z_c)
+        """Masks (x, z) and phase of the product of the Majoranas at ``indices``, in order:
+        the first one's table entry, times each later one's with ``_mul_masks``."""
+        table, x, z, exp = self.majoranas, 0, 0, 0
+        for n, index in enumerate(indices):
+            x_j, z_c, z_d = table[index >> 1]
+            z_j = z_d if index & 1 else z_c
+            x, z, step = _mul_masks(x, z, x_j, z_j) if n else (x_j, z_j, 0)
             exp += step
         return x, z, _PHASES[exp % 4]
 
@@ -165,7 +167,6 @@ def encode_model(spec, model: FermionOperator) -> QubitOperator:
     if model.n_modes > n:
         raise IndexError(f"model has {model.n_modes} modes, encoding only {n}")
     total = QubitOperator.zero(spec.n_qubits)
-    for coeff, monomial in model.terms:
-        x, z, phase = spec.monomial(monomial)
-        _add_terms(total._terms, (((x, z), coeff * phase),))
+    _add_terms(total._terms, (((x, z), coeff * phase) for coeff, monomial in model.terms
+                              for x, z, phase in [spec.monomial(monomial)]))
     return total

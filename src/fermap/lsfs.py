@@ -22,8 +22,9 @@ Fermion terms are encoded by ``encodings.encode_model`` under an
 ``LsfsSpec``, which is a pair table: ``LsfsSpec.pairs`` holds, once per
 directed edge (j, k), the masks and coefficient of the Majorana pair
 c_j d_k = eps_jk A(jk) B_k, with the phase of that string product.
-``LsfsSpec.monomial`` folds a monomial's pairs from that table, each
-shifted into its spin block, with c_k d_k = i B_k at every vertex, so
+``LsfsSpec.monomial`` starts at a monomial's first pair in that table and
+multiplies in each later one, each shifted into its spin block, with
+c_k d_k = i B_k at every vertex, so
 n_k = (1 + i c_k d_k) / 2 is (1 - B_k) / 2.  A hop
 (i/2)(c_j d_k + c_k d_j) then expands, on a horizontal edge, to
 (1/2) Y_k^right (Z_k^down Z_{k+1}^up - Z_k^up Z_k^left Z_{k+1}^right
@@ -187,20 +188,20 @@ class LsfsSpec(_Value):
 
     def monomial(self, indices) -> tuple[int, int, complex]:
         """Product of the pairs c_j d_k of ``indices``, in order: ``pairs[j, k]`` on an edge
-        and i B_k for j = k, each shifted into the spin block of j and k."""
+        and i B_k for j = k, each shifted into the spin block of j and k; the first pair's
+        entry, times each later one's with ``_mul_masks``."""
         if len(indices) % 2:
             raise ValueError(f"LSFS encodes products of pairs c_j d_k, not {indices}")
-        n_v, b = self.layout.n_vertices, self.layout.generators[1]
-        x = z = exp = 0
-        coeff = 1 + 0j
-        for c, d in zip(indices[::2], indices[1::2]):
+        n_v, n_e, b = self.layout.n_vertices, self.layout.n_edges, self.layout.generators[1]
+        x, z, exp, coeff = 0, 0, 0, 1 + 0j
+        for n, (c, d) in enumerate(zip(indices[::2], indices[1::2])):
             block, j = divmod(c >> 1, n_v)
             k = (d >> 1) - block * n_v  # outside [0, n_v) for a d_k in another block
             pair = (0, b[k], 1j) if j == k else self.pairs.get((j, k))
             if c & 1 or not d & 1 or pair is None:
                 raise ValueError(f"LSFS encodes c_j d_k on an edge or a vertex, not {indices}")
-            shift = block * self.layout.n_edges
-            x, z, step = _mul_masks(x, z, pair[0] << shift, pair[1] << shift)
+            x_p, z_p = pair[0] << block * n_e, pair[1] << block * n_e
+            x, z, step = _mul_masks(x, z, x_p, z_p) if n else (x_p, z_p, 0)
             exp, coeff = exp + step, coeff * pair[2]
         return x, z, coeff * _PHASES[exp % 4]
 

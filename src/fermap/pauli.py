@@ -17,9 +17,9 @@ encoders' monomial folds.
 Long sums are accumulated in place in one term map (``_add_terms``, as
 ``encode_model`` and the LSFS penalty do): the coefficients and term order
 of chained ``+``, without copying the growing sum at every step.  One
-writer, ``QubitOperator.to_json_text``, serializes straight from the masks;
-tests pin its text byte for byte to
-``json.dumps(to_json_dict(), sort_keys=True, indent=1)`` at any depth.
+writer, ``QubitOperator.to_json_text``, walks each term's mask bits once,
+lowest first, and looks up each letter's text by the int ``q << 2 | x + 2z``;
+tests pin it to ``json.dumps(to_json_dict(), sort_keys=True, indent=1)`` at any depth.
 
 The oracles apply operators to sparse states ``{basis state: amplitude}``
 (``QubitOperator.apply``); ``to_dense`` writes its columns into a matrix
@@ -39,7 +39,7 @@ from typing import Iterable, Iterator, Mapping
 DENSE_CAP_DEFAULT = 12
 
 _PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
-_LETTERS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
+_LETTERS = "IXZY"  # one qubit's letter, indexed by x + 2z
 _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -82,7 +82,7 @@ def _ops(x: int, z: int) -> Iterator[tuple[int, str]]:
     support = x | z
     while support:  # one step per set bit, lowest first
         low = support & -support
-        yield low.bit_length() - 1, _LETTERS[(x & low) != 0, (z & low) != 0]
+        yield low.bit_length() - 1, _LETTERS[(x & low and 1) + (z & low and 2)]
         support ^= low
 
 
@@ -327,16 +327,20 @@ class QubitOperator:
 
     def to_json_text(self, depth: int = 0) -> str:
         """``json.dumps(self.to_json_dict(), sort_keys=True, indent=1)`` at
-        nesting ``depth``, written straight from the term masks."""
+        nesting ``depth``, written straight from the term masks, one bit walk per term."""
         p0, p1, p2, p3, p4, p5 = ("\n" + " " * (depth + k) for k in range(6))
-        pairs = {}  # (qubit, letter) -> its [q, "L"] text, built once per call
+        fragments = {}  # qubit << 2 | x + 2z -> that letter's [q, "L"] text, built once per call
         terms = []
         for (x, z), c in sorted(self._terms.items(), key=lambda item: (item[0][1], item[0][0])):
-            paulis = []
-            for pair in _ops(x, z):
-                if pair not in pairs:
-                    pairs[pair] = f'[{p5}{pair[0]},{p5}"{pair[1]}"{p4}]'
-                paulis.append(pairs[pair])
+            paulis, support = [], x | z
+            while support:  # one step per set bit, lowest first
+                low = support & -support
+                key = (low.bit_length() - 1) << 2 | (x & low and 1) + (z & low and 2)
+                text = fragments.get(key)
+                if text is None:
+                    text = fragments[key] = f'[{p5}{key >> 2},{p5}"{_LETTERS[key & 3]}"{p4}]'
+                paulis.append(text)
+                support ^= low
             paulis = f"[{p4}{(',' + p4).join(paulis)}{p3}]" if paulis else "[]"
             re, im = float.__repr__(c.real), float.__repr__(c.imag)  # as json spells floats
             re, im = _JSON_NONFINITE.get(re, re), _JSON_NONFINITE.get(im, im)

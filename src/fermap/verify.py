@@ -253,17 +253,20 @@ def spectra_match(
 ) -> CheckResult:
     """A model under two forests equals its Fock matrix entry by entry, on the
     codewords of all 2^n states, walked from the vacuum by the c_j.  ``walked``
-    maps each spec already walked on this model to its residual and gains the new ones."""
+    maps each spec already walked on this model to its residual, and "columns" to the
+    model's Fock columns; it gains what this check builds."""
 
     def body():
         n, model = lattice.n_modes, hubbard(lattice, t, u)
         residuals = {} if walked is None else walked
-        columns = [fock_column(model, s) for s in range(1 << n)]  # shared by both specs
+        if "columns" not in residuals:  # shared by every spec
+            residuals["columns"] = [fock_column(model, s) for s in range(1 << n)]
         moves = [FermionOperator.term(n, 1.0, (2 * j,)) for j in range(n)]
         for spec in (spec_a, spec_b):
             if spec not in residuals:
                 psi = codewords(spec, None, moves)
-                residuals[spec] = fock_match(spec, psi, encode_model(spec, model), columns)
+                op = encode_model(spec, model)
+                residuals[spec] = fock_match(spec, psi, op, residuals["columns"])
         worst = max(residuals[spec_a], residuals[spec_b])
         return worst <= SPECTRUM_TOL, worst, ""
 
@@ -379,7 +382,7 @@ def run_suite(
     if not symbolic_only:
         lattice, jw = LatticeSpec.rectangle(2, 2, "snake"), EncodingSpec.jordan_wigner(8)
         bk, sbk = EncodingSpec.bravyi_kitaev(8), EncodingSpec.from_segments([2, 2, 2, 2])
-        walked: dict = {}  # JW's residual, walked by the first check, serves the second
+        walked: dict = {}  # the first check's JW residual and Fock columns serve the second
         for other, name in ((bk, "spectra-2x2-jw-vs-bk"), (sbk, "spectra-2x2-jw-vs-sbk")):
             checks.append(spectra_match(lattice, jw, other, cap=cap, name=name, walked=walked))
         checks.append(lsfs_sector_match(2, 2, t=1.0, cap=cap))

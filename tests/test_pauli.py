@@ -486,7 +486,7 @@ def raw_operator(n, terms):
 
 @st.composite
 def raw_operators(draw):
-    n = draw(st.sampled_from([0, 1, 63, 64, 65, 200]))
+    n = draw(st.sampled_from([0, 1, 63, 64, 65, 200, 800, 1520]))
     masks = st.integers(0, (1 << n) - 1)
     coeffs = st.builds(complex, PARTS, PARTS)
     return raw_operator(n, draw(st.dictionaries(st.tuples(masks, masks), coeffs, max_size=6)))
@@ -509,6 +509,23 @@ class TestJsonText:
     def test_empty_and_identity(self, terms, n, depth):
         op = raw_operator(n, terms)
         expected = nested_reference(reference_json_dict(op), depth)
+        assert nested_text(op.to_json_text(depth), depth) == expected
+
+    @pytest.mark.parametrize("depth", [1, 2])  # the operator file, the stabilizer sidecar
+    @pytest.mark.parametrize("n", [800, 1520])  # the 20x20 forest and two-spin LSFS registers
+    def test_letters_across_int_digits(self, n, depth):
+        # CPython stores ints in 30-bit digits: qubits 29 | 30 and 59 | 60 straddle
+        # the first two digit boundaries, and n - 1 is the register's top bit.
+        qubits, letters = (29, 30, 59, 60, n - 1), [(1, 0), (1, 1), (0, 1)]  # X, Y, Z
+        terms = {(1 << n - 1, 0): -1.5 + 0j}
+        for shift in range(3):
+            x = z = 0
+            for i, q in enumerate(qubits):
+                xb, zb = letters[(i + shift) % 3]
+                x, z = x | xb << q, z | zb << q
+            terms[x, z] = complex(shift + 0.25, -shift)
+        op = raw_operator(n, terms)
+        expected = nested_reference(op.to_json_dict(), depth)
         assert nested_text(op.to_json_text(depth), depth) == expected
 
     def test_nonfinite_and_signed_zero_spellings(self):

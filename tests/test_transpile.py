@@ -247,6 +247,20 @@ class TestExactness:
         assert hubbard(lattice, T, U, EPS) == expected
 
 
+def count_products(monkeypatch):
+    """Count the encoders' ``_mul_masks`` calls in the returned counter's "n"."""
+    products = Counter()
+    mul_masks = pauli._mul_masks
+
+    def counted(*args):
+        products["n"] += 1
+        return mul_masks(*args)
+
+    for module in (encodings, lsfs):
+        monkeypatch.setattr(module, "_mul_masks", counted)
+    return products
+
+
 class TestWorkCount:
     """Deterministic call counts that keep the quadratic paths out."""
 
@@ -339,16 +353,9 @@ class TestWorkCount:
 
     def test_hop_is_two_string_products(self, monkeypatch):
         # A hop is two monomials c_i d_j and c_j d_i, each one string: a forest
-        # folds its two table entries from the identity, LSFS its one pair entry.
-        products = Counter()
-        mul_masks = pauli._mul_masks
-
-        def counted(*args):
-            products["n"] += 1
-            return mul_masks(*args)
-
-        for module in (encodings, lsfs):
-            monkeypatch.setattr(module, "_mul_masks", counted)
+        # starts at its first table entry and multiplies in the second, LSFS
+        # reads its one pair entry and multiplies nothing.
+        products = count_products(monkeypatch)
         layout = lsfs.EdgeLayout(4, 3)
         specs = [EncodingSpec.jordan_wigner(12), EncodingSpec.bravyi_kitaev(12)]
         specs += [random_forest_spec(12, random.Random(7)), lsfs.LsfsSpec(layout)]
@@ -358,4 +365,26 @@ class TestWorkCount:
             for i, j in layout.edges() if is_lsfs else [(0, 11), (3, 4), (5, 9)]:
                 products.clear()
                 encode_model(spec, hopping_pair(12, i, j, 0.7))
-                assert products["n"] == (2 if is_lsfs else 4)
+                assert products["n"] == (0 if is_lsfs else 2)
+
+    def test_density_term_is_five_string_products(self, monkeypatch):
+        # n_a n_b expands to 1, i c_a d_a, i c_b d_b and -c_a d_a c_b d_b: 0 + 1 + 1 + 3.
+        products = count_products(monkeypatch)
+        spec = EncodingSpec.bravyi_kitaev(12)
+        assert spec.majoranas  # table built before counting
+        encode_model(spec, models.number_product(12, (7, 2), 1.3))
+        assert products["n"] == 5
+
+    @pytest.mark.parametrize("kind", ["jw", "bk", "sbk", "lsfs"])
+    def test_hubbard_20x20_products(self, kind, monkeypatch):
+        # 1,520 hops of one product each way, 400 density terms of 5; LSFS hops
+        # take none and its density terms one (B_a times B_b).
+        lattice = LatticeSpec.rectangle(20, 20, "row_major")
+        if kind == "lsfs":
+            spec = lsfs.LsfsSpec(lsfs.EdgeLayout(20, 20), 2)
+        else:
+            spec = model_encoding(kind, lattice)
+        assert spec.pairs if kind == "lsfs" else spec.majoranas  # tables built before counting
+        products = count_products(monkeypatch)
+        encode_model(spec, hubbard(lattice, T, U))
+        assert products["n"] == (400 if kind == "lsfs" else 5040)
