@@ -187,9 +187,8 @@ class LsfsSpec(_Value):
         return table
 
     def monomial(self, indices) -> tuple[int, int, complex]:
-        """Product of the pairs c_j d_k of ``indices``, in order: ``pairs[j, k]`` on an edge
-        and i B_k for j = k, each shifted into the spin block of j and k; the first pair's
-        entry, times each later one's with ``_mul_masks``."""
+        """The first pair c_j d_k of ``indices`` times each later one with ``_mul_masks``:
+        ``pairs[j, k]`` on an edge and i B_k for j = k, shifted into the block of j and k."""
         if len(indices) % 2:
             raise ValueError(f"LSFS encodes products of pairs c_j d_k, not {indices}")
         n_v, n_e, b = self.layout.n_vertices, self.layout.n_edges, self.layout.generators[1]

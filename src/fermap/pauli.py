@@ -331,19 +331,20 @@ class QubitOperator:
         p0, p1, p2, p3, p4, p5 = ("\n" + " " * (depth + k) for k in range(6))
         fragments = {}  # qubit << 2 | x + 2z -> that letter's [q, "L"] text, built once per call
         parts = [f'{{{p1}"n_qubits": {self.n_qubits},{p1}"terms": ']  # joined once, at the end
+        comma, closed = "," + p4, (f"]{p2}}}", f"{p3}]{p2}}}")  # after no letter, after some
         for (x, z), c in sorted(self._terms.items(), key=lambda item: (item[0][1], item[0][0])):
-            paulis, support = [], x | z
+            re, im = float.__repr__(c.real), float.__repr__(c.imag)  # as json spells floats
+            re, im = _JSON_NONFINITE.get(re, re), _JSON_NONFINITE.get(im, im)
+            parts += ",", p2, f'{{{p3}"coeff": [{p4}{re},{p4}{im}{p3}],{p3}"paulis": ['
+            sep, support = p4, x | z
             while support:  # one step per set bit, lowest first
                 low = support & -support
                 key = (low.bit_length() - 1) << 2 | (x & low and 1) + (z & low and 2)
                 if key not in fragments:
                     fragments[key] = f'[{p5}{key >> 2},{p5}"{_LETTERS[key & 3]}"{p4}]'
-                paulis.append(fragments[key])
-                support ^= low
-            paulis = f"[{p4}{(',' + p4).join(paulis)}{p3}]" if paulis else "[]"
-            re, im = float.__repr__(c.real), float.__repr__(c.imag)  # as json spells floats
-            re, im = _JSON_NONFINITE.get(re, re), _JSON_NONFINITE.get(im, im)
-            parts += ",", p2, f'{{{p3}"coeff": [{p4}{re},{p4}{im}{p3}],{p3}"paulis": {paulis}{p2}}}'
+                parts += sep, fragments[key]
+                sep, support = comma, support ^ low
+            parts.append(closed[sep is comma])
         parts[1:2] = ["["]  # the list opens in the first term's comma, or alone if empty
         parts.append(f"{p1}]{p0}}}" if len(parts) > 2 else f"]{p0}}}")
         return "".join(parts)
